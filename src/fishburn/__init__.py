@@ -8,6 +8,7 @@ the bijections preserve, and exact generating-function enumeration.
 
 from .errors import (
     BruteForceCapError,
+    EmptyObjectError,
     FishburnError,
     FixedPointError,
     LengthMismatchError,

@@ -9,11 +9,16 @@
 * posets <-> ascent sequences: repeatedly delete a maximal element of
   minimal level, recording that level; deletion comes in three shapes
   depending on whether the element shares its level and whether it sits
-  on top of the chain, and each shape has an inverse insertion.
+  on top of the chain, and each shape has an inverse insertion.  Both
+  directions edit the interval form (level and entry per element) in
+  place; no relation is built.
 * chord involutions <-> posets: a chord diagram is a collection of
-  intervals, ordered by "closes before the other opens"; the inverse
+  intervals, ordered by "closes before the other opens"; one sweep over
+  the endpoints reads off each chord's level and entry.  The inverse
   rebuilds the diagram from the level counts of the poset and of its
   dual, matching opener runs to closer labels greedily.
+* duality reflects the interval form: dual level = k+1-entry and dual
+  entry = k+1-level, where k is the rank.
 
 The canonical labelling of a poset numbers elements in reverse deletion
 order (first deleted gets n); under it, element i sits at level m_i where
@@ -32,10 +37,7 @@ from .objects import (
     ModifiedAscentSequence,
     Permutation,
     Poset,
-    RelationMatrix,
     ascent_positions,
-    poset_from_relations,
-    poset_to_relations,
     r_violation,
 )
 
@@ -165,37 +167,33 @@ def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
 
 
 class _PosetState:
-    """Mutable level/downset scratch form used by the poset bijection."""
+    """Mutable interval form used by the poset bijection.
 
-    __slots__ = ("levels", "downsets")
+    `levels` and `entry` map each element label to its level and to the
+    first chain index whose downset holds it (`rank + 1` when maximal).
+    """
 
-    def __init__(self, levels: dict[int, int], downsets: list[set[int]]):
+    __slots__ = ("levels", "entry", "rank")
+
+    def __init__(self, levels: dict[int, int], entry: dict[int, int], rank: int):
         self.levels = levels
-        self.downsets = downsets
+        self.entry = entry
+        self.rank = rank
 
     @classmethod
     def from_poset(cls, p: Poset) -> "_PosetState":
-        return cls(
-            {x: p.levels[x - 1] for x in range(1, p.n + 1)},
-            [set(d) for d in p.downsets],
-        )
+        labels = range(1, p.n + 1)
+        return cls(dict(zip(labels, p.levels)), dict(zip(labels, p.entry)), p.rank)
 
     def freeze(self) -> Poset:
-        n = len(self.levels)
-        relabel = {x: i for i, x in enumerate(sorted(self.levels), start=1)}
-        levels = [0] * n
-        for x, lvl in self.levels.items():
-            levels[relabel[x] - 1] = lvl
-        downsets = tuple(frozenset(relabel[x] for x in d) for d in self.downsets)
-        return Poset(n, tuple(levels), downsets)
-
-    @property
-    def rank(self) -> int:
-        return len(self.downsets) - 1
+        """The poset with labels renumbered 1..n in increasing order."""
+        labels = sorted(self.levels)
+        return Poset(len(labels), tuple(self.levels[x] for x in labels),
+                     tuple(self.entry[x] for x in labels))
 
     def maximal(self) -> list[int]:
-        top = self.downsets[-1]
-        return [x for x in self.levels if x not in top]
+        top = self.rank + 1
+        return [x for x, e in self.entry.items() if e == top]
 
     def srank(self) -> int:
         return min(self.levels[x] for x in self.maximal())
@@ -211,54 +209,51 @@ class _PosetState:
         level_i = [x for x, lvl in self.levels.items() if lvl == i]
         if len(level_i) > 1:
             u = max(x for x in self.maximal() if self.levels[x] == i)
-            del self.levels[u]
         elif i == self.rank:
+            # D_k goes, so an entry of k now marks a maximal element
             (u,) = level_i
-            del self.levels[u]
-            self.downsets.pop()
+            self.rank -= 1
         else:
+            # D_{i+1} folds onto D_i: the elements entering at i+1
+            # become maximal and later entries shift down
             (u,) = level_i
-            moved = self.downsets[i + 1] - self.downsets[i]
-            self.downsets = self.downsets[:i] + [
-                d - moved for d in self.downsets[i + 1 :]
-            ]
-            del self.levels[u]
+            for x, e in self.entry.items():
+                if e == i + 1:
+                    self.entry[x] = self.rank
+                elif e > i + 1:
+                    self.entry[x] = e - 1
             for x, lvl in self.levels.items():
                 if lvl > i:
                     self.levels[x] = lvl - 1
+            self.rank -= 1
+        del self.levels[u], self.entry[u]
         return i, u
 
     def insert_step(self, i: int, label: int) -> None:
         """Insert a new maximal element `label` at level i (0 <= i <= rank+1)."""
-        srank = self.srank() if self.levels else 0
-        rank = self.rank
-        if self.levels and not 0 <= i <= rank + 1:
-            raise ValueError(f"insertion level {i} out of range")
         if not self.levels:
             if i != 0:
                 raise ValueError("first element must enter at level 0")
-            self.levels[label] = 0
-            return
-        if i <= srank:
-            self.levels[label] = i
-        elif i == rank + 1:
-            self.downsets.append(set(self.levels))
-            self.levels[label] = i
-        else:
-            covered = {x for x, lvl in self.levels.items() if lvl < i and x not in self.downsets[-1]}
-            self.downsets = (
-                self.downsets[: i + 1]
-                + [self.downsets[i] | covered]
-                + [d | covered for d in self.downsets[i + 1 :]]
-            )
+        elif not 0 <= i <= self.rank + 1:
+            raise ValueError(f"insertion level {i} out of range")
+        elif i == self.rank + 1:
+            # a new top downset holding every element
+            self.rank += 1
+        elif i > self.srank():
+            # a new downset after D_i: the maximal elements below level i
+            # enter there, and everything above shifts up by one
+            top = self.rank + 1
+            for x, e in self.entry.items():
+                if e == top and self.levels[x] < i:
+                    self.entry[x] = i + 1
+                elif e > i:
+                    self.entry[x] = e + 1
             for x, lvl in self.levels.items():
                 if lvl >= i:
                     self.levels[x] = lvl + 1
-            self.levels[label] = i
-        # after insertion the new element is a maximal element of minimal
-        # level, and the rank grew exactly when i exceeded the old srank
-        assert self.srank() == i
-        assert self.rank == rank + (1 if i > srank else 0)
+            self.rank += 1
+        self.levels[label] = i
+        self.entry[label] = self.rank + 1
 
 
 def poset_to_sequence(p: Poset) -> AscentSequence:
@@ -283,10 +278,7 @@ def _deletion_trace(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     seq = [0] * n
     labels = [0] * n
     for m in range(n, 1, -1):
-        rank_before = state.rank
         i, u = state.delete_step()
-        # the rank drops exactly when the deleted level exceeded the new srank
-        assert state.rank == (rank_before if i <= state.srank() else rank_before - 1)
         seq[m - 1] = i
         labels[u - 1] = m
     (last,) = state.levels
@@ -298,11 +290,10 @@ def sequence_to_poset(x: AscentSequence) -> Poset:
     """Build the poset by replaying insertions; labels come out canonical."""
     if len(x) == 0:
         return Poset.empty()
-    state = _PosetState(dict(), [set()])
+    state = _PosetState({}, {}, 0)
     for label, i in enumerate(x.entries, start=1):
         state.insert_step(i, label)
-    p = state.freeze()
-    return p
+    return state.freeze()
 
 
 def poset_to_perm(p: Poset) -> Permutation:
@@ -322,10 +313,9 @@ def poset_to_perm(p: Poset) -> Permutation:
 
 
 def dual(p: Poset) -> Poset:
-    """Order-reversal, recomputing the level/downset form."""
-    rel = poset_to_relations(p)
-    flipped = RelationMatrix(p.n, frozenset((b, a) for a, b in rel.pairs))
-    return poset_from_relations(flipped)
+    """Order-reversal: reflect every interval [level, entry-1] in 0..k."""
+    top = p.rank + 1
+    return Poset(p.n, tuple(top - e for e in p.entry), tuple(top - lvl for lvl in p.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +326,29 @@ def involution_to_poset(c: ChordInvolution) -> Poset:
     """Interval order of the chords: one closes before the other opens.
 
     Defined on every fixed-point-free involution, nesting-free or not.
-    Chord labels follow opener order.
+    Chord labels follow opener order.  One sweep over the endpoints: an
+    opener starts a new level when some chord closed since the previous
+    opener, and the chords closed in between enter the chain there.
     """
-    chords = c.chords()
-    n = len(chords)
-    pairs = frozenset(
-        (a + 1, b + 1)
-        for a in range(n)
-        for b in range(n)
-        if chords[a][1] < chords[b][0]
-    )
-    return poset_from_relations(RelationMatrix(n, pairs))
+    n = c.n_chords
+    levels: list[int] = []
+    entry = [0] * n
+    label: dict[int, int] = {}  # opener endpoint -> 0-based chord label
+    level, closed = 0, []
+    for i, j in enumerate(c.partner, start=1):
+        if j < i:
+            closed.append(label[j])
+            continue
+        if closed:
+            level += 1
+            for a in closed:
+                entry[a] = level
+            closed = []
+        label[i] = len(levels)
+        levels.append(level)
+    for a in closed:
+        entry[a] = level + 1
+    return Poset(n, tuple(levels), tuple(entry))
 
 
 def poset_to_involution(p: Poset) -> ChordInvolution:
@@ -367,7 +369,6 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
         return ChordInvolution(())
     p_dual = dual(p)
     k = p.rank
-    assert p_dual.rank == k
     m_counts = [0] * (k + 1)
     n_counts = [0] * (k + 1)
     pair_counts: dict[tuple[int, int], int] = {}
@@ -386,7 +387,6 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
         label = k - i
         closers_by_label[label].extend(range(pos, pos + n_counts[label]))
         pos += n_counts[label]
-    assert pos == 2 * n + 1
 
     partner = [0] * (2 * n)
     next_closer = {j: 0 for j in range(k + 1)}
@@ -401,18 +401,7 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
     return ChordInvolution(tuple(partner))
 
 
-def _crossings(c: ChordInvolution) -> int:
-    chords = c.chords()
-    return sum(
-        1
-        for (a1, b1), (a2, b2) in ((chords[r], chords[s])
-                                   for r in range(len(chords))
-                                   for s in range(r + 1, len(chords)))
-        if a1 < a2 < b1 < b2
-    )
-
-
-def _first_neighbour_nesting(partner: list[int]) -> int | None:
+def _first_neighbour_nesting(partner: tuple[int, ...]) -> int | None:
     for i in range(1, len(partner)):
         a, b = partner[i - 1], partner[i]
         if a == i + 1:
@@ -438,12 +427,8 @@ def remove_neighbour_nestings(c: ChordInvolution) -> ChordInvolution:
     which nestings are picked.
     """
     current = c
-    crossings = _crossings(current)
     while True:
-        i = _first_neighbour_nesting(list(current.partner))
+        i = _first_neighbour_nesting(current.partner)
         if i is None:
             return current
         current = swap_endpoints(current, i)
-        now = _crossings(current)
-        assert now > crossings
-        crossings = now

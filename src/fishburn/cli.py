@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bijections, patterns, series, statistics, verify
-from .errors import BruteForceCapError, FishburnError
+from .errors import BruteForceCapError, EmptyObjectError, FishburnError
 from .objects import (
     AscentSequence,
     ChordInvolution,
@@ -150,7 +150,7 @@ def cmd_convert(args) -> int:
             obj = _parse_object(args.source, line)
             x = _to_sequence(args.source, obj)
             if len(x) == 0:
-                raise FishburnError("conversions need at least one element")
+                raise EmptyObjectError("conversions need at least one element")
             print(_from_sequence(args.target, x))
         except FishburnError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
@@ -244,6 +244,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for a size bound: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fishburn",
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=verify.SUITES)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-n", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

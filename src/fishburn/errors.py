@@ -17,6 +17,10 @@ class NotAscentSequenceError(FishburnError):
         super().__init__(message or f"not an ascent sequence (entry {index})")
 
 
+class EmptyObjectError(FishburnError):
+    """The operation is undefined on an object with no elements."""
+
+
 class NotModifiedSequenceError(FishburnError):
     """The sequence is not the modification of any ascent sequence."""
 

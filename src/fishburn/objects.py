@@ -4,9 +4,12 @@ Four families, all counted by the Fishburn numbers (OEIS A022493):
 
 * ascent sequences: x_1 = 0 and 0 <= x_i <= 1 + asc(x_1..x_{i-1}), where
   asc counts strict ascents;
-* unlabeled (2+2)-free posets, stored as a strictly increasing chain of
-  strict downsets plus a level (chain index) per element -- a poset is
-  (2+2)-free exactly when its strict downsets form such a chain;
+* unlabeled (2+2)-free posets: exactly the posets whose strict downsets
+  form a chain D_0 = {} < D_1 < ... < D_k, that is, the interval orders.
+  Each is stored in Fishburn's interval form, two integers per element:
+  its level (the index of its downset) and its entry (the first index
+  whose downset holds it), with x < y iff entry(x) <= level(y).  The
+  relation form (`RelationMatrix`) is only the JSON interchange form;
 * permutations avoiding the bivincular pattern (231,{1},{1}): no ascent
   p_i < p_{i+1} with p_i - 1 somewhere to the right of it;
 * fixed-point-free involutions of [2n] whose chord diagram has no nesting
@@ -100,27 +103,28 @@ class AscentSequence:
 
 
 def _is_modified(entries: tuple[int, ...]) -> bool:
-    """Recursive membership test for modified ascent sequences.
+    """Membership test for modified ascent sequences, peeling off the last entry.
 
     (y_1,..,y_n) qualifies iff n = 0, or n = 1 and y_1 = 0, or the last
     entry either (a) weakly descends, with a qualifying prefix, or (b) is a
     new strict maximum bounded by 1 + asc(prefix), absent from the prefix,
-    and the prefix with every entry above y_n decremented qualifies.
+    and the prefix with every entry above y_n decremented qualifies.  The
+    decrement keeps the order pattern, so the ascent count is kept
+    running instead of recounted.
     """
-    n = len(entries)
-    if n == 0:
-        return True
     if any(e < 0 for e in entries):
         return False
-    if n == 1:
-        return entries[0] == 0
-    last, prefix = entries[-1], entries[:-1]
-    if last <= prefix[-1]:
-        return _is_modified(prefix)
-    if last > 1 + ascents(prefix) or last in prefix:
-        return False
-    lowered = tuple(e - 1 if e >= last else e for e in prefix)
-    return _is_modified(lowered)
+    work = list(entries)
+    asc = ascents(work)
+    while len(work) > 1:
+        last = work.pop()
+        if last <= work[-1]:
+            continue
+        asc -= 1
+        if last > 1 + asc or last in work:
+            return False
+        work = [e - 1 if e >= last else e for e in work]
+    return not work or work[0] == 0
 
 
 @dataclass(frozen=True)
@@ -272,81 +276,66 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 
 @dataclass(frozen=True)
 class Poset:
-    """A (2+2)-free poset on labels 1..n in level/downset form.
+    """A (2+2)-free poset on labels 1..n in interval form.
 
-    `downsets` is the strictly increasing chain D_0 = {} < D_1 < ... < D_k
-    of strict downsets; `levels[x-1]` is the chain index of element x's
-    downset.  The order relation is x < y iff x in D_{level(y)};
-    irreflexivity and transitivity follow from the invariants, and the
-    chain structure is exactly (2+2)-freeness.
+    The strict downsets form a chain D_0 = {} < D_1 < ... < D_k, where k
+    is the rank.  `levels[x-1]` is the index of the downset of x, and
+    `entry[x-1]` is the first index j with x in D_j, or k+1 when x is
+    maximal.  So x < y iff entry(x) <= level(y): element x is the
+    interval [level(x), entry(x)-1] of Fishburn's representation of an
+    interval order, and x < y when x's interval ends before y's begins.
+    Irreflexivity and transitivity follow from level(x) < entry(x).
     """
 
     n: int
     levels: tuple[int, ...]
-    downsets: tuple[frozenset[int], ...]
+    entry: tuple[int, ...]
 
     def __post_init__(self):
         levels = tuple(int(v) for v in self.levels)
-        downsets = tuple(frozenset(d) for d in self.downsets)
+        entry = tuple(int(v) for v in self.entry)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "downsets", downsets)
+        object.__setattr__(self, "entry", entry)
         n = self.n
-        if n < 0 or len(levels) != n:
-            raise ValueError("levels must assign one level to each of 1..n")
-        if not downsets or downsets[0]:
-            raise ValueError("downset chain must start with the empty set")
-        if n == 0:
-            if downsets != (frozenset(),):
-                raise ValueError("empty poset has the trivial chain")
-            return
-        for a, b in zip(downsets, downsets[1:]):
-            if not a < b:
-                raise ValueError("downsets must form a strictly increasing chain")
-        k = len(downsets) - 1
-        ground = set(range(1, n + 1))
-        seen = [False] * (k + 1)
-        for x, lvl in enumerate(levels, start=1):
-            if not 0 <= lvl <= k:
-                raise ValueError(f"level of {x} out of range")
-            seen[lvl] = True
-        if not all(seen):
+        if n < 0 or len(levels) != n or len(entry) != n:
+            raise ValueError("levels and entry must assign one value to each of 1..n")
+        k = max(levels, default=0)
+        occupied = [False] * (k + 1)
+        entered = [False] * (k + 2)
+        for x, (lvl, e) in enumerate(zip(levels, entry), start=1):
+            if not 0 <= lvl < e <= k + 1:
+                raise ValueError(f"element {x} needs 0 <= level < entry <= k+1")
+            occupied[lvl] = entered[e] = True
+        if n and not all(occupied):
             raise ValueError("every level 0..k must be occupied")
-        for i, d in enumerate(downsets):
-            if not d <= ground:
-                raise ValueError("downset members must be elements")
-            for x in d:
-                if levels[x - 1] >= i:
-                    raise ValueError(f"element {x} in D_{i} must lie at a lower level")
+        if not all(entered[1:k + 1]):
+            raise ValueError("downsets must form a strictly increasing chain")
 
     @classmethod
     def empty(cls) -> Poset:
-        return cls(0, (), (frozenset(),))
+        return cls(0, (), ())
 
     @classmethod
     def antichain(cls, n: int) -> Poset:
-        if n == 0:
-            return cls.empty()
-        return cls(n, (0,) * n, (frozenset(),))
+        return cls(n, (0,) * n, (1,) * n)
 
     @classmethod
     def chain(cls, n: int) -> Poset:
-        if n == 0:
-            return cls.empty()
-        downsets = tuple(frozenset(range(1, i + 1)) for i in range(n))
-        return cls(n, tuple(range(n)), downsets)
+        return cls(n, tuple(range(n)), tuple(range(1, n + 1)))
 
     @property
     def rank(self) -> int:
-        return len(self.downsets) - 1
+        return max(self.levels, default=0)
 
     def level_of(self, x: int) -> int:
         return self.levels[x - 1]
 
     def downset_of(self, x: int) -> frozenset[int]:
-        return self.downsets[self.levels[x - 1]]
+        lvl = self.levels[x - 1]
+        return frozenset(z for z, e in enumerate(self.entry, start=1) if e <= lvl)
 
     def less(self, x: int, y: int) -> bool:
-        return x in self.downset_of(y)
+        return self.entry[x - 1] <= self.levels[y - 1]
 
     def level_sets(self) -> list[tuple[int, ...]]:
         sets: list[list[int]] = [[] for _ in range(self.rank + 1)]
@@ -355,11 +344,11 @@ class Poset:
         return [tuple(s) for s in sets]
 
     def maximal_elements(self) -> tuple[int, ...]:
-        top = self.downsets[-1]
-        return tuple(x for x in range(1, self.n + 1) if x not in top)
+        top = self.rank + 1
+        return tuple(x for x, e in enumerate(self.entry, start=1) if e == top)
 
     def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(1, self.n + 1) if self.levels[x - 1] == 0)
+        return tuple(x for x, lvl in enumerate(self.levels, start=1) if lvl == 0)
 
     @property
     def srank(self) -> int:
@@ -681,35 +670,41 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
 
 
 def poset_from_relations(rel: RelationMatrix) -> Poset:
-    """Recover the level/downset form from a strict relation.
+    """Recover the interval form from a strict relation.
 
     Raises NotPartialOrderError if the relation is not irreflexive and
     transitive, and NotTwoPlusTwoFreeError (with a four-element witness)
-    if the strict downsets are not linearly ordered by inclusion.
+    if the strict downsets are not linearly ordered by inclusion.  An
+    irreflexive relation whose downsets form a chain is transitive (if
+    a < b < c and D(c) < D(b), then b in D(b)), so transitivity is only
+    scanned when the chain test fails.
     """
     n = rel.n
     if n == 0:
         return Poset.empty()
     pairs = rel.pairs
+    below: dict[int, set[int]] = {x: set() for x in range(1, n + 1)}
     for a, b in pairs:
         if a == b:
             raise NotPartialOrderError(f"reflexive pair ({a},{b})")
-    for a, b in pairs:
-        for c in range(1, n + 1):
-            if (b, c) in pairs and (a, c) not in pairs:
-                raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
-
-    down = {x: frozenset(a for a, b in pairs if b == x) for x in range(1, n + 1)}
+        below[b].add(a)
+    down = {x: frozenset(d) for x, d in below.items()}
     chain = sorted(set(down.values()), key=len)
-    for a, b in zip(chain, chain[1:]):
-        if not a < b:
-            # two incomparable downsets: extract a 2+2 witness
-            for x in range(1, n + 1):
-                for y in range(x + 1, n + 1):
-                    dx, dy = down[x] - down[y], down[y] - down[x]
-                    if dx and dy:
-                        raise NotTwoPlusTwoFreeError((x, min(dx), y, min(dy)))
-            raise AssertionError("downsets not a chain yet no witness found")
+    if any(not a < b for a, b in zip(chain, chain[1:])):
+        for a, b in pairs:
+            for c in range(1, n + 1):
+                if (b, c) in pairs and (a, c) not in pairs:
+                    raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
+        # two incomparable downsets: extract a 2+2 witness
+        for x in range(1, n + 1):
+            for y in range(x + 1, n + 1):
+                dx, dy = down[x] - down[y], down[y] - down[x]
+                if dx and dy:
+                    raise NotTwoPlusTwoFreeError((x, min(dx), y, min(dy)))
+        raise AssertionError("downsets not a chain yet no witness found")
     index = {d: i for i, d in enumerate(chain)}
-    levels = tuple(index[down[x]] for x in range(1, n + 1))
-    return Poset(n, levels, tuple(chain))
+    levels = [index[down[x]] for x in range(1, n + 1)]
+    entry = [len(chain)] * n
+    for a, b in pairs:
+        entry[a - 1] = min(entry[a - 1], levels[b - 1])
+    return Poset(n, tuple(levels), tuple(entry))

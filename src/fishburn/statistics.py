@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bijections
-from .errors import NotInRError
+from .errors import EmptyObjectError, NotInRError
 from .objects import (
     AscentSequence,
     ModifiedAscentSequence,
@@ -59,24 +59,10 @@ def left_to_right_minima(entries) -> list[int]:
     return out
 
 
-def left_to_right_maxima(entries) -> list[int]:
-    out = []
-    best = None
-    for i, e in enumerate(entries):
-        if best is None or e > best:
-            out.append(i)
-            best = e
-    return out
-
-
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def qpoly_eval(coeffs: tuple[int, ...], q: int) -> int:
-    return sum(c * q**i for i, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -114,7 +100,7 @@ class StatRecord:
 
 def stats_of_sequence(x: AscentSequence) -> StatRecord:
     if len(x) == 0:
-        raise ValueError("statistics of the empty sequence are undefined")
+        raise EmptyObjectError("statistics of the empty sequence are undefined")
     m = bijections.to_modified(x).entries
     rank = ascents(x.entries)
     level_counts = [0] * (rank + 1)
@@ -140,7 +126,7 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
     if witness is not None:
         raise NotInRError(witness)
     if len(pi) == 0:
-        raise ValueError("statistics of the empty permutation are undefined")
+        raise EmptyObjectError("statistics of the empty permutation are undefined")
     profile = bijections.active_sites(pi)
     sites = profile.sites
     rank = ascents(pi.inverse().entries)
@@ -166,7 +152,7 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
 
 def stats_of_poset(p: Poset) -> StatRecord:
     if p.n == 0:
-        raise ValueError("statistics of the empty poset are undefined")
+        raise EmptyObjectError("statistics of the empty poset are undefined")
     level_counts = [0] * (p.rank + 1)
     for lvl in p.levels:
         level_counts[lvl] += 1
@@ -221,9 +207,8 @@ def _poset_cuts(p: Poset) -> list[int]:
     """Sizes of proper downsets D_j lying entirely below everything else."""
     cuts = []
     for j in range(1, p.rank + 1):
-        d = p.downsets[j]
-        if all(x in d or p.levels[x - 1] >= j for x in range(1, p.n + 1)):
-            cuts.append(len(d))
+        if all(e <= j or lvl >= j for lvl, e in zip(p.levels, p.entry)):
+            cuts.append(sum(1 for e in p.entry if e <= j))
     cuts.append(p.n)
     return cuts
 
@@ -268,11 +253,7 @@ def _poset_sum(a: Poset, b: Poset) -> Poset:
         return b
     if b.n == 0:
         return a
-    shift = a.n
     lift = a.rank + 1
     levels = a.levels + tuple(lvl + lift for lvl in b.levels)
-    ground_a = frozenset(range(1, a.n + 1))
-    downsets = tuple(a.downsets) + tuple(
-        ground_a | frozenset(x + shift for x in d) for d in b.downsets
-    )
-    return Poset(a.n + b.n, levels, downsets)
+    entry = a.entry + tuple(e + lift for e in b.entry)
+    return Poset(a.n + b.n, levels, entry)

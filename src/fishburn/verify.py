@@ -27,6 +27,8 @@ def run_suite(name: str, max_n: int | None = None) -> tuple[bool, str]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     n = DEFAULT_MAX_N[name] if max_n is None else max_n
+    if n < 0:
+        raise ValueError(f"max_n must be >= 0, got {n}")
     return _RUNNERS[name](n)
 
 

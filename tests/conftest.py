@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fishburn import (
+    AscentSequence,
     ChordInvolution,
     Poset,
     RelationMatrix,
@@ -23,6 +26,17 @@ BARRED_COUNTS = [1, 1, 2, 5, 14, 43, 143, 510, 1936]
 
 def relations(n: int, pairs) -> Poset:
     return poset_from_relations(RelationMatrix(n, frozenset(pairs)))
+
+
+def random_ascent_sequence(n: int, seed: int) -> AscentSequence:
+    """Each entry uniform on 0..1+asc(prefix), from random.Random(seed)."""
+    rng = random.Random(seed)
+    entries, asc = [0], 0
+    for _ in range(n - 1):
+        v = rng.randint(0, asc + 1)
+        asc += v > entries[-1]
+        entries.append(v)
+    return AscentSequence(tuple(entries))
 
 
 # An 8-element poset given by its predecessor sets (labels a..h mapped to

@@ -15,6 +15,8 @@ from fishburn import (
     Permutation,
 )
 from fishburn.bijections import (
+    _PosetState,
+    _first_neighbour_nesting,
     active_sites,
     canonical_labelling,
     dual,
@@ -34,9 +36,12 @@ from fishburn.bijections import (
 from fishburn.errors import NotInRError, NotModifiedSequenceError
 from fishburn.objects import (
     enumerate_fixed_point_free_involutions,
+    format_poset,
     in_I2n,
     neighbour_nesting_positions,
+    parse_poset,
 )
+from fishburn.statistics import stats_of_perm, stats_of_sequence
 
 from conftest import (
     CHORD10_SEQUENCE,
@@ -44,6 +49,7 @@ from conftest import (
     POSET8B_SEQUENCE,
     POSET8C_LEVELS,
     POSET8C_SEQUENCE,
+    random_ascent_sequence,
 )
 from test_objects import ascent_sequences
 
@@ -178,6 +184,31 @@ class TestPosetEncoding:
                 for element in range(1, n + 1):
                     assert p.level_of(element) == m[labels[element - 1] - 1]
 
+    def test_insertion_steps(self, sequences_by_length):
+        # each new element is a maximal element of minimal level, and the
+        # rank grows exactly when its level exceeds the old srank
+        for n in range(1, 8):
+            for x in sequences_by_length[n]:
+                state = _PosetState({}, {}, 0)
+                for label, i in enumerate(x.entries, start=1):
+                    srank = state.srank() if state.levels else 0
+                    rank = state.rank
+                    state.insert_step(i, label)
+                    assert state.srank() == i
+                    assert state.rank == rank + (i > srank)
+                    state.freeze()  # every intermediate state is a valid poset
+
+    def test_deletion_steps(self, sequences_by_length):
+        # the rank drops exactly when the deleted level exceeds the new srank
+        for n in range(2, 8):
+            for x in sequences_by_length[n]:
+                state = _PosetState.from_poset(sequence_to_poset(x))
+                while len(state.levels) > 1:
+                    rank = state.rank
+                    i, _ = state.delete_step()
+                    assert state.rank == (rank if i <= state.srank() else rank - 1)
+                    state.freeze()
+
     def test_canonical_labelling_of_relabelled_poset(self, poset8b):
         # built with canonical labels, the walkthrough poset has levels m_i
         built = sequence_to_poset(AscentSequence(POSET8B_SEQUENCE))
@@ -231,6 +262,17 @@ class TestIntervalOrders:
                 if in_I2n(c):
                     assert poset_to_involution(involution_to_poset(c)) == c
 
+    def test_sweep_matches_the_interval_relation(self):
+        for points in range(0, 11, 2):
+            for c in enumerate_fixed_point_free_involutions(points):
+                chords = c.chords()
+                pairs = frozenset((a, b)
+                                  for a, (_, closer) in enumerate(chords, start=1)
+                                  for b, (opener, _) in enumerate(chords, start=1)
+                                  if closer < opener)
+                expected = fb.poset_from_relations(fb.RelationMatrix(len(chords), pairs))
+                assert involution_to_poset(c) == expected
+
     def test_mirror_gives_dual(self):
         for points in range(2, 9, 2):
             for c in enumerate_fixed_point_free_involutions(points):
@@ -279,6 +321,21 @@ class TestNestingRemoval:
                         break
                     current = swap_endpoints(current, spots[0])
                     assert poset_to_sequence(involution_to_poset(current)).entries == target.entries
+
+    def test_each_swap_raises_the_crossing_number(self):
+        # the count strictly grows, so the swapping terminates
+        def crossings(c):
+            return sum(1 for (a1, b1), (a2, b2) in itertools.combinations(c.chords(), 2)
+                       if a1 < a2 < b1 < b2)
+
+        for points in range(0, 11, 2):
+            for c in enumerate_fixed_point_free_involutions(points):
+                current = c
+                while (i := _first_neighbour_nesting(current.partner)) is not None:
+                    swapped = swap_endpoints(current, i)
+                    assert crossings(swapped) > crossings(current)
+                    current = swapped
+                assert current == remove_neighbour_nestings(c)
 
     def test_result_is_order_independent(self):
         # explore every order of applying the swaps on 8 points
@@ -342,6 +399,36 @@ class TestDuality:
                 if n:
                     assert d.rank == p.rank
 
+    def test_reflection_matches_the_flipped_relation(self, sequences_by_length):
+        for n in range(8):
+            for x in sequences_by_length[n]:
+                p = sequence_to_poset(x)
+                rel = fb.poset_to_relations(p)
+                flipped = fb.RelationMatrix(n, frozenset((b, a) for a, b in rel.pairs))
+                assert dual(p) == fb.poset_from_relations(flipped)
+
     def test_dual_of_walkthrough_poset(self, poset8b):
         pi = sequence_to_perm(poset_to_sequence(dual(poset8b)))
         assert pi.entries == (4, 1, 7, 2, 6, 5, 8, 3)
+
+
+class TestLargeInputs:
+    def test_poset_and_involution_paths_at_n_1000(self):
+        x = random_ascent_sequence(1000, seed=1000)
+        p = sequence_to_poset(x)
+        assert poset_to_sequence(involution_to_poset(poset_to_involution(p))) == x
+        assert dual(dual(p)) == p
+
+    def test_poset_text_form_at_n_300(self):
+        p = sequence_to_poset(random_ascent_sequence(300, seed=300))
+        assert parse_poset(format_poset(p)) == p
+
+    @pytest.mark.parametrize("x", [random_ascent_sequence(2000, seed=2000),
+                                   AscentSequence((0,) * 2000)], ids=["seeded", "zeros"])
+    def test_sequence_paths_at_n_2000(self, x):
+        m = to_modified(x)
+        assert from_modified(m) == x
+        pi = sequence_to_perm(x)
+        assert perm_to_sequence(pi) == x
+        record = stats_of_sequence(x)
+        assert record.size == 2000 and record == stats_of_perm(pi)

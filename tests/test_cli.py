@@ -7,7 +7,9 @@ import json
 
 import pytest
 
-from fishburn import cli
+from fishburn import AscentSequence, cli, verify
+
+from conftest import random_ascent_sequence
 
 
 def run(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -111,6 +113,22 @@ class TestConvert:
                            "[]\n", monkeypatch, capsys)
         assert code == 1 and "line 1" in err
 
+    @pytest.mark.parametrize("x", [random_ascent_sequence(2000, seed=2001),
+                                   AscentSequence((0,) * 2000)], ids=["seeded", "zeros"])
+    def test_long_sequences_through_perm(self, x, capsys, monkeypatch):
+        line = str(x) + "\n"
+        code, perm, err = run(["convert", "--from", "ascseq", "--to", "perm"],
+                              line, monkeypatch, capsys)
+        assert code == 0 and not err
+        code, back, _ = run(["convert", "--from", "perm", "--to", "ascseq"],
+                            perm, monkeypatch, capsys)
+        assert code == 0 and back == line
+        code, modified, _ = run(["convert", "--from", "ascseq", "--to", "modseq"],
+                                line, monkeypatch, capsys)
+        code, back, _ = run(["convert", "--from", "modseq", "--to", "ascseq"],
+                            modified, monkeypatch, capsys)
+        assert code == 0 and back == line
+
     def test_all_pairs_compose(self, capsys, monkeypatch):
         forms = {
             "ascseq": "[0,1,0,1]",
@@ -165,6 +183,13 @@ class TestStats:
             "max_level_counts": [0, 0, 1],
         }
 
+    def test_empty_object_reported_and_stream_continues(self, capsys, monkeypatch):
+        code, out, err = run(["stats", "--format", "ascseq"], "[]\n[0,1]\n",
+                             monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("line 1: ") and "Traceback" not in err
+        assert json.loads(out)["n"] == 2
+
 
 class TestSeries:
     def test_one_per_line(self, capsys):
@@ -209,6 +234,15 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", suite, "--max-n", str(max_n)],
                            capsys=capsys)
         assert code == 0 and out.startswith("PASS")
+
+    def test_negative_max_n_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", "roundtrips", "--max-n", "-2"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert not out and "usage:" in err and "--max-n" in err
+        with pytest.raises(ValueError):
+            verify.run_suite("roundtrips", -2)
 
 
 class TestDeterminism:

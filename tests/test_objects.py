@@ -228,11 +228,36 @@ class TestPosets:
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ValueError):
-            Poset(2, (0, 0), (frozenset(), frozenset({1})))  # level 1 unoccupied
+            Poset(3, (0, 2, 0), (1, 3, 2))  # level 1 unoccupied
         with pytest.raises(ValueError):
-            Poset(2, (0, 1), (frozenset(), frozenset({2})))  # member level too high
+            Poset(2, (0, 1), (2, 1))  # member level too high: 2 in D_1 at level 1
         with pytest.raises(ValueError):
-            Poset(1, (0,), (frozenset({1}),))  # chain must start empty
+            Poset(1, (0,), (0,))  # chain must start empty: 1 in D_0
+
+    def test_repeated_downset_rejected(self):
+        with pytest.raises(ValueError):
+            Poset(2, (0, 1), (2, 2))  # nothing enters at 1, so D_1 = D_0
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_relation_against_the_axioms(self, n):
+        # all 2^(n*n) relations on 1..n: the error type follows the first
+        # failing axiom, and an accepted relation comes back unchanged
+        points = range(1, n + 1)
+        grid = [(a, b) for a in points for b in points]
+        for mask in range(1 << len(grid)):
+            pairs = frozenset(pair for bit, pair in enumerate(grid) if mask >> bit & 1)
+            rel = fb.RelationMatrix(n, pairs)
+            if any(a == b for a, b in pairs) or any(
+                    (b, c) in pairs and (a, c) not in pairs for a, b in pairs for c in points):
+                expected = NotPartialOrderError
+            elif any((a, d) not in pairs and (c, b) not in pairs
+                     for a, b in pairs for c, d in pairs):
+                expected = NotTwoPlusTwoFreeError
+            else:
+                assert poset_to_relations(poset_from_relations(rel)) == rel
+                continue
+            with pytest.raises(expected):
+                poset_from_relations(rel)
 
     @given(ascent_sequences(max_length=10))
     def test_random_poset_relation_roundtrip(self, x):

@@ -6,7 +6,7 @@ import pytest
 
 import fishburn as fb
 from fishburn import AscentSequence, ModifiedAscentSequence, Permutation, Poset
-from fishburn.errors import NotInRError
+from fishburn.errors import EmptyObjectError, NotInRError
 from fishburn.statistics import (
     StatRecord,
     components,
@@ -51,6 +51,14 @@ class TestWorkedExample:
     def test_rejects_outside_family(self):
         with pytest.raises(NotInRError):
             stats_of_perm(Permutation((2, 3, 1)))
+
+    def test_empty_objects_raise_a_typed_error(self):
+        with pytest.raises(EmptyObjectError):
+            stats_of_sequence(AscentSequence(()))
+        with pytest.raises(EmptyObjectError):
+            stats_of_perm(Permutation(()))
+        with pytest.raises(EmptyObjectError):
+            stats_of_poset(Poset.empty())
 
 
 class TestDictionary:
