@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count a family at size n")
     p.add_argument("--object", required=True,
                    choices=("ascseq", "posets", "perms", "involutions", "barred"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative_int, required=True)
     p.add_argument("--by", choices=("asc", "rlmin"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list a family in canonical order")
     p.add_argument("--object", required=True,
                    choices=("ascseq", "posets", "perms", "involutions"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="convert objects read from stdin")
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("series", help="family counts p_0..p_N")
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=non_negative_int, default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_series)
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_contains)
 
     p = sub.add_parser("avoiders", help="permutations of length n avoiding a pattern")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=non_negative_int, required=True)
     p.add_argument("--pattern")
     p.add_argument("--barred", action="store_true")
     p.add_argument("--count", action="store_true")

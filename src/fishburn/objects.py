@@ -630,7 +630,13 @@ def parse_poset(text: str) -> Poset:
         pairs = frozenset((int(a), int(b)) for a, b in data["relations"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad poset literal: {text!r}") from exc
-    return poset_from_relations(RelationMatrix(n, pairs))
+    if n < 0:
+        raise ParseError(f"poset size must be >= 0, got {n}")
+    try:
+        relation = RelationMatrix(n, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return poset_from_relations(relation)
 
 
 def format_involution(partner: Iterable[int]) -> str:

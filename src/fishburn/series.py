@@ -4,10 +4,12 @@ Everything here is integer arithmetic.  The central objects are
 
 * `p_series(N)`: the family counts p_0..p_N from the product formula
   sum_n prod_{i=1..n} (1 - (1-t)^i); the n-th summand is divisible by
-  t^n, so each coefficient is a finite sum;
+  t^n, so each coefficient is a finite sum.  It is evaluated in Horner
+  form, innermost factor first, in O(N^3) big-integer products;
 * `CountTable`: the dynamic program counting ascent sequences by length,
   number of ascents and last entry (appending i <= last keeps the ascent
-  count, appending last < i <= asc+1 raises it by one);
+  count, appending last < i <= asc+1 raises it by one); each row feeds
+  the next through one prefix-sum pass, so N rows take O(N^3) time;
 * residual checks for the recurrence written as a functional equation in
   two catalytic variables, for its kernel-method solution as a u-series
   with rational t-coefficients, and for the polynomial identity that
@@ -21,7 +23,9 @@ expand the rational coefficients of the kernel solution) works in the
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 _KEY = tuple[int, int, int]
 
@@ -250,9 +254,24 @@ def one_minus_t_pow(k: int, t_order: int, u_order: int | None = None) -> Truncat
     return TruncatedSeries(t_order, coeffs, u_order)
 
 
+def level_coefficients(k: int, width: int) -> list[int]:
+    """(1 - (1-t)^k) / t, exactly, truncated to its first `width` coefficients."""
+    return [comb(k, j) if j & 1 else -comb(k, j) for j in range(1, min(k, width) + 1)]
+
+
+def _times_level(k: int, poly: list[int], width: int) -> list[int]:
+    """The first `width` coefficients of poly * (1 - (1-t)^k) / t.
+
+    `poly` must hold at least `width` coefficients.
+    """
+    g = level_coefficients(k, width)
+    return [sum(map(mul, g, poly[j::-1])) for j in range(width)]
+
+
 def level_factor(i: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
     """1 - (1-t)^i."""
-    return TruncatedSeries.one(t_order, u_order) - one_minus_t_pow(i, t_order, u_order)
+    coeffs = {(j, 0, 0): c for j, c in enumerate(level_coefficients(i, t_order), start=1)}
+    return TruncatedSeries(t_order, coeffs, u_order)
 
 
 def u_minus_one_pow(k: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
@@ -273,31 +292,32 @@ def _kernel_factor(i: int, t_order: int, u_order: int) -> TruncatedSeries:
 
 
 def p_series(order: int) -> list[int]:
-    """Counts p_0..p_order of each family, from the product formula."""
+    """Counts p_0..p_order of each family, from the product formula.
+
+    Horner form: with f_k = 1 - (1-t)^k, the sum is H_1 where
+    H_k = 1 + f_k H_{k+1} and H_{order+1} = 1.  Each f_k is divisible by
+    t, so H_k is needed only up to t^(order-k+1).
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    total = [0] * (order + 1)
-    total[0] = 1
-    prod = [1] + [0] * order
-    for n in range(1, order + 1):
-        factor = [0] * (order + 1)
-        for k in range(1, min(n, order) + 1):
-            factor[k] = -((-1) ** k) * comb(n, k)
-        prod = _t_mul(prod, factor, order)
-        for i, c in enumerate(prod):
-            total[i] += c
-    return total
+    h = [1]
+    for k in range(order, 0, -1):
+        h = [1, *_times_level(k, h, order - k + 1)]
+    return h
 
 
 def product_polynomial(n: int, t_order: int) -> list[int]:
-    """prod_{i=1..n} (1 - (1-t)^i) as a truncated t-polynomial."""
-    prod = [1] + [0] * t_order
+    """prod_{i=1..n} (1 - (1-t)^i) as a truncated t-polynomial.
+
+    The product of the first i factors is divisible by t^i, so only its
+    coefficients from t^i up are kept.
+    """
+    if n > t_order:
+        return [0] * (t_order + 1)
+    tail = [1] + [0] * t_order
     for i in range(1, n + 1):
-        factor = [0] * (t_order + 1)
-        for k in range(1, min(i, t_order) + 1):
-            factor[k] = -((-1) ** k) * comb(i, k)
-        prod = _t_mul(prod, factor, t_order)
-    return prod
+        tail = _times_level(i, tail, t_order - i + 1)
+    return [0] * n + tail
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +338,20 @@ class CountTable:
         if max_length >= 1:
             table[1] = [[1]]
         for n in range(2, max_length + 1):
-            cur = [[0] * n for _ in range(n)]
-            prev = table[n - 1]
-            for a in range(n - 1):
-                row = prev[a]
-                for last, c in enumerate(row):
-                    if c == 0:
-                        continue
-                    for i in range(0, a + 2):
-                        if i <= last:
-                            cur[a][i] += c
-                        else:
-                            cur[a + 1][i] += c
+            # Appending i <= a+1 to a sequence counted in row a (whose
+            # last entry is <= a) keeps a ascents if i <= last and adds
+            # one otherwise.  So cur[a][i] gets the row's suffix sum from
+            # i and cur[a+1][i] its prefix sum below i; `carry` holds the
+            # prefix sums of the row before.
+            cur = []
+            carry = [0]
+            for a, row in enumerate(table[n - 1]):
+                sums = list(accumulate(row[:a + 1], initial=0))
+                total = sums[-1]
+                carry.append(0)
+                cur.append([total - s + c for s, c in zip(sums, carry)] + [0] * (n - a - 2))
+                carry = sums
+            cur.append(carry)
             table[n] = cur
         self.counts = table
 
@@ -438,24 +460,43 @@ def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> Truncated
     return out
 
 
-def verify_S_identity(m: int, order: int) -> TruncatedSeries:
+def kernel_terms(order: int) -> list[TruncatedSeries]:
+    """u^(k-1) / prod_{i=1..k}(u - (u-1)(1-t)^i) for k = 1..order+1.
+
+    The m-independent part of each term of `verify_S_identity`, with t
+    and u both truncated at `order`.
+    """
+    nt = nu = order
+    terms = []
+    term = TruncatedSeries.one(nt, nu)
+    u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
+    for k in range(1, nu + 2):
+        term = term * _kernel_factor(k, nt, nu).invert()
+        terms.append(term)
+        term = term * u
+    return terms
+
+
+def verify_S_identity(m: int, order: int,
+                      terms: list[TruncatedSeries] | None = None) -> TruncatedSeries:
     """Residual of the polynomial identity behind the t-convergent form.
 
     The u-series sum_{k>=1} (u-1)^m u^{k-1} (1-t)^{mk} /
     prod_{i=1..k}(u - (u-1)(1-t)^i) equals `S_closed_form(m)`; terms with
-    k > order+1 only touch u-powers above the truncation.
+    k > order+1 only touch u-powers above the truncation.  `terms` are
+    the shared factors from `kernel_terms(order)`, built here if absent.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     nt = nu = order
+    if terms is None:
+        terms = kernel_terms(order)
+    elif len(terms) != order + 1:
+        raise ValueError(f"need {order + 1} kernel terms, got {len(terms)}")
     lhs = TruncatedSeries.zero(nt, nu)
-    denom_inv = TruncatedSeries.one(nt, nu)
-    u_pow = TruncatedSeries.one(nt, nu)
     head = u_minus_one_pow(m, nt, nu)
-    for k in range(1, nu + 2):
-        denom_inv = denom_inv * _kernel_factor(k, nt, nu).invert()
-        lhs = lhs + head * u_pow * one_minus_t_pow(m * k, nt, nu) * denom_inv
-        u_pow = u_pow * TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
+    for k, term in enumerate(terms, start=1):
+        lhs = lhs + head * one_minus_t_pow(m * k, nt, nu) * term
     return lhs - S_closed_form(m, nt, nu)
 
 

@@ -97,8 +97,9 @@ def _kernel(order: int) -> tuple[bool, str]:
     residual = series.verify_kernel_solution(4, order)
     if not residual.is_zero():
         return False, "kernel solution disagrees with the counting series"
+    terms = series.kernel_terms(order)
     for m in range(1, 6):
-        if not series.verify_S_identity(m, order).is_zero():
+        if not series.verify_S_identity(m, order, terms).is_zero():
             return False, f"polynomial identity fails for m={m}"
     return True, "kernel checks pass"
 

@@ -66,6 +66,22 @@ class TestCount:
         assert code == 2
 
 
+class TestNegativeSizes:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--object", "ascseq", "--n", "-2"],
+        ["count", "--object", "ascseq", "--n", "-2", "--by", "asc"],
+        ["enumerate", "--object", "ascseq", "--n", "-1"],
+        ["series", "--terms", "-3"],
+        ["avoiders", "--n", "-1", "--barred", "--count"],
+    ])
+    def test_negative_size_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert not out and "usage:" in err and "must be >= 0" in err
+
+
 class TestEnumerate:
     def test_lexicographic_sequences(self, capsys):
         code, out, _ = run(["enumerate", "--object", "ascseq", "--n", "3"], capsys=capsys)
@@ -107,6 +123,15 @@ class TestConvert:
         assert code == 1
         assert out == "1\n"
         assert "line 1" in err and "line 3" in err
+
+    def test_bad_poset_lines_keep_going(self, capsys, monkeypatch):
+        code, out, err = run(["convert", "--from", "poset", "--to", "ascseq"],
+                             '{"n":2,"relations":[[1,5]]}\n{"n":-3,"relations":[]}\n'
+                             '{"n":2,"relations":[[1,2]]}\n[0]\n', monkeypatch, capsys)
+        assert code == 1 and out == "[0,1]\n"
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["line 1", "line 2", "line 4"]
+        assert "out of range" in lines[0] and "Traceback" not in err
 
     def test_empty_object_rejected(self, capsys, monkeypatch):
         code, _, err = run(["convert", "--from", "ascseq", "--to", "perm"],
@@ -182,6 +207,14 @@ class TestStats:
             "components": 2, "level_counts": [3, 1, 1],
             "max_level_counts": [0, 0, 1],
         }
+
+    def test_bad_poset_reported_and_stream_continues(self, capsys, monkeypatch):
+        code, out, err = run(["stats", "--format", "poset"],
+                             '{"n":-3,"relations":[]}\n{"n":1,"relations":[]}\n',
+                             monkeypatch, capsys)
+        assert code == 1
+        assert err.startswith("line 1: ") and "Traceback" not in err
+        assert json.loads(out)["n"] == 1
 
     def test_empty_object_reported_and_stream_continues(self, capsys, monkeypatch):
         code, out, err = run(["stats", "--format", "ascseq"], "[]\n[0,1]\n",

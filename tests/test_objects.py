@@ -366,6 +366,12 @@ class TestTextForms:
         assert parse_poset(text) == poset8a
         with pytest.raises(ParseError):
             parse_poset("{}")
+        with pytest.raises(ParseError, match="out of range"):
+            parse_poset('{"n":2,"relations":[[1,5]]}')
+        with pytest.raises(ParseError, match="out of range"):
+            parse_poset('{"n":2,"relations":[[0,1]]}')
+        with pytest.raises(ParseError, match=">= 0"):
+            parse_poset('{"n":-3,"relations":[]}')
 
     def test_involution_forms(self, chord10):
         text = format_involution(chord10.partner)

@@ -13,6 +13,8 @@ from fishburn.series import (
     count_barred_avoiders,
     count_table,
     kernel_solution_series,
+    kernel_terms,
+    one_minus_t_pow,
     p_series,
     product_polynomial,
     verify_functional_equation,
@@ -21,6 +23,26 @@ from fishburn.series import (
 )
 
 from conftest import BARRED_COUNTS, FISHBURN_COUNTS
+
+
+def quartic_counts(max_length):
+    """The counting DP entry by entry: each appended value i is its own step."""
+    table = [None] * (max_length + 1)
+    if max_length >= 1:
+        table[1] = [[1]]
+    for n in range(2, max_length + 1):
+        cur = [[0] * n for _ in range(n)]
+        for a, row in enumerate(table[n - 1]):
+            for last, c in enumerate(row):
+                if c == 0:
+                    continue
+                for i in range(0, a + 2):
+                    if i <= last:
+                        cur[a][i] += c
+                    else:
+                        cur[a + 1][i] += c
+        table[n] = cur
+    return table
 
 
 class TestTruncatedSeries:
@@ -83,6 +105,42 @@ class TestProductFormula:
         ps = p_series(20)
         assert [table.total(n) for n in range(21)] == ps
         assert ps[20] > 10**14  # far beyond word size, still exact
+
+
+class TestKernelOracles:
+    def test_count_table_matches_quartic_loop(self):
+        for n in range(31):
+            assert CountTable(n).counts == quartic_counts(n)
+
+    def test_p_series_matches_products_and_table(self):
+        order = 60
+        summed = [0] * (order + 1)
+        for n in range(order + 1):
+            for i, c in enumerate(product_polynomial(n, order)):
+                summed[i] += c
+        table = count_table(order)
+        assert p_series(order) == summed == [table.total(n) for n in range(order + 1)]
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_product_polynomial_matches_series_product(self, n):
+        order = 10
+        one = TruncatedSeries.one(order)
+        prod = one
+        for i in range(1, n + 1):
+            prod = prod * (one - one_minus_t_pow(i, order))
+        assert product_polynomial(n, order) == prod.t_coefficients()
+
+    def test_shared_kernel_terms_agree(self):
+        order = 8
+        terms = kernel_terms(order)
+        for m in range(1, 6):
+            shared = verify_S_identity(m, order, terms)
+            assert shared == verify_S_identity(m, order)
+            assert shared.is_zero()
+
+    def test_kernel_terms_must_match_the_order(self):
+        with pytest.raises(ValueError):
+            verify_S_identity(2, 8, kernel_terms(6))
 
 
 class TestCountTable:
