@@ -20,6 +20,7 @@ from .errors import (
     NotPermutationError,
     NotTwoPlusTwoFreeError,
     ParseError,
+    SettingError,
 )
 from .objects import (
     AscentSequence,

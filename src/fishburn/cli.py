@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bijections, patterns, series, statistics, verify
-from .errors import BruteForceCapError, EmptyObjectError, FishburnError
+from .errors import BruteForceCapError, EmptyObjectError, FishburnError, ParseError, SettingError
 from .objects import (
     AscentSequence,
     ChordInvolution,
@@ -194,7 +194,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_contains(args) -> int:
-    pattern = patterns.parse_pattern(args.pattern)
     failed = False
     for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
@@ -206,7 +205,7 @@ def cmd_contains(args) -> int:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             failed = True
             continue
-        occurrence = patterns.find_occurrence(pi, pattern)
+        occurrence = patterns.find_occurrence(pi, args.pattern)
         if args.witness and occurrence is not None:
             print("true " + " ".join(str(p) for p in occurrence))
         else:
@@ -221,8 +220,7 @@ def cmd_avoiders(args) -> int:
     if args.barred:
         test = patterns.avoids_barred
     else:
-        pattern = patterns.parse_pattern(args.pattern)
-        test = lambda pi: not patterns.contains(pi, pattern)
+        test = lambda pi: not patterns.contains(pi, args.pattern)
     from .objects import _check_cap
 
     _check_cap("perms", args.n)
@@ -250,6 +248,14 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def pattern_argument(text: str) -> patterns.BivincularPattern:
+    """argparse type for --pattern: a malformed pattern is a usage error."""
+    try:
+        return patterns.parse_pattern(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("contains", help="test permutations from stdin for a pattern")
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", type=pattern_argument, required=True)
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_contains)
 
     p = sub.add_parser("avoiders", help="permutations of length n avoiding a pattern")
     p.add_argument("--n", type=non_negative_int, required=True)
-    p.add_argument("--pattern")
+    p.add_argument("--pattern", type=pattern_argument)
     p.add_argument("--barred", action="store_true")
     p.add_argument("--count", action="store_true")
     p.set_defaults(func=cmd_avoiders)
@@ -316,6 +322,9 @@ def main(argv=None) -> int:
     except BruteForceCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
+    except SettingError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     except FishburnError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL

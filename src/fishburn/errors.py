@@ -75,3 +75,7 @@ class BruteForceCapError(FishburnError):
 
 class ParseError(FishburnError):
     """A canonical text form could not be parsed."""
+
+
+class SettingError(FishburnError):
+    """An environment setting holds a malformed value."""

@@ -29,8 +29,10 @@ be raised with the environment variable FISHBURN_MAX_BRUTE_N.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -46,6 +48,7 @@ from .errors import (
     NotPermutationError,
     NotTwoPlusTwoFreeError,
     ParseError,
+    SettingError,
 )
 
 DEFAULT_BRUTE_CAPS = {"perms": 9, "involutions": 6}
@@ -358,28 +361,54 @@ class Poset:
         return min(self.levels[x - 1] for x in self.maximal_elements())
 
 
+def _are_int_pairs(pairs: list | tuple) -> bool:
+    """Whether every member of `pairs` holds exactly two values, each an exact int."""
+    try:
+        return ({2}.issuperset(map(len, pairs))
+                and {int}.issuperset(map(type, itertools.chain.from_iterable(pairs))))
+    except TypeError:  # a member without a length, or not iterable
+        return False
+
+
 @dataclass(frozen=True)
 class RelationMatrix:
     """Raw strict relation on labels 1..n, used as interchange form.
 
-    No order axioms are enforced here; `poset_from_relations` checks them.
+    `pairs` may be given as any iterable of pairs; it is stored as the
+    sorted tuple of distinct pairs, the order of the JSON text form.  No
+    order axioms are enforced here; `poset_from_relations` checks them.
     """
 
     n: int
-    pairs: frozenset[tuple[int, int]]
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = frozenset((int(a), int(b)) for a, b in self.pairs)
+        n, pairs = self.n, self.pairs
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        if _are_int_pairs(pairs):
+            # via a list: a tuple grown from an iterator is resized, and
+            # freeing it stocks the tuple free list of its final size,
+            # which raised peak memory on streams of small posets
+            pairs = tuple(list(map(tuple, pairs)))
+        else:
+            pairs = tuple((int(a), int(b)) for a, b in pairs)
+        if not all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
+            pairs = tuple(sorted(set(pairs)))
         object.__setattr__(self, "pairs", pairs)
-        for a, b in pairs:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"relation ({a},{b}) out of range 1..{self.n}")
+        if not pairs:
+            return
+        seconds = list(map(operator.itemgetter(1), pairs))
+        if pairs[0][0] < 1 or pairs[-1][0] > n or min(seconds) < 1 or max(seconds) > n:
+            a, b = next((a, b) for a, b in pairs if not (1 <= a <= n and 1 <= b <= n))
+            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
 
     def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
+        i = bisect.bisect_left(self.pairs, (a, b))
+        return i < len(self.pairs) and self.pairs[i] == (a, b)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+        return list(self.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +554,7 @@ def brute_force_cap(kind: str) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ValueError(f"bad FISHBURN_MAX_BRUTE_N: {env!r}") from exc
+            raise SettingError(f"FISHBURN_MAX_BRUTE_N must be an integer, got {env!r}") from exc
     return DEFAULT_BRUTE_CAPS[kind]
 
 
@@ -619,17 +648,17 @@ def parse_permutation(text: str) -> Permutation:
 
 def format_poset(p: Poset) -> str:
     rel = poset_to_relations(p)
-    return json.dumps({"n": p.n, "relations": [list(pair) for pair in rel.sorted_pairs()]},
-                      separators=(",", ":"))
+    return json.dumps({"n": p.n, "relations": rel.pairs}, separators=(",", ":"))
 
 
 def parse_poset(text: str) -> Poset:
     try:
         data = json.loads(text)
-        n = int(data["n"])
-        pairs = frozenset((int(a), int(b)) for a, b in data["relations"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        n, pairs = data["n"], data["relations"]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad poset literal: {text!r}") from exc
+    if type(n) is not int or type(pairs) is not list or not _are_int_pairs(pairs):
+        raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
     if n < 0:
         raise ParseError(f"poset size must be >= 0, got {n}")
     try:
@@ -652,8 +681,11 @@ def parse_involution(text: str) -> ChordInvolution:
     body = text[1:-1].strip()
     chords = []
     if body:
-        for m in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", body):
-            chords.append((int(m.group(1)), int(m.group(2))))
+        try:
+            for m in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", body):
+                chords.append((int(m.group(1)), int(m.group(2))))
+        except ValueError as exc:  # an endpoint with more digits than int() reads
+            raise ParseError(f"bad involution literal: {text!r}") from exc
         cleaned = re.sub(r"\(\s*\d+\s*,\s*\d+\s*\)", "", body).replace(",", "").strip()
         if cleaned or not chords:
             raise ParseError(f"bad involution literal: {text!r}")
@@ -667,12 +699,22 @@ def parse_involution(text: str) -> ChordInvolution:
 
 
 def poset_to_relations(p: Poset) -> RelationMatrix:
-    """The strict relation x < y iff x lies in the downset of y."""
-    pairs = set()
-    for y in range(1, p.n + 1):
-        for x in p.downset_of(y):
-            pairs.add((x, y))
-    return RelationMatrix(p.n, frozenset(pairs))
+    """The strict relation x < y iff entry(x) <= level(y), in sorted order.
+
+    upper[e] lists the labels of level >= e in label order, so the pairs
+    of x are (x, y) for y in upper[entry(x)].  Every e in 1..rank is the
+    entry of some element, so building upper costs no more than the pairs.
+    """
+    upper: list[list[int]] = [[] for _ in range(p.rank + 2)]
+    for y, level in enumerate(p.levels, start=1):
+        upper[level].append(y)
+    for e in range(p.rank, 0, -1):
+        upper[e] += upper[e + 1]
+        upper[e].sort()
+    pairs: list[tuple[int, int]] = []
+    for x, e in enumerate(p.entry, start=1):
+        pairs += zip(itertools.repeat(x), upper[e])
+    return RelationMatrix(p.n, pairs)
 
 
 def poset_from_relations(rel: RelationMatrix) -> Poset:
@@ -697,9 +739,10 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     down = {x: frozenset(d) for x, d in below.items()}
     chain = sorted(set(down.values()), key=len)
     if any(not a < b for a, b in zip(chain, chain[1:])):
+        related = set(pairs)
         for a, b in pairs:
             for c in range(1, n + 1):
-                if (b, c) in pairs and (a, c) not in pairs:
+                if (b, c) in related and (a, c) not in related:
                     raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
         # two incomparable downsets: extract a 2+2 witness
         for x in range(1, n + 1):

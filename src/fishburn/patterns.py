@@ -64,24 +64,25 @@ def format_pattern(p: BivincularPattern) -> str:
 
 
 def parse_pattern(text: str) -> BivincularPattern:
+    """Read the compact form `word|X={..}|Y={..}`; any malformed part is a ParseError."""
     parts = text.strip().split("|")
     if len(parts) != 3 or not parts[1].startswith("X=") or not parts[2].startswith("Y="):
         raise ParseError(f"bad pattern literal: {text!r}")
     word = parts[0].strip()
     if not word.isdigit():
         raise ParseError(f"bad pattern word: {word!r}")
-    sigma = Permutation(tuple(int(ch) for ch in word))
-
-    def parse_set(chunk: str) -> frozenset[int]:
+    sets = []
+    for chunk in parts[1:]:
         body = chunk[2:].strip()
         if not (body.startswith("{") and body.endswith("}")):
             raise ParseError(f"bad adjacency set: {chunk!r}")
         inner = body[1:-1].strip()
-        if not inner:
-            return frozenset()
-        return frozenset(int(v) for v in inner.split(","))
-
-    return BivincularPattern(sigma, parse_set(parts[1]), parse_set(parts[2]))
+        sets.append(inner.split(",") if inner else [])
+    try:
+        sigma = Permutation(tuple(map(int, word)))
+        return BivincularPattern(sigma, frozenset(map(int, sets[0])), frozenset(map(int, sets[1])))
+    except ValueError as exc:  # a non-integer member, a word or set out of range
+        raise ParseError(f"bad pattern literal {text!r}: {exc}") from exc
 
 
 def enumerate_patterns(k: int) -> Iterator[BivincularPattern]:

@@ -130,7 +130,6 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
     profile = bijections.active_sites(pi)
     sites = profile.sites
     rank = ascents(pi.inverse().entries)
-    assert profile.s == rank + 2
     gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
     rl_max = right_to_left_maxima(pi.entries)
     max_gap_counts = [0] * len(gap_counts)

@@ -423,6 +423,10 @@ class TestLargeInputs:
         p = sequence_to_poset(random_ascent_sequence(300, seed=300))
         assert parse_poset(format_poset(p)) == p
 
+    def test_poset_text_form_at_n_1000(self):
+        p = sequence_to_poset(random_ascent_sequence(1000, seed=1001))
+        assert parse_poset(format_poset(p)) == p
+
     @pytest.mark.parametrize("x", [random_ascent_sequence(2000, seed=2000),
                                    AscentSequence((0,) * 2000)], ids=["seeded", "zeros"])
     def test_sequence_paths_at_n_2000(self, x):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import traceback
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fishburn import AscentSequence, cli, verify
 
@@ -53,6 +56,12 @@ class TestCount:
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
         code, _, err = run(["count", "--object", "perms", "--n", "5"], capsys=capsys)
         assert code == 3
+
+    def test_bad_cap_setting_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "abc")
+        code, out, err = run(["count", "--object", "perms", "--n", "3"], capsys=capsys)
+        assert code == 2 and not out
+        assert "FISHBURN_MAX_BRUTE_N" in err and "'abc'" in err
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -132,6 +141,16 @@ class TestConvert:
         lines = err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["line 1", "line 2", "line 4"]
         assert "out of range" in lines[0] and "Traceback" not in err
+
+    def test_non_integer_poset_members_keep_going(self, capsys, monkeypatch):
+        code, out, err = run(["convert", "--from", "poset", "--to", "ascseq"],
+                             '{"n":2,"relations":[[1.5,2]]}\n{"n":2.9,"relations":[[true,"2"]]}\n'
+                             '{"n":2,"relations":[[1,2,3]]}\n{"n":2,"relations":[[1,2]]}\n',
+                             monkeypatch, capsys)
+        assert code == 1 and out == "[0,1]\n"
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["line 1", "line 2", "line 3"]
+        assert all("integer" in line for line in lines) and "Traceback" not in err
 
     def test_empty_object_rejected(self, capsys, monkeypatch):
         code, _, err = run(["convert", "--from", "ascseq", "--to", "perm"],
@@ -216,6 +235,14 @@ class TestStats:
         assert err.startswith("line 1: ") and "Traceback" not in err
         assert json.loads(out)["n"] == 1
 
+    def test_non_integer_poset_reported_and_stream_continues(self, capsys, monkeypatch):
+        code, out, err = run(["stats", "--format", "poset"],
+                             '{"n":2,"relations":[[1.5,2]]}\n{"n":"1","relations":[]}\n'
+                             '{"n":1,"relations":[]}\n', monkeypatch, capsys)
+        assert code == 1
+        assert [line.split(":")[0] for line in err.splitlines()] == ["line 1", "line 2"]
+        assert "Traceback" not in err and json.loads(out)["n"] == 1
+
     def test_empty_object_reported_and_stream_continues(self, capsys, monkeypatch):
         code, out, err = run(["stats", "--format", "ascseq"], "[]\n[0,1]\n",
                              monkeypatch, capsys)
@@ -254,6 +281,17 @@ class TestPatternsCommands:
         assert code == 0
         assert out.splitlines() == ["1 2 3", "1 3 2", "2 1 3", "3 1 2", "3 2 1"]
 
+    @pytest.mark.parametrize("command", [["contains"], ["avoiders", "--n", "3"]])
+    @pytest.mark.parametrize("pattern", ["231|X={a}|Y={1}", "231|X={7}|Y={1}",
+                                         "22|X={}|Y={}", "231|X={1,}|Y={}", "231"])
+    def test_bad_pattern_is_usage_error(self, command, pattern, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 1 2\n"))
+        with pytest.raises(SystemExit) as info:
+            cli.main(command + ["--pattern", pattern])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert not out and "usage:" in err and "--pattern" in err
+
     def test_avoiders_needs_exactly_one_pattern(self, capsys, monkeypatch):
         code, _, err = run(["avoiders", "--n", "3"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
@@ -287,3 +325,70 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Malformed input never ends in a traceback
+
+
+def run_lines(argv, stdin_text):
+    """`cli.main` on captured stdio; an escaping exception prints its traceback to stderr."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        code = None
+    finally:
+        err = sys.stderr.getvalue()
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, err
+
+
+FORMATS = ("ascseq", "modseq", "perm", "poset", "involution")
+LINE_COMMANDS = ([["convert", "--from", f, "--to", "ascseq"] for f in FORMATS]
+                 + [["stats", "--format", f] for f in FORMATS]
+                 + [["contains", "--pattern", "231|X={1}|Y={1}"]])
+
+# fragments of every text form, plus a number too long for int() and
+# nesting too deep for json
+TOKENS = ("[", "]", "(", ")", ",", "{", "}", ":", " ", '"n"', '"relations"', "0", "1", "2",
+          "3", "-1", "1.5", "1e400", "true", "null", "NaN", "x", "٣", "9" * 5000, "[" * 3000)
+SCALARS = st.one_of(st.integers(-2, 6), st.floats(), st.booleans(), st.none(),
+                    st.text(max_size=2))
+PATTERN_WORDS = st.integers(1, 4).flatmap(
+    lambda k: st.permutations(range(1, k + 1)).map(lambda w: "".join(map(str, w))))
+SET_BODIES = st.lists(st.sampled_from(("0", "1", "2", "3", "7", "-1", "", " ", "a", "٣")),
+                      max_size=3).map(",".join)
+MALFORMED_LINES = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(TOKENS), max_size=12).map("".join),
+    st.builds(lambda n, rel: json.dumps({"n": n, "relations": rel}),
+              SCALARS,
+              st.one_of(SCALARS, st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)),
+                                          max_size=6))),
+)
+
+
+class TestMalformedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=st.sampled_from(LINE_COMMANDS),
+           lines=st.lists(MALFORMED_LINES, min_size=1, max_size=4))
+    def test_no_traceback_on_any_line(self, argv, lines):
+        code, err = run_lines(argv, "\n".join(lines) + "\n")
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern=st.one_of(
+        st.text(max_size=20),
+        st.builds("{}|X={{{}}}|Y={{{}}}".format,
+                  st.one_of(PATTERN_WORDS, st.text("0123456789a٣", max_size=4)),
+                  SET_BODIES, SET_BODIES)))
+    def test_no_traceback_on_any_pattern(self, pattern):
+        code, err = run_lines(["contains", "--pattern", pattern], "3 1 2\n2 3 1\n")
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in err

@@ -265,6 +265,51 @@ class TestPosets:
         assert poset_from_relations(poset_to_relations(p)) == p
 
 
+class TestRelationMatrix:
+    def test_pairs_are_sorted_and_distinct(self):
+        expected = ((1, 2), (1, 3), (2, 3))
+        for given in ([(2, 3), (1, 2), (2, 3), [1, 3]], frozenset(expected),
+                      (pair for pair in reversed(expected)), expected):
+            assert fb.RelationMatrix(3, given).pairs == expected
+        assert fb.RelationMatrix(0, []).pairs == ()
+
+    def test_members_are_coerced_to_int(self):
+        rel = fb.RelationMatrix(3, [("2", 3.0), (True, 2), (1, 2)])
+        assert rel.pairs == ((1, 2), (2, 3))
+        assert {type(v) for pair in rel.pairs for v in pair} == {int}
+        assert fb.RelationMatrix(3, [(True, 2)]) == fb.RelationMatrix(3, [(1, 2)])
+
+    def test_less_matches_the_pair_set(self, sequences_by_length):
+        # every poset with n <= 4, and every relation on 1..3
+        rels = [poset_to_relations(fb.sequence_to_poset(x))
+                for n in range(5) for x in sequences_by_length[n]]
+        for n in range(4):
+            grid = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+            rels += [fb.RelationMatrix(n, [pair for bit, pair in enumerate(grid) if mask >> bit & 1])
+                     for mask in range(1 << len(grid))]
+        for rel in rels:
+            pairs = set(rel.pairs)
+            for a in range(rel.n + 2):
+                for b in range(rel.n + 2):
+                    assert rel.less(a, b) == ((a, b) in pairs)
+
+    def test_out_of_range_names_the_first_pair(self):
+        with pytest.raises(ValueError, match=r"relation \(0,2\) out of range 1\.\.3"):
+            fb.RelationMatrix(3, [(5, 1), (1, 4), (0, 2), (2, 3)])
+        with pytest.raises(ValueError, match=r"relation \(1,4\) out of range"):
+            fb.RelationMatrix(3, frozenset({(5, 1), (1, 4), (2, 3)}))
+        for bad in ((2, 4), (2, 0)):
+            with pytest.raises(ValueError, match=rf"relation \({bad[0]},{bad[1]}\) out of range"):
+                fb.RelationMatrix(3, [(1, 2), bad, (3, 1)])
+
+    def test_axiom_errors_name_the_first_pair(self):
+        with pytest.raises(NotPartialOrderError, match=r"reflexive pair \(2,2\)"):
+            relations(3, [(3, 3), (1, 2), (2, 2)])
+        # 1 < 2 < 3 < 4 with no transitive pairs: the scan starts at (1, 2)
+        with pytest.raises(NotPartialOrderError, match="transitivity fails on 1 < 2 < 3"):
+            relations(4, [(3, 4), (2, 3), (1, 2)])
+
+
 class TestInvolutions:
     def test_worked_example_membership(self, chord10):
         assert in_I2n(chord10)
@@ -372,6 +417,37 @@ class TestTextForms:
             parse_poset('{"n":2,"relations":[[0,1]]}')
         with pytest.raises(ParseError, match=">= 0"):
             parse_poset('{"n":-3,"relations":[]}')
+
+    @pytest.mark.parametrize("text", [
+        '{"n":2,"relations":[[1.5,2]]}',
+        '{"n":2.9,"relations":[[true,"2"]]}',
+        '{"n":2,"relations":[[1,2.0]]}',
+        '{"n":2,"relations":[[true,2]]}',
+        '{"n":2,"relations":[["1",2]]}',
+        '{"n":"2","relations":[]}',
+        '{"n":true,"relations":[]}',
+        '{"n":1e400,"relations":[]}',
+        '{"n":2,"relations":[[1,2,1]]}',
+        '{"n":2,"relations":[[1]]}',
+        '{"n":2,"relations":[1,2]]}',
+        '{"n":2,"relations":[12]}',
+        '{"n":2,"relations":["12"]}',
+        '{"n":2,"relations":[{"1":2}]}',
+        '{"n":2,"relations":{"1":2}}',
+        '{"n":2,"relations":null}',
+        '{"n":2}',
+        '[2,[[1,2]]]',
+        pytest.param('{"n":2,"relations":[[1,' + "9" * 5000 + ']]}', id="5000-digit-member"),
+        pytest.param("[" * 5000, id="nested-5000-deep"),
+    ])
+    def test_poset_form_needs_integer_n_and_integer_pairs(self, text):
+        with pytest.raises(ParseError):
+            parse_poset(text)
+
+    def test_long_involution_endpoint_is_a_typed_error(self):
+        # a ParseError where int() caps the digits, else an out-of-range chord
+        with pytest.raises(fb.FishburnError):
+            parse_involution("[(1," + "9" * 5000 + ")]")
 
     def test_involution_forms(self, chord10):
         text = format_involution(chord10.partner)

@@ -191,7 +191,9 @@ class TestSerialization:
             assert parse_pattern(format_pattern(p)) == p
 
     def test_parse_errors(self):
-        for bad in ("231", "231|X={1}", "2x1|X={}|Y={}", "231|X=1|Y={}"):
+        for bad in ("231", "231|X={1}", "2x1|X={}|Y={}", "231|X=1|Y={}",
+                    "231|X={a}|Y={1}", "231|X={7}|Y={1}", "231|X={1,}|Y={}", "22|X={}|Y={}",
+                    "2²1|X={}|Y={}"):
             with pytest.raises(ParseError):
                 parse_pattern(bad)
 

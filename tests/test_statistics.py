@@ -44,6 +44,15 @@ class TestWorkedExample:
         assert pi.inverse().entries == (2, 7, 1, 5, 8, 4, 3, 6)
         assert fb.objects.ascents(pi.inverse().entries) == 4
 
+    def test_active_sites_count_the_inverse_ascents(self):
+        # s = asc(pi^-1) + 2 on every r-permutation with n <= 8, the images
+        # of all ascent sequences of those lengths
+        for n in range(1, 9):
+            for x in fb.enumerate_ascent_sequences(n):
+                pi = fb.sequence_to_perm(x)
+                profile = fb.bijections.active_sites(pi)
+                assert profile.s == fb.objects.ascents(pi.inverse().entries) + 2
+
     def test_single_element(self):
         record = stats_of_sequence(AscentSequence((0,)))
         assert record == StatRecord(1, 1, 0, 0, 1, 1, (1,), (1,))
