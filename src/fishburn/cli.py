@@ -4,22 +4,29 @@ Subcommands: count, enumerate, convert, stats, series, contains,
 avoiders, verify.  One object per line on stdin/stdout, in the canonical
 text forms of :mod:`fishburn.objects`.  Exit codes: 0 success, 1
 verification or data failure, 2 usage error, 3 brute-force cap exceeded.
+
+`convert`, `stats` and `contains` share one line loop: every bad line,
+a blank one or one with bytes that do not decode included, is reported
+on stderr as ``line N: <message>``, the remaining lines are still read,
+and the exit code is 1.  A stdout pipe closed by the reader (``| head``)
+ends the command quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Callable
+from typing import Any, NamedTuple
 
 from . import bijections, patterns, series, statistics, verify
 from .errors import BruteForceCapError, EmptyObjectError, FishburnError, ParseError, SettingError
 from .objects import (
     AscentSequence,
-    ChordInvolution,
     ModifiedAscentSequence,
-    Permutation,
-    Poset,
+    check_brute_force_cap,
     enumerate_family,
     enumerate_nesting_free_involutions,
     enumerate_permutations,
@@ -39,69 +46,93 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-CONVERT_FORMATS = ("ascseq", "modseq", "perm", "poset", "involution")
+
+class Codec(NamedTuple):
+    """One text format, linked to the others through the ascent sequences (the hub).
+
+    The entries look package functions up by name at call time, so that a
+    wrapper put on a module attribute sees every call.
+    """
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+    to_hub: Callable[[Any], AscentSequence]
+    from_hub: Callable[[AscentSequence], Any]
+    stats: Callable[[Any], statistics.StatRecord]
 
 
-def _parse_object(fmt: str, text: str):
-    if fmt == "ascseq":
-        return AscentSequence(parse_sequence(text))
-    if fmt == "modseq":
-        return ModifiedAscentSequence(parse_sequence(text))
-    if fmt == "perm":
-        return parse_permutation(text)
-    if fmt == "poset":
-        return parse_poset(text)
-    if fmt == "involution":
-        return parse_involution(text)
-    raise ValueError(f"unknown format {fmt!r}")
+CODECS = {
+    "ascseq": Codec(
+        parse=lambda text: AscentSequence(parse_sequence(text)),
+        format=lambda x: format_sequence(x.entries),
+        to_hub=lambda x: x,
+        from_hub=lambda x: x,
+        stats=lambda x: statistics.stats_of_sequence(x),
+    ),
+    "modseq": Codec(
+        parse=lambda text: ModifiedAscentSequence(parse_sequence(text)),
+        format=lambda m: format_sequence(m.entries),
+        to_hub=lambda m: bijections.from_modified(m),
+        from_hub=lambda x: bijections.to_modified(x),
+        stats=lambda m: statistics.stats_of_sequence(bijections.from_modified(m)),
+    ),
+    "perm": Codec(
+        parse=lambda text: parse_permutation(text),
+        format=lambda pi: format_permutation(pi.entries),
+        to_hub=lambda pi: bijections.perm_to_sequence(pi),
+        from_hub=lambda x: bijections.sequence_to_perm(x),
+        stats=lambda pi: statistics.stats_of_perm(pi),
+    ),
+    "poset": Codec(
+        parse=lambda text: parse_poset(text),
+        format=lambda p: format_poset(p),
+        to_hub=lambda p: bijections.poset_to_sequence(p),
+        from_hub=lambda x: bijections.sequence_to_poset(x),
+        stats=lambda p: statistics.stats_of_poset(p),
+    ),
+    "involution": Codec(
+        parse=lambda text: parse_involution(text),
+        format=lambda c: format_involution(c.partner),
+        to_hub=lambda c: bijections.poset_to_sequence(bijections.involution_to_poset(c)),
+        from_hub=lambda x: bijections.poset_to_involution(bijections.sequence_to_poset(x)),
+        stats=lambda c: statistics.stats_of_poset(bijections.involution_to_poset(c)),
+    ),
+}
+
+# the text format of each family that `enumerate` lists
+FAMILY_FORMATS = {"ascseq": "ascseq", "posets": "poset", "perms": "perm",
+                  "involutions": "involution"}
+
+Emit = Callable[[str], None]
 
 
-def _to_sequence(fmt: str, obj) -> AscentSequence:
-    if fmt == "ascseq":
-        return obj
-    if fmt == "modseq":
-        return bijections.from_modified(obj)
-    if fmt == "perm":
-        return bijections.perm_to_sequence(obj)
-    if fmt == "poset":
-        return bijections.poset_to_sequence(obj)
-    if fmt == "involution":
-        return bijections.poset_to_sequence(bijections.involution_to_poset(obj))
-    raise ValueError(f"unknown format {fmt!r}")
+def each_line(handle: Callable[[str], None]) -> int:
+    """Run `handle` on every stripped stdin line, reporting bad lines as `line N: ...`.
 
-
-def _from_sequence(fmt: str, x: AscentSequence) -> str:
-    if fmt == "ascseq":
-        return format_sequence(x.entries)
-    if fmt == "modseq":
-        return format_sequence(bijections.to_modified(x).entries)
-    if fmt == "perm":
-        return format_permutation(bijections.sequence_to_perm(x).entries)
-    if fmt == "poset":
-        return format_poset(bijections.sequence_to_poset(x))
-    if fmt == "involution":
-        c = bijections.poset_to_involution(bijections.sequence_to_poset(x))
-        return format_involution(c.partner)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _format_object(obj) -> str:
-    if isinstance(obj, (AscentSequence, ModifiedAscentSequence)):
-        return format_sequence(obj.entries)
-    if isinstance(obj, Permutation):
-        return format_permutation(obj.entries)
-    if isinstance(obj, Poset):
-        return format_poset(obj)
-    if isinstance(obj, ChordInvolution):
-        return format_involution(obj.partner)
-    raise TypeError(type(obj).__name__)
+    Undecodable bytes are kept as surrogates, so such a line fails to parse
+    like any other bad line instead of ending the stream.
+    """
+    stdin = sys.stdin
+    if hasattr(stdin, "reconfigure"):
+        stdin.reconfigure(errors="surrogateescape")
+    failed = False
+    for lineno, raw in enumerate(stdin, start=1):
+        line = raw.strip()
+        try:
+            if not line:
+                raise ParseError("empty input")
+            handle(line)
+        except FishburnError as exc:
+            print(f"line {lineno}: {exc}", file=sys.stderr)
+            failed = True
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_count(args) -> int:
+def cmd_count(args, emit: Emit) -> int:
     n = args.n
     family = args.object
     if args.by is not None:
@@ -115,7 +146,7 @@ def cmd_count(args) -> int:
         else:
             print(f"--by {args.by} is not defined for {family}", file=sys.stderr)
             return EXIT_USAGE
-        print(json.dumps(values) if args.json else ",".join(str(v) for v in values))
+        emit(json.dumps(values) if args.json else ",".join(str(v) for v in values))
         return EXIT_OK
 
     if family in ("ascseq", "posets"):
@@ -128,92 +159,54 @@ def cmd_count(args) -> int:
         value = len(enumerate_nesting_free_involutions(n))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(family)
-    print(json.dumps([value]) if args.json else value)
+    emit(json.dumps([value]) if args.json else str(value))
     return EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, emit: Emit) -> int:
+    codec = CODECS[FAMILY_FORMATS[args.object]]
     for obj in enumerate_family(args.object, args.n):
-        print(_format_object(obj))
+        emit(codec.format(obj))
     return EXIT_OK
 
 
-def cmd_convert(args) -> int:
-    failed = False
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line:
-            print(f"line {lineno}: empty input", file=sys.stderr)
-            failed = True
-            continue
-        try:
-            obj = _parse_object(args.source, line)
-            x = _to_sequence(args.source, obj)
-            if len(x) == 0:
-                raise EmptyObjectError("conversions need at least one element")
-            print(_from_sequence(args.target, x))
-        except FishburnError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            failed = True
-    return EXIT_FAIL if failed else EXIT_OK
+def cmd_convert(args, emit: Emit) -> int:
+    source, target = CODECS[args.source], CODECS[args.target]
+
+    def handle(line: str) -> None:
+        x = source.to_hub(source.parse(line))
+        if len(x) == 0:
+            raise EmptyObjectError("conversions need at least one element")
+        emit(target.format(target.from_hub(x)))
+
+    return each_line(handle)
 
 
-def cmd_stats(args) -> int:
-    failed = False
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = _parse_object(args.format, line)
-            if args.format in ("ascseq",):
-                record = statistics.stats_of_sequence(obj)
-            elif args.format == "modseq":
-                record = statistics.stats_of_sequence(bijections.from_modified(obj))
-            elif args.format == "perm":
-                record = statistics.stats_of_perm(obj)
-            elif args.format == "poset":
-                record = statistics.stats_of_poset(obj)
-            else:
-                record = statistics.stats_of_poset(bijections.involution_to_poset(obj))
-            print(json.dumps(record.as_dict(), separators=(",", ":")))
-        except FishburnError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            failed = True
-    return EXIT_FAIL if failed else EXIT_OK
+def cmd_stats(args, emit: Emit) -> int:
+    source = CODECS[args.format]
+    return each_line(lambda line: emit(json.dumps(source.stats(source.parse(line)).as_dict(),
+                                                  separators=(",", ":"))))
 
 
-def cmd_series(args) -> int:
+def cmd_series(args, emit: Emit) -> int:
     values = series.p_series(args.terms)
-    if args.json:
-        print(json.dumps(values))
-    else:
-        for v in values:
-            print(v)
+    for line in [json.dumps(values)] if args.json else map(str, values):
+        emit(line)
     return EXIT_OK
 
 
-def cmd_contains(args) -> int:
-    failed = False
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            pi = parse_permutation(line)
-        except FishburnError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        occurrence = patterns.find_occurrence(pi, args.pattern)
+def cmd_contains(args, emit: Emit) -> int:
+    def handle(line: str) -> None:
+        occurrence = patterns.find_occurrence(parse_permutation(line), args.pattern)
         if args.witness and occurrence is not None:
-            print("true " + " ".join(str(p) for p in occurrence))
+            emit("true " + " ".join(str(p) for p in occurrence))
         else:
-            print("true" if occurrence is not None else "false")
-    return EXIT_FAIL if failed else EXIT_OK
+            emit("true" if occurrence is not None else "false")
+
+    return each_line(handle)
 
 
-def cmd_avoiders(args) -> int:
+def cmd_avoiders(args, emit: Emit) -> int:
     if (args.pattern is None) == (not args.barred):
         print("need exactly one of --pattern or --barred", file=sys.stderr)
         return EXIT_USAGE
@@ -221,21 +214,19 @@ def cmd_avoiders(args) -> int:
         test = patterns.avoids_barred
     else:
         test = lambda pi: not patterns.contains(pi, args.pattern)
-    from .objects import _check_cap
-
-    _check_cap("perms", args.n)
+    check_brute_force_cap("perms", args.n)
     found = [pi for pi in enumerate_permutations(args.n) if test(pi)]
     if args.count:
-        print(len(found))
+        emit(str(len(found)))
     else:
         for pi in found:
-            print(format_permutation(pi.entries))
+            emit(CODECS["perm"].format(pi))
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, emit: Emit) -> int:
     ok, message = verify.run_suite(args.suite, args.max_n)
-    print(("PASS: " if ok else "FAIL: ") + message)
+    emit(("PASS: " if ok else "FAIL: ") + message)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -276,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list a family in canonical order")
     p.add_argument("--object", required=True,
-                   choices=("ascseq", "posets", "perms", "involutions"))
+                   choices=tuple(FAMILY_FORMATS))
     p.add_argument("--n", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("convert", help="convert objects read from stdin")
-    p.add_argument("--from", dest="source", required=True, choices=CONVERT_FORMATS)
-    p.add_argument("--to", dest="target", required=True, choices=CONVERT_FORMATS)
+    p.add_argument("--from", dest="source", required=True, choices=tuple(CODECS))
+    p.add_argument("--to", dest="target", required=True, choices=tuple(CODECS))
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("stats", help="statistics records for objects from stdin")
-    p.add_argument("--format", required=True, choices=CONVERT_FORMATS)
+    p.add_argument("--format", required=True, choices=tuple(CODECS))
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("series", help="family counts p_0..p_N")
@@ -315,10 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    stdout = sys.stdout
+
+    def emit(text: str) -> None:
+        stdout.write(text + "\n")
+
     try:
-        return args.func(args)
+        code = args.func(args, emit)
+        stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: let the flush at exit write to devnull, not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except BruteForceCapError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP

@@ -70,23 +70,12 @@ def ascent_positions(entries) -> tuple[int, ...]:
 # Sequences
 
 
-@dataclass(frozen=True)
-class AscentSequence:
-    """A sequence (x_1,..,x_n) with x_1 = 0 and x_i <= 1 + asc(prefix)."""
+class _EntriesSequence:
+    """Read-only sequence behaviour over an `entries` tuple; holds no fields.
 
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if entries and entries[0] != 0:
-            raise NotAscentSequenceError(1)
-        asc = 0
-        for i in range(1, len(entries)):
-            if not 0 <= entries[i] <= 1 + asc:
-                raise NotAscentSequenceError(i + 1)
-            if entries[i] > entries[i - 1]:
-                asc += 1
+    Each sequence class stays its own dataclass with its own validation,
+    and neither is an instance of the other.
+    """
 
     @property
     def asc(self) -> int:
@@ -103,6 +92,25 @@ class AscentSequence:
 
     def __str__(self):
         return format_sequence(self.entries)
+
+
+@dataclass(frozen=True)
+class AscentSequence(_EntriesSequence):
+    """A sequence (x_1,..,x_n) with x_1 = 0 and x_i <= 1 + asc(prefix)."""
+
+    entries: tuple[int, ...]
+
+    def __post_init__(self):
+        entries = tuple(int(e) for e in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if entries and entries[0] != 0:
+            raise NotAscentSequenceError(1)
+        asc = 0
+        for i in range(1, len(entries)):
+            if not 0 <= entries[i] <= 1 + asc:
+                raise NotAscentSequenceError(i + 1)
+            if entries[i] > entries[i - 1]:
+                asc += 1
 
 
 def _is_modified(entries: tuple[int, ...]) -> bool:
@@ -131,7 +139,7 @@ def _is_modified(entries: tuple[int, ...]) -> bool:
 
 
 @dataclass(frozen=True)
-class ModifiedAscentSequence:
+class ModifiedAscentSequence(_EntriesSequence):
     """Image of an ascent sequence under the ascent-driven increment sweep.
 
     Ascent positions agree with those of the source sequence and the
@@ -145,22 +153,6 @@ class ModifiedAscentSequence:
         object.__setattr__(self, "entries", entries)
         if not _is_modified(entries):
             raise NotModifiedSequenceError(f"not a modified ascent sequence: {entries}")
-
-    @property
-    def asc(self) -> int:
-        return ascents(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __str__(self):
-        return format_sequence(self.entries)
 
 
 def validate_ascent_sequence(entries: Iterable[int]) -> AscentSequence:
@@ -558,7 +550,8 @@ def brute_force_cap(kind: str) -> int:
     return DEFAULT_BRUTE_CAPS[kind]
 
 
-def _check_cap(kind: str, n: int) -> None:
+def check_brute_force_cap(kind: str, n: int) -> None:
+    """Raise BruteForceCapError when n exceeds the cap of `kind` (see `brute_force_cap`)."""
     cap = brute_force_cap(kind)
     if n > cap:
         raise BruteForceCapError(
@@ -571,7 +564,7 @@ def enumerate_r_permutations(n: int) -> list[Permutation]:
     """Filtered S_n oracle, sorted into canonical (ascent-sequence) order."""
     from . import bijections
 
-    _check_cap("perms", n)
+    check_brute_force_cap("perms", n)
     found = [pi for pi in enumerate_permutations(n) if is_r_permutation(pi)]
     found.sort(key=lambda pi: bijections.perm_to_sequence(pi).entries)
     return found
@@ -581,7 +574,7 @@ def enumerate_nesting_free_involutions(n: int) -> list[ChordInvolution]:
     """Filtered fixed-point-free-involution oracle on 2n points, canonical order."""
     from . import bijections
 
-    _check_cap("involutions", n)
+    check_brute_force_cap("involutions", n)
     found = [c for c in enumerate_fixed_point_free_involutions(2 * n) if in_I2n(c)]
     found.sort(key=lambda c: bijections.poset_to_sequence(bijections.involution_to_poset(c)).entries)
     return found

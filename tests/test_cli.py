@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +317,56 @@ class TestVerify:
         assert not out and "usage:" in err and "--max-n" in err
         with pytest.raises(ValueError):
             verify.run_suite("roundtrips", -2)
+
+
+class TestLineLoop:
+    @pytest.mark.parametrize("argv,stdin_text,good", [
+        (["convert", "--from", "ascseq", "--to", "perm"], "[0,1]\n\n  \n[0]\n", "1 2\n1\n"),
+        (["stats", "--format", "perm"], "1 2\n\n  \n1\n", None),
+        (["contains", "--pattern", "231|X={1}|Y={1}"], "1 2\n\n  \n1\n", "false\nfalse\n"),
+    ], ids=["convert", "stats", "contains"])
+    def test_blank_lines_are_reported(self, argv, stdin_text, good, capsys, monkeypatch):
+        code, out, err = run(argv, stdin_text, monkeypatch, capsys)
+        assert code == 1
+        assert err == "line 2: empty input\nline 3: empty input\n"
+        assert len(out.splitlines()) == 2 and (good is None or out == good)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_process(argv, stdin=subprocess.DEVNULL, **env):
+    """`python -m fishburn.cli argv` in a child process with pipes for stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC), os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.Popen([sys.executable, "-m", "fishburn.cli", *argv], stdin=stdin,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+class TestProcessStreams:
+    # enumerate writes about 420 KB, more than a pipe buffer holds
+    @pytest.mark.parametrize("argv,stdin_text,first", [
+        (["enumerate", "--object", "ascseq", "--n", "9"], "", b"[0,0,0,0,0,0,0,0,0]\n"),
+        (["convert", "--from", "ascseq", "--to", "perm"], "[0,1,0,1,3,1,1,2]\n" * 40000,
+         b"3 1 7 6 4 8 2 5\n"),
+    ], ids=["enumerate", "convert"])
+    def test_closed_stdout_pipe_exits_quietly(self, argv, stdin_text, first, tmp_path):
+        source = tmp_path / "in.txt"
+        source.write_text(stdin_text)
+        with open(source, "rb") as stdin, cli_process(argv, stdin) as proc:
+            assert proc.stdout.readline() == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    def test_undecodable_bytes_are_a_line_error(self):
+        proc = cli_process(["convert", "--from", "ascseq", "--to", "perm"], subprocess.PIPE,
+                           PYTHONIOENCODING="utf-8:strict")
+        out, err = proc.communicate(b"[0,1]\n\xff\n[0]\n", timeout=60)
+        assert out == b"1 2\n1\n"
+        assert err.startswith(b"line 2: ") and b"Traceback" not in err
+        assert proc.returncode == 1
 
 
 class TestDeterminism:

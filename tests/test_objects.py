@@ -25,6 +25,7 @@ from fishburn.errors import (
     ParseError,
 )
 from fishburn.objects import (
+    check_brute_force_cap,
     descent_condition_holds,
     enumerate_family,
     enumerate_fixed_point_free_involutions,
@@ -112,6 +113,13 @@ class TestAscentSequences:
     @given(ascent_sequences())
     def test_strategy_roundtrips_validation(self, x):
         assert validate_ascent_sequence(x.entries) == x
+
+    def test_sequence_classes_stay_apart(self):
+        x, m = AscentSequence((0, 1)), ModifiedAscentSequence((0, 1))
+        assert x != m and m != x
+        assert not isinstance(x, ModifiedAscentSequence)
+        assert not isinstance(m, AscentSequence)
+        assert (len(x), list(x), x[1], str(x), x.asc) == (len(m), list(m), m[1], str(m), m.asc)
 
 
 class TestModifiedSequences:
@@ -381,6 +389,9 @@ class TestFamilyEnumeration:
             list(enumerate_family("perms", 10))
         with pytest.raises(BruteForceCapError):
             list(enumerate_family("involutions", 7))
+        check_brute_force_cap("perms", 9)
+        with pytest.raises(BruteForceCapError):
+            check_brute_force_cap("perms", 10)
 
     def test_cap_override(self, monkeypatch):
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
