@@ -30,13 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInRError, NotModifiedSequenceError
+from .errors import NotInRError
 from .objects import (
     AscentSequence,
     ChordInvolution,
     ModifiedAscentSequence,
     Permutation,
     Poset,
+    _first_neighbour_nesting,
     ascent_positions,
     r_violation,
 )
@@ -146,20 +147,14 @@ def to_modified(x: AscentSequence) -> ModifiedAscentSequence:
 
 
 def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
-    """Invert the sweep (right to left, decrementing); verified by roundtrip."""
+    """Invert the sweep (right to left, decrementing); every valid `m` is an image."""
     work = list(m.entries)
     for i in reversed(ascent_positions(m.entries)):
         top = work[i + 1]
         for j in range(i + 1):
             if work[j] > top:
                 work[j] -= 1
-    try:
-        x = AscentSequence(tuple(work))
-    except Exception as exc:
-        raise NotModifiedSequenceError(f"no source sequence for {m.entries}") from exc
-    if to_modified(x).entries != m.entries:
-        raise NotModifiedSequenceError(f"no source sequence for {m.entries}")
-    return x
+    return AscentSequence(tuple(work))
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +394,6 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
                 next_closer[j] += 1
                 partner[a - 1], partner[b - 1] = b, a
     return ChordInvolution(tuple(partner))
-
-
-def _first_neighbour_nesting(partner: tuple[int, ...]) -> int | None:
-    for i in range(1, len(partner)):
-        a, b = partner[i - 1], partner[i]
-        if a == i + 1:
-            continue
-        if a > b and not (a > i >= b):
-            return i
-    return None
 
 
 def swap_endpoints(c: ChordInvolution, i: int) -> ChordInvolution:

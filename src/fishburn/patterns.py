@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 from collections.abc import Iterator
 
-from . import bijections
 from .errors import LengthMismatchError, ParseError
 from .objects import AscentSequence, Permutation
 
@@ -223,18 +222,15 @@ def avoids_barred(pi: Permutation) -> bool:
 
 
 def is_self_modified(x: AscentSequence) -> bool:
-    """Fixed points of the modification sweep.
+    """Fixed points of the modification sweep, `to_modified(x) == x`.
 
-    Computed both ways -- directly, and via the closed characterization
-    that each entry either weakly descends or is a new strict maximum
-    1 + max(prefix) -- which must agree.
+    Read off the closed characterization: each entry either weakly
+    descends or is a new strict maximum 1 + max(prefix).
     """
-    entries = x.entries
-    direct = bijections.to_modified(x).entries == entries
-    closed = all(
-        entries[i + 1] <= entries[i] or entries[i + 1] == 1 + max(entries[: i + 1])
-        for i in range(len(entries) - 1)
-    )
-    if direct != closed:
-        raise AssertionError(f"self-modification checks disagree on {entries}")
-    return direct
+    top = 0  # max(prefix), as x_1 = 0
+    for prev, e in zip(x.entries, x.entries[1:]):
+        if e > prev:
+            if e != top + 1:
+                return False
+            top = e
+    return True

@@ -12,17 +12,17 @@ agree coefficientwise.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from . import bijections
-from .errors import EmptyObjectError, NotInRError
+from .errors import EmptyObjectError
 from .objects import (
     AscentSequence,
     ModifiedAscentSequence,
     Permutation,
     Poset,
     ascents,
-    r_violation,
 )
 
 
@@ -101,33 +101,31 @@ class StatRecord:
 def stats_of_sequence(x: AscentSequence) -> StatRecord:
     if len(x) == 0:
         raise EmptyObjectError("statistics of the empty sequence are undefined")
-    m = bijections.to_modified(x).entries
+    m = bijections.to_modified(x)
     rank = ascents(x.entries)
     level_counts = [0] * (rank + 1)
-    for e in m:
+    for e in m.entries:
         level_counts[e] += 1
+    rl_max = right_to_left_maxima(m.entries)
     max_level_counts = [0] * (rank + 1)
-    for i in right_to_left_maxima(m):
-        max_level_counts[m[i]] += 1
+    for i in rl_max:
+        max_level_counts[m.entries[i]] += 1
     return StatRecord(
         size=len(x),
         minimals=sum(1 for e in x.entries if e == 0),
         srank=x.entries[-1],
         rank=rank,
-        maximals=len(right_to_left_maxima(m)),
-        components=len(components(ModifiedAscentSequence(m))),
+        maximals=len(rl_max),
+        components=len(components(m)),
         level_counts=_strip(level_counts),
         max_level_counts=_strip(max_level_counts),
     )
 
 
 def stats_of_perm(pi: Permutation) -> StatRecord:
-    witness = r_violation(pi)
-    if witness is not None:
-        raise NotInRError(witness)
     if len(pi) == 0:
         raise EmptyObjectError("statistics of the empty permutation are undefined")
-    profile = bijections.active_sites(pi)
+    profile = bijections.active_sites(pi)  # raises NotInRError off the family
     sites = profile.sites
     rank = ascents(pi.inverse().entries)
     gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
@@ -135,8 +133,7 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
     max_gap_counts = [0] * len(gap_counts)
     for pos in rl_max:
         # entry at 0-based pos lies between gap `sites[i]` and `sites[i+1]`
-        i = max(j for j in range(len(sites)) if sites[j] <= pos)
-        max_gap_counts[i] += 1
+        max_gap_counts[bisect.bisect_right(sites, pos) - 1] += 1
     return StatRecord(
         size=len(pi),
         minimals=len(left_to_right_minima(pi.entries)),

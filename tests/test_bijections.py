@@ -427,6 +427,17 @@ class TestLargeInputs:
         p = sequence_to_poset(random_ascent_sequence(1000, seed=1001))
         assert parse_poset(format_poset(p)) == p
 
+    def test_modification_roundtrip_at_n_2000_with_1000_ascents(self):
+        # each odd entry ascends to asc/2 + 1, under earlier tops that the sweep lifts
+        entries, asc = [0], 0
+        for i in range(1, 2000):
+            entries.append(asc // 2 + 1 if i % 2 else 0)
+            asc += i % 2
+        x = AscentSequence(tuple(entries))
+        m = to_modified(x)
+        assert x.asc == 1000 and max(m.entries) == 1000
+        assert from_modified(m) == x
+
     @pytest.mark.parametrize("x", [random_ascent_sequence(2000, seed=2000),
                                    AscentSequence((0,) * 2000)], ids=["seeded", "zeros"])
     def test_sequence_paths_at_n_2000(self, x):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -271,6 +273,25 @@ class TestPosets:
     def test_random_poset_relation_roundtrip(self, x):
         p = fb.sequence_to_poset(x)
         assert poset_from_relations(poset_to_relations(p)) == p
+
+    def test_memory_follows_the_pairs_not_n(self):
+        # an element in no pair shares the one empty downset
+        tracemalloc.start()
+        try:
+            p = parse_poset('{"n":100000,"relations":[]}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == Poset.antichain(100000)
+        assert peak < 16 * 2**20
+
+    def test_axiom_errors_at_large_n_with_few_pairs(self):
+        # the scans for a witness visit only elements above another
+        with pytest.raises(NotTwoPlusTwoFreeError) as info:
+            parse_poset('{"n":100000,"relations":[[99997,99998],[99999,100000]]}')
+        assert info.value.witness == (99997, 99998, 99999, 100000)
+        with pytest.raises(NotPartialOrderError, match="99998 < 99999 < 100000"):
+            parse_poset('{"n":100000,"relations":[[99998,99999],[99999,100000]]}')
 
 
 class TestRelationMatrix:

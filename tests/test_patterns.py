@@ -232,6 +232,12 @@ class TestSelfModified:
     def test_counterexample(self):
         assert not is_self_modified(AscentSequence((0, 1, 0, 1)))
 
+    def test_closed_form_is_the_fixed_point_test(self, sequences_by_length):
+        pools = [*sequences_by_length.values(), fb.enumerate_ascent_sequences(8)]
+        for pool in pools:
+            for x in pool:
+                assert is_self_modified(x) == (fb.to_modified(x).entries == x.entries)
+
     def test_matches_barred_avoidance(self, sequences_by_length):
         for n in range(1, 8):
             for x in sequences_by_length[n]:
