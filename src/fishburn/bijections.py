@@ -38,6 +38,7 @@ from .objects import (
     Permutation,
     Poset,
     _first_neighbour_nesting,
+    _trusted,
     ascent_positions,
     r_violation,
 )
@@ -107,7 +108,7 @@ def perm_to_sequence(pi: Permutation) -> AscentSequence:
         del word[g]
         gaps = _active_gaps(word)
         out[m - 1] = gaps.index(g)
-    return AscentSequence(tuple(out))
+    return _trusted(AscentSequence, tuple(out))
 
 
 def sequence_to_perm_by_insertion(x: AscentSequence) -> Permutation:
@@ -116,7 +117,7 @@ def sequence_to_perm_by_insertion(x: AscentSequence) -> Permutation:
     for m, label in enumerate(x.entries, start=1):
         gaps = _active_gaps(word)
         word.insert(gaps[label], m)
-    return Permutation(tuple(word))
+    return _trusted(Permutation, tuple(word))
 
 
 def sequence_to_perm(x: AscentSequence) -> Permutation:
@@ -127,7 +128,7 @@ def sequence_to_perm(x: AscentSequence) -> Permutation:
     """
     m = to_modified(x).entries
     order = sorted(range(1, len(m) + 1), key=lambda i: (m[i - 1], -i))
-    return Permutation(tuple(order))
+    return _trusted(Permutation, tuple(order))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def to_modified(x: AscentSequence) -> ModifiedAscentSequence:
         for j in range(i + 1):
             if work[j] >= top:
                 work[j] += 1
-    return ModifiedAscentSequence(tuple(work))
+    return _trusted(ModifiedAscentSequence, tuple(work))
 
 
 def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
@@ -154,7 +155,7 @@ def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
         for j in range(i + 1):
             if work[j] > top:
                 work[j] -= 1
-    return AscentSequence(tuple(work))
+    return _trusted(AscentSequence, tuple(work))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,8 @@ class _PosetState:
     def freeze(self) -> Poset:
         """The poset with labels renumbered 1..n in increasing order."""
         labels = sorted(self.levels)
-        return Poset(len(labels), tuple(self.levels[x] for x in labels),
-                     tuple(self.entry[x] for x in labels))
+        return _trusted(Poset, len(labels), tuple(self.levels[x] for x in labels),
+                        tuple(self.entry[x] for x in labels))
 
     def maximal(self) -> list[int]:
         top = self.rank + 1
@@ -253,7 +254,7 @@ class _PosetState:
 
 def poset_to_sequence(p: Poset) -> AscentSequence:
     """Encode a poset by its deletion history (levels, read in reverse)."""
-    return AscentSequence(_deletion_trace(p)[0])
+    return _trusted(AscentSequence, _deletion_trace(p)[0])
 
 
 def canonical_labelling(p: Poset) -> tuple[int, ...]:
@@ -304,13 +305,14 @@ def poset_to_perm(p: Poset) -> Permutation:
     word: list[int] = []
     for level in by_level:
         word.extend(sorted(level, reverse=True))
-    return Permutation(tuple(word))
+    return _trusted(Permutation, tuple(word))
 
 
 def dual(p: Poset) -> Poset:
     """Order-reversal: reflect every interval [level, entry-1] in 0..k."""
     top = p.rank + 1
-    return Poset(p.n, tuple(top - e for e in p.entry), tuple(top - lvl for lvl in p.levels))
+    return _trusted(Poset, p.n, tuple(top - e for e in p.entry),
+                    tuple(top - lvl for lvl in p.levels))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def involution_to_poset(c: ChordInvolution) -> Poset:
         levels.append(level)
     for a in closed:
         entry[a] = level + 1
-    return Poset(n, tuple(levels), tuple(entry))
+    return _trusted(Poset, n, tuple(levels), tuple(entry))
 
 
 def poset_to_involution(p: Poset) -> ChordInvolution:
@@ -361,7 +363,7 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
     """
     n = p.n
     if n == 0:
-        return ChordInvolution(())
+        return _trusted(ChordInvolution, ())
     p_dual = dual(p)
     k = p.rank
     m_counts = [0] * (k + 1)
@@ -393,14 +395,16 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
                 b = closers_by_label[j][next_closer[j]]
                 next_closer[j] += 1
                 partner[a - 1], partner[b - 1] = b, a
-    return ChordInvolution(tuple(partner))
+    return _trusted(ChordInvolution, tuple(partner))
 
 
 def swap_endpoints(c: ChordInvolution, i: int) -> ChordInvolution:
     """Conjugate by the transposition (i, i+1): swap two adjacent endpoints."""
-    p = list(c.partner)
+    p = c.partner
+    if not 1 <= i < len(p):
+        raise ValueError(f"no endpoints {i} and {i + 1} among 1..{len(p)}")
     t = lambda x: i + 1 if x == i else i if x == i + 1 else x
-    return ChordInvolution(tuple(t(p[t(x) - 1]) for x in range(1, len(p) + 1)))
+    return _trusted(ChordInvolution, tuple(t(p[t(x) - 1]) for x in range(1, len(p) + 1)))
 
 
 def remove_neighbour_nestings(c: ChordInvolution) -> ChordInvolution:

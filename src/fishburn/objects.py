@@ -67,6 +67,22 @@ def ascent_positions(entries) -> tuple[int, ...]:
     return tuple(i for i in range(len(entries) - 1) if entries[i] < entries[i + 1])
 
 
+def _trusted(cls, *fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, built without checks.
+
+    Only for values the library builds from data that is valid by
+    construction: bijection outputs, enumerations and symmetries.  The
+    fields must be what the public constructor would store (tuples of
+    exact ints).  Text and public-constructor input is always validated;
+    the tests and `fishburn verify` rebuild trusted values through the
+    public constructors.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)  # as the frozen dataclass __init__ does
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Sequences
 
@@ -115,28 +131,24 @@ class AscentSequence(_EntriesSequence):
 
 
 def _is_modified(entries: tuple[int, ...]) -> bool:
-    """Membership test for modified ascent sequences, peeling off the last entry.
+    """Membership test for modified ascent sequences, in one pass.
 
-    (y_1,..,y_n) qualifies iff n = 0, or n = 1 and y_1 = 0, or the last
-    entry either (a) weakly descends, with a qualifying prefix, or (b) is a
-    new strict maximum bounded by 1 + asc(prefix), absent from the prefix,
-    and the prefix with every entry above y_n decremented qualifies.  The
-    decrement keeps the order pattern, so the ascent count is kept
-    running instead of recounted.
+    (y_1,..,y_n) qualifies iff y_1 = 0, every entry is >= 0, the values
+    are exactly {0..max}, and each y_i is the first occurrence of its
+    value iff it is an ascent top, y_{i-1} < y_i.
     """
-    if any(e < 0 for e in entries):
+    if not entries:
+        return True
+    if entries[0] != 0 or min(entries) < 0:
         return False
-    work = list(entries)
-    asc = ascents(work)
-    while len(work) > 1:
-        last = work.pop()
-        if last <= work[-1]:
-            continue
-        asc -= 1
-        if last > 1 + asc or last in work:
+    seen: set[int] = set()
+    prev = -1
+    for e in entries:
+        if (e in seen) == (prev < e):
             return False
-        work = [e - 1 if e >= last else e for e in work]
-    return not work or work[0] == 0
+        seen.add(e)
+        prev = e
+    return len(seen) == max(entries) + 1
 
 
 @dataclass(frozen=True)
@@ -166,12 +178,12 @@ def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        yield AscentSequence(())
+        yield _trusted(AscentSequence, ())
         return
 
     def extend(prefix: list[int], asc: int):
         if len(prefix) == n:
-            yield AscentSequence(tuple(prefix))
+            yield _trusted(AscentSequence, tuple(prefix))
             return
         last = prefix[-1]
         for i in range(0, asc + 2):
@@ -217,20 +229,20 @@ class Permutation:
         inv = [0] * len(self.entries)
         for pos, val in enumerate(self.entries, start=1):
             inv[val - 1] = pos
-        return Permutation(tuple(inv))
+        return _trusted(Permutation, tuple(inv))
 
     def reverse(self) -> Permutation:
-        return Permutation(tuple(reversed(self.entries)))
+        return _trusted(Permutation, self.entries[::-1])
 
     def complement(self) -> Permutation:
         n = len(self.entries)
-        return Permutation(tuple(n + 1 - e for e in self.entries))
+        return _trusted(Permutation, tuple(n + 1 - e for e in self.entries))
 
     def compose(self, other: Permutation) -> Permutation:
         """self after other: (self*other)(i) = self(other(i))."""
         if len(other) != len(self):
             raise ValueError("length mismatch")
-        return Permutation(tuple(self.entries[o - 1] for o in other.entries))
+        return _trusted(Permutation, tuple(self.entries[o - 1] for o in other.entries))
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -263,7 +275,7 @@ def is_r_permutation(pi: Permutation) -> bool:
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for entries in itertools.permutations(range(1, n + 1)):
-        yield Permutation(entries)
+        yield _trusted(Permutation, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +375,25 @@ def _are_int_pairs(pairs: list | tuple) -> bool:
         return False
 
 
+def _sorted_pairs_in_range(n: int, pairs: list | tuple) -> tuple[tuple[int, int], ...]:
+    """Exact-int pairs as the sorted tuple of distinct pairs, each member in 1..n.
+
+    Raises ValueError naming the first pair, in sorted order, out of range.
+    """
+    # via a list: a tuple grown from an iterator is resized, and freeing it
+    # stocks the tuple free list of its final size, which raised peak
+    # memory on streams of small posets
+    pairs = tuple(list(map(tuple, pairs)))
+    if not all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
+        pairs = tuple(sorted(set(pairs)))
+    if pairs:
+        seconds = list(map(operator.itemgetter(1), pairs))
+        if pairs[0][0] < 1 or pairs[-1][0] > n or min(seconds) < 1 or max(seconds) > n:
+            a, b = next((a, b) for a, b in pairs if not (1 <= a <= n and 1 <= b <= n))
+            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+    return pairs
+
+
 @dataclass(frozen=True)
 class RelationMatrix:
     """Raw strict relation on labels 1..n, used as interchange form.
@@ -376,25 +407,12 @@ class RelationMatrix:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n, pairs = self.n, self.pairs
+        pairs = self.pairs
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
-        if _are_int_pairs(pairs):
-            # via a list: a tuple grown from an iterator is resized, and
-            # freeing it stocks the tuple free list of its final size,
-            # which raised peak memory on streams of small posets
-            pairs = tuple(list(map(tuple, pairs)))
-        else:
-            pairs = tuple((int(a), int(b)) for a, b in pairs)
-        if not all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
-            pairs = tuple(sorted(set(pairs)))
-        object.__setattr__(self, "pairs", pairs)
-        if not pairs:
-            return
-        seconds = list(map(operator.itemgetter(1), pairs))
-        if pairs[0][0] < 1 or pairs[-1][0] > n or min(seconds) < 1 or max(seconds) > n:
-            a, b = next((a, b) for a, b in pairs if not (1 <= a <= n and 1 <= b <= n))
-            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+        if not _are_int_pairs(pairs):
+            pairs = [(int(a), int(b)) for a, b in pairs]
+        object.__setattr__(self, "pairs", _sorted_pairs_in_range(self.n, pairs))
 
     def less(self, a: int, b: int) -> bool:
         i = bisect.bisect_left(self.pairs, (a, b))
@@ -402,6 +420,14 @@ class RelationMatrix:
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return list(self.pairs)
+
+
+def _relation_of_int_pairs(n: int, pairs: list) -> RelationMatrix:
+    """The relation of pairs already typed by `_are_int_pairs`, not typed again.
+
+    The pairs are sorted and range-checked as by the public constructor.
+    """
+    return _trusted(RelationMatrix, n, _sorted_pairs_in_range(n, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +478,8 @@ class ChordInvolution:
     def mirror(self) -> ChordInvolution:
         """Reflect the chord diagram left to right."""
         m = len(self.partner)
-        return ChordInvolution(tuple(m + 1 - self.partner[m - i] for i in range(1, m + 1)))
+        return _trusted(ChordInvolution,
+                        tuple(m + 1 - self.partner[m - i] for i in range(1, m + 1)))
 
     def __len__(self):
         return len(self.partner)
@@ -518,13 +545,13 @@ def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolut
     if points % 2:
         raise ValueError("need an even number of points")
     if points == 0:
-        yield ChordInvolution(())
+        yield _trusted(ChordInvolution, ())
         return
     partner = [0] * (points + 1)
 
     def pair(free: list[int]):
         if not free:
-            yield ChordInvolution(tuple(partner[1:]))
+            yield _trusted(ChordInvolution, tuple(partner[1:]))
             return
         a = free[0]
         for j in range(1, len(free)):
@@ -656,7 +683,7 @@ def parse_poset(text: str) -> Poset:
     if n < 0:
         raise ParseError(f"poset size must be >= 0, got {n}")
     try:
-        relation = RelationMatrix(n, pairs)
+        relation = _relation_of_int_pairs(n, pairs)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return poset_from_relations(relation)
@@ -708,7 +735,7 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
     pairs: list[tuple[int, int]] = []
     for x, e in enumerate(p.entry, start=1):
         pairs += zip(itertools.repeat(x), upper[e])
-    return RelationMatrix(p.n, pairs)
+    return _trusted(RelationMatrix, p.n, tuple(pairs))
 
 
 def poset_from_relations(rel: RelationMatrix) -> Poset:
@@ -736,12 +763,20 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     down = {x: frozenset(d) for x, d in below.items()}
     chain = sorted({empty, *down.values()}, key=len)
     if any(not a < b for a, b in zip(chain, chain[1:])):
-        # c below and x, y in a witness are above something, so in `down`
-        related, uppers = set(pairs), sorted(down)
+        # c below and x, y in a witness are above something, so in `down`;
+        # succ[x] holds x's successors as bits over their rank in `uppers`,
+        # so the lowest bit of succ[b] & ~succ[a] is the least c with
+        # b < c but not a < c
+        uppers = sorted(down)
+        rank = {c: i for i, c in enumerate(uppers)}
+        succ: dict[int, int] = collections.defaultdict(int)
         for a, b in pairs:
-            for c in uppers:
-                if (b, c) in related and (a, c) not in related:
-                    raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
+            succ[a] |= 1 << rank[b]
+        for a, b in pairs:
+            missing = succ.get(b, 0) & ~succ[a]
+            if missing:
+                c = uppers[(missing & -missing).bit_length() - 1]
+                raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
         # two incomparable downsets: extract a 2+2 witness
         for x, y in itertools.combinations(uppers, 2):
             dx, dy = down[x] - down[y], down[y] - down[x]

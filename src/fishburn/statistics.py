@@ -22,6 +22,7 @@ from .objects import (
     ModifiedAscentSequence,
     Permutation,
     Poset,
+    _trusted,
     ascents,
 )
 
@@ -235,10 +236,10 @@ def direct_sum(a, b):
         if len(b) == 0:
             return a
         shift = max(a.entries) + 1
-        return ModifiedAscentSequence(a.entries + tuple(e + shift for e in b.entries))
+        return _trusted(ModifiedAscentSequence, a.entries + tuple(e + shift for e in b.entries))
     if isinstance(a, Permutation) and isinstance(b, Permutation):
         shift = len(a)
-        return Permutation(a.entries + tuple(e + shift for e in b.entries))
+        return _trusted(Permutation, a.entries + tuple(e + shift for e in b.entries))
     if isinstance(a, Poset) and isinstance(b, Poset):
         return _poset_sum(a, b)
     raise TypeError("direct_sum requires two objects of the same family")
@@ -252,4 +253,4 @@ def _poset_sum(a: Poset, b: Poset) -> Poset:
     lift = a.rank + 1
     levels = a.levels + tuple(lvl + lift for lvl in b.levels)
     entry = a.entry + tuple(e + lift for e in b.entry)
-    return Poset(a.n + b.n, levels, entry)
+    return _trusted(Poset, a.n + b.n, levels, entry)

@@ -1,7 +1,10 @@
 """Exhaustive verification suites behind the `verify` CLI command.
 
-Each suite returns (ok, message); on failure the message contains the
-first counterexample in canonical text form.
+`run_suite` returns (ok, message); on failure the message contains the
+first counterexample in canonical text form.  Each suite counts what it
+checked, and one that checks nothing fails.  The suites also rebuild the
+bijection outputs through their public constructors, which the library
+itself skips.
 """
 
 from __future__ import annotations
@@ -23,99 +26,141 @@ SUITES = ("roundtrips", "stats", "series", "kernel", "nestings")
 DEFAULT_MAX_N = {"roundtrips": 7, "stats": 7, "series": 12, "kernel": 8, "nestings": 4}
 
 
+class _Counterexample(Exception):
+    """A suite's first failure, as its report message."""
+
+
 def run_suite(name: str, max_n: int | None = None) -> tuple[bool, str]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     n = DEFAULT_MAX_N[name] if max_n is None else max_n
     if n < 0:
         raise ValueError(f"max_n must be >= 0, got {n}")
-    return _RUNNERS[name](n)
+    try:
+        message, checked = _RUNNERS[name](n)
+    except _Counterexample as exc:
+        return False, str(exc)
+    if not checked:
+        return False, f"{name} checked no object at max-n {n}"
+    return True, message
 
 
-def _roundtrips(max_n: int) -> tuple[bool, str]:
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise _Counterexample(message)
+
+
+def _check_rebuilds(outputs: dict, text: str) -> None:
+    """Each output must come back equal from its public constructor.
+
+    The library builds its bijection outputs without validation; this is
+    where they meet the validators again.
+    """
+    for name, obj in outputs.items():
+        try:
+            ok = type(obj)(*(getattr(obj, f) for f in obj.__dataclass_fields__)) == obj
+        except ValueError:  # the domain errors, and Poset's plain ValueError
+            ok = False
+        _check(ok, f"{name} output rejected by its constructor on {text}")
+
+
+def _roundtrips(max_n: int) -> tuple[str, int]:
+    checked = 0
     for n in range(max_n + 1):
         for x in enumerate_ascent_sequences(n):
+            checked += 1
+            text = format_sequence(x.entries)
             via_sort = bijections.sequence_to_perm(x)
             via_insert = bijections.sequence_to_perm_by_insertion(x)
-            if via_sort != via_insert:
-                return False, f"decoders disagree on {format_sequence(x.entries)}"
-            if bijections.perm_to_sequence(via_sort) != x:
-                return False, f"permutation roundtrip fails on {format_sequence(x.entries)}"
+            _check(via_sort == via_insert, f"decoders disagree on {text}")
+            x_perm = bijections.perm_to_sequence(via_sort)
+            _check(x_perm == x, f"permutation roundtrip fails on {text}")
             p = bijections.sequence_to_poset(x)
-            if bijections.poset_to_sequence(p) != x:
-                return False, f"poset roundtrip fails on {format_sequence(x.entries)}"
-            if bijections.poset_to_perm(p) != via_sort:
-                return False, f"triangle fails on {format_sequence(x.entries)}"
+            x_poset = bijections.poset_to_sequence(p)
+            _check(x_poset == x, f"poset roundtrip fails on {text}")
+            p_perm = bijections.poset_to_perm(p)
+            _check(p_perm == via_sort, f"triangle fails on {text}")
             m = bijections.to_modified(x)
-            if bijections.from_modified(m) != x:
-                return False, f"modification roundtrip fails on {format_sequence(x.entries)}"
+            x_mod = bijections.from_modified(m)
+            _check(x_mod == x, f"modification roundtrip fails on {text}")
+            _check_rebuilds({
+                "enumerate_ascent_sequences": x, "sequence_to_perm": via_sort,
+                "sequence_to_perm_by_insertion": via_insert, "perm_to_sequence": x_perm,
+                "sequence_to_poset": p, "poset_to_sequence": x_poset, "poset_to_perm": p_perm,
+                "dual": bijections.dual(p), "to_modified": m, "from_modified": x_mod,
+            }, text)
     for n in range(min(max_n, brute_force_cap("perms")) + 1):
         for pi in enumerate_r_permutations(n):
-            if bijections.sequence_to_perm(bijections.perm_to_sequence(pi)) != pi:
-                return False, f"encode/decode fails on {format_permutation(pi.entries)}"
+            checked += 1
+            _check(bijections.sequence_to_perm(bijections.perm_to_sequence(pi)) == pi,
+                   f"encode/decode fails on {format_permutation(pi.entries)}")
     for n in range(min(max_n, brute_force_cap("involutions")) + 1):
         for x in enumerate_ascent_sequences(n):
-            p = bijections.sequence_to_poset(x)
-            c = bijections.poset_to_involution(p)
-            if not in_I2n(c):
-                return False, f"reconstruction leaves a nesting for {format_sequence(x.entries)}"
+            checked += 1
+            text = format_sequence(x.entries)
+            c = bijections.poset_to_involution(bijections.sequence_to_poset(x))
+            _check(in_I2n(c), f"reconstruction leaves a nesting for {text}")
             back = bijections.involution_to_poset(c)
-            if bijections.poset_to_sequence(back) != x:
-                return False, f"involution roundtrip fails on {format_sequence(x.entries)}"
-    return True, "roundtrips pass"
+            _check(bijections.poset_to_sequence(back) == x, f"involution roundtrip fails on {text}")
+            _check_rebuilds({"poset_to_involution": c, "involution_to_poset": back}, text)
+    return "roundtrips pass", checked
 
 
-def _stats(max_n: int) -> tuple[bool, str]:
+def _stats(max_n: int) -> tuple[str, int]:
+    checked = 0
     for n in range(1, max_n + 1):
         for x in enumerate_ascent_sequences(n):
+            checked += 1
             rec_x = statistics.stats_of_sequence(x)
             rec_pi = statistics.stats_of_perm(bijections.sequence_to_perm(x))
             rec_p = statistics.stats_of_poset(bijections.sequence_to_poset(x))
-            if not rec_x == rec_pi == rec_p:
-                return False, f"statistics disagree on {format_sequence(x.entries)}"
-    return True, "statistics dictionary holds"
+            _check(rec_x == rec_pi == rec_p, f"statistics disagree on {format_sequence(x.entries)}")
+    return "statistics dictionary holds", checked
 
 
-def _series(order: int) -> tuple[bool, str]:
+def _series(order: int) -> tuple[str, int]:
+    """Checks the t-coefficients 0..order of the counting series."""
     residual = series.verify_functional_equation(order)
-    if not residual.is_zero():
-        return False, f"functional equation residual nonzero at order {order}"
+    _check(residual.is_zero(), f"functional equation residual nonzero at order {order}")
     table = series.count_table(10)
     reference = table.series_u(10)
     total = series.TruncatedSeries.zero(10)
     for n in range(11):
         f_n = series.F_n_polynomial(n)
-        if not f_n.divisible_by_t(n):
-            return False, f"summand {n} is not divisible by t^{n}"
+        _check(f_n.divisible_by_t(n), f"summand {n} is not divisible by t^{n}")
         total = total + f_n.truncate_t(10).subs_v_one()
-    if total != reference:
-        return False, "summands do not add up to the counting series"
-    return True, "series identities hold"
+    _check(total == reference, "summands do not add up to the counting series")
+    return "series identities hold", order + 1
 
 
-def _kernel(order: int) -> tuple[bool, str]:
+def _kernel(order: int) -> tuple[str, int]:
+    """Checks the t-coefficients 0..order of the kernel solution and identities."""
     residual = series.verify_kernel_solution(4, order)
-    if not residual.is_zero():
-        return False, "kernel solution disagrees with the counting series"
+    _check(residual.is_zero(), "kernel solution disagrees with the counting series")
     terms = series.kernel_terms(order)
     for m in range(1, 6):
-        if not series.verify_S_identity(m, order, terms).is_zero():
-            return False, f"polynomial identity fails for m={m}"
-    return True, "kernel checks pass"
+        _check(series.verify_S_identity(m, order, terms).is_zero(),
+               f"polynomial identity fails for m={m}")
+    return "kernel checks pass", order + 1
 
 
-def _nestings(max_chords: int) -> tuple[bool, str]:
+def _nestings(max_chords: int) -> tuple[str, int]:
+    checked = 0
     for n in range(max_chords + 1):
         for c in enumerate_fixed_point_free_involutions(2 * n):
+            checked += 1
+            text = format_involution(c.partner)
             cleaned = bijections.remove_neighbour_nestings(c)
-            if not in_I2n(cleaned):
-                return False, f"cleanup leaves a nesting: {format_involution(c.partner)}"
-            rebuilt = bijections.poset_to_involution(bijections.involution_to_poset(c))
-            if cleaned != rebuilt:
-                return False, f"cleanup disagrees with reconstruction: {format_involution(c.partner)}"
-            if in_I2n(c) and cleaned != c:
-                return False, f"cleanup moved a nesting-free diagram: {format_involution(c.partner)}"
-    return True, "nesting removal is canonical"
+            _check(in_I2n(cleaned), f"cleanup leaves a nesting: {text}")
+            p = bijections.involution_to_poset(c)
+            rebuilt = bijections.poset_to_involution(p)
+            _check(cleaned == rebuilt, f"cleanup disagrees with reconstruction: {text}")
+            _check(not in_I2n(c) or cleaned == c, f"cleanup moved a nesting-free diagram: {text}")
+            _check_rebuilds({
+                "enumerate_fixed_point_free_involutions": c, "remove_neighbour_nestings": cleaned,
+                "involution_to_poset": p, "poset_to_involution": rebuilt,
+            }, text)
+    return "nesting removal is canonical", checked
 
 
 _RUNNERS = {

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishburn import AscentSequence, cli, verify
+from fishburn import AscentSequence, Poset, bijections, cli, verify
+from fishburn.objects import _trusted
 
 from conftest import random_ascent_sequence
 
@@ -317,6 +318,34 @@ class TestVerify:
         assert not out and "usage:" in err and "--max-n" in err
         with pytest.raises(ValueError):
             verify.run_suite("roundtrips", -2)
+
+    def test_a_suite_that_checks_nothing_fails(self, capsys):
+        code, out, _ = run(["verify", "--suite", "stats", "--max-n", "0"], capsys=capsys)
+        assert code == 1 and out == "FAIL: stats checked no object at max-n 0\n"
+
+    @pytest.mark.parametrize("suite", ["roundtrips", "series", "kernel", "nestings"])
+    def test_max_n_zero_still_checks_an_object(self, suite, capsys):
+        code, out, _ = run(["verify", "--suite", suite, "--max-n", "0"], capsys=capsys)
+        assert code == 0 and out.startswith("PASS")
+
+    def test_roundtrips_rebuild_outputs_through_the_constructors(self, capsys, monkeypatch):
+        # a dual that builds an invalid interval form unchecked
+        monkeypatch.setattr(bijections, "dual", lambda p: _trusted(Poset, p.n, p.levels, p.levels))
+        code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", "2"], capsys=capsys)
+        assert code == 1 and out == "FAIL: dual output rejected by its constructor on [0]\n"
+
+    def test_nestings_rebuild_outputs_through_the_constructors(self, capsys, monkeypatch):
+        # a poset map that leaves its levels as a list
+        real = bijections.involution_to_poset
+
+        def listed_levels(c):
+            p = real(c)
+            return _trusted(Poset, p.n, list(p.levels), p.entry)
+
+        monkeypatch.setattr(bijections, "involution_to_poset", listed_levels)
+        code, out, _ = run(["verify", "--suite", "nestings", "--max-n", "1"], capsys=capsys)
+        assert code == 1
+        assert out == "FAIL: involution_to_poset output rejected by its constructor on []\n"
 
 
 class TestLineLoop:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -27,6 +30,8 @@ from fishburn.errors import (
     ParseError,
 )
 from fishburn.objects import (
+    _is_modified,
+    ascents,
     check_brute_force_cap,
     descent_condition_holds,
     enumerate_family,
@@ -141,6 +146,40 @@ class TestModifiedSequences:
         candidates = _all_tuples(n)
         accepted = {t for t in candidates if _is_modified_quietly(t)}
         assert accepted == images
+
+
+def _is_modified_by_peeling(entries):
+    """Reference membership test: peel off the last entry, O(n * asc).
+
+    (y_1,..,y_n) qualifies iff n = 0, or n = 1 and y_1 = 0, or the last
+    entry either (a) weakly descends, with a qualifying prefix, or (b) is
+    a new strict maximum bounded by 1 + asc(prefix), absent from the
+    prefix, and the prefix with every entry above y_n decremented
+    qualifies.
+    """
+    if any(e < 0 for e in entries):
+        return False
+    work = list(entries)
+    asc = ascents(work)
+    while len(work) > 1:
+        last = work.pop()
+        if last <= work[-1]:
+            continue
+        asc -= 1
+        if last > 1 + asc or last in work:
+            return False
+        work = [e - 1 if e >= last else e for e in work]
+    return not work or work[0] == 0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_closed_form_membership_matches_peeling(n):
+    accepted = 0
+    for t in itertools.product(range(-1, n + 1), repeat=n):
+        expected = _is_modified_by_peeling(t)
+        assert _is_modified(t) == expected, t
+        accepted += expected
+    assert accepted == len({fb.to_modified(x).entries for x in fb.enumerate_ascent_sequences(n)})
 
 
 def _all_tuples(n):
@@ -292,6 +331,41 @@ class TestPosets:
         assert info.value.witness == (99997, 99998, 99999, 100000)
         with pytest.raises(NotPartialOrderError, match="99998 < 99999 < 100000"):
             parse_poset('{"n":100000,"relations":[[99998,99999],[99999,100000]]}')
+
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_transitivity_witness_on_a_long_chain(self, n):
+        # a chain with the one pair (n-2, n) left out
+        pairs = ",".join(f"[{a},{b}]" for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if (a, b) != (n - 2, n))
+        text = f'{{"n":{n},"relations":[{pairs}]}}'
+        start = time.perf_counter()
+        with pytest.raises(NotPartialOrderError) as info:
+            parse_poset(text)
+        assert time.perf_counter() - start < 2.0
+        assert str(info.value) == f"transitivity fails on {n - 2} < {n - 1} < {n}"
+
+    def test_transitivity_witness_is_the_first_in_sorted_order(self):
+        # the first failing pair (a, b) in sorted order, with the least c
+        rng = random.Random(11)
+        failures = 0
+        for _ in range(4000):
+            n = rng.randint(2, 7)
+            grid = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+            pairs = frozenset(pair for pair in grid if rng.random() < rng.random())
+            witness = next(((a, b, c) for a, b in sorted(pairs) for c in range(1, n + 1)
+                            if (b, c) in pairs and (a, c) not in pairs), None)
+            if witness is None:
+                try:
+                    relations(n, pairs)
+                except NotTwoPlusTwoFreeError:
+                    pass
+                continue
+            failures += 1
+            with pytest.raises(NotPartialOrderError) as info:
+                relations(n, pairs)
+            assert str(info.value) == "transitivity fails on {} < {} < {}".format(*witness)
+        assert failures > 1000
 
 
 class TestRelationMatrix:

@@ -147,10 +147,13 @@ class TestDirectSum:
                 for xa in sequences_by_length[la]:
                     for xb in sequences_by_length[lb]:
                         a, b = fb.to_modified(xa), fb.to_modified(xb)
-                        direct_sum(a, b)  # constructor re-validates
+                        # sums are built unchecked: the constructors must accept them
+                        s = direct_sum(a, b)
+                        assert ModifiedAscentSequence(s.entries) == s
                         pa, pb = fb.sequence_to_perm(xa), fb.sequence_to_perm(xb)
                         assert fb.is_r_permutation(direct_sum(pa, pb))
-                        direct_sum(fb.sequence_to_poset(xa), fb.sequence_to_poset(xb))
+                        q = direct_sum(fb.sequence_to_poset(xa), fb.sequence_to_poset(xb))
+                        assert Poset(q.n, q.levels, q.entry) == q
 
     def test_compatible_with_the_bijections(self, sequences_by_length):
         for total in range(2, 8):
