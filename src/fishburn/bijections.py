@@ -3,20 +3,24 @@
 * permutations <-> ascent sequences: insert n into the active site whose
   label is the new last entry; active sites of a word are the two ends
   plus every gap following an entry a with a = 1 or a-1 already to its
-  left.  The inverse also has a direct description: sort the pairs
-  (modified entry, index) by entry ascending, index descending, and read
-  off the indices.
+  left.  Both directions also have a direct description: decoding sorts
+  the pairs (modified entry, index) by entry ascending, index
+  descending, and reads off the indices; encoding reads the modified
+  sequence off the permutation, whose active sites cut it into levels.
 * posets <-> ascent sequences: repeatedly delete a maximal element of
   minimal level, recording that level; deletion comes in three shapes
   depending on whether the element shares its level and whether it sits
   on top of the chain, and each shape has an inverse insertion.  Both
-  directions edit the interval form (level and entry per element) in
-  place; no relation is built.
+  directions run on the Fishburn matrix of the interval form, whose cell
+  (level, entry) holds the labels of the elements with that level and
+  entry.  The three shapes are three matrix edits: take the largest
+  label out of a cell; drop the last row and column; drop row i and move
+  the column of entry i+1 into the last column.  No relation is built.
 * chord involutions <-> posets: a chord diagram is a collection of
   intervals, ordered by "closes before the other opens"; one sweep over
   the endpoints reads off each chord's level and entry.  The inverse
-  rebuilds the diagram from the level counts of the poset and of its
-  dual, matching opener runs to closer labels greedily.
+  reads the Fishburn matrix: the chord of an element opens in the
+  opener run of its level and closes in the closer run of its entry.
 * duality reflects the interval form: dual level = k+1-entry and dual
   entry = k+1-level, where k is the rank.
 
@@ -28,6 +32,8 @@ by descending label) spells the corresponding permutation.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotInRError
@@ -96,19 +102,22 @@ def active_sites(pi: Permutation) -> ActiveSiteProfile:
 
 
 def perm_to_sequence(pi: Permutation) -> AscentSequence:
-    """Encode a pattern-avoiding permutation by its insertion history."""
+    """Encode a pattern-avoiding permutation by its insertion history.
+
+    The permutation reads the canonical labels level by level, and its
+    active sites are exactly the level boundaries (see `poset_to_perm`),
+    so the entries between active sites i and i+1 are the labels whose
+    modified-sequence entry is i.
+    """
     witness = r_violation(pi)
     if witness is not None:
         raise NotInRError(witness)
-    word = list(pi.entries)
-    n = len(word)
-    out = [0] * n
-    for m in range(n, 1, -1):
-        g = word.index(m)
-        del word[g]
-        gaps = _active_gaps(word)
-        out[m - 1] = gaps.index(g)
-    return _trusted(AscentSequence, tuple(out))
+    sites = _active_gaps(pi.entries)
+    m = [0] * len(pi)
+    for level, (lo, hi) in enumerate(zip(sites, sites[1:])):
+        for v in pi.entries[lo:hi]:
+            m[v - 1] = level
+    return from_modified(_trusted(ModifiedAscentSequence, tuple(m)))
 
 
 def sequence_to_perm_by_insertion(x: AscentSequence) -> Permutation:
@@ -161,95 +170,118 @@ def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
 # ---------------------------------------------------------------------------
 # Poset deletion / insertion
 
+_EMPTY = ()  # the one empty cell, shared, so a new row allocates no cells
+
 
 class _PosetState:
-    """Mutable interval form used by the poset bijection.
+    """Mutable Fishburn matrix of an interval order, holding labels.
 
-    `levels` and `entry` map each element label to its level and to the
-    first chain index whose downset holds it (`rank + 1` when maximal).
+    The matrix is upper triangular, since level < entry, so row `level`
+    keeps only its cells for the entries level+1..k+1:
+    `cells[level][entry-1-level]` lists, in increasing order, the labels
+    of the elements with that level and entry, and an empty cell is
+    `_EMPTY` (or a list a deletion emptied).  The last cell of each row
+    holds its maximal elements, and `srank` is the first row whose last
+    cell is not empty (-1 for the empty state, whose rank is -1 too).
+    Deleting a maximal element of minimal level i and inserting one edit
+    only the rows below i: a row above starts past the column of entry
+    i+1, the one column that moves.
     """
 
-    __slots__ = ("levels", "entry", "rank")
+    __slots__ = ("cells", "srank")
 
-    def __init__(self, levels: dict[int, int], entry: dict[int, int], rank: int):
-        self.levels = levels
-        self.entry = entry
-        self.rank = rank
+    def __init__(self):
+        self.cells: list[list] = []
+        self.srank = -1
+
+    @property
+    def rank(self) -> int:
+        return len(self.cells) - 1
 
     @classmethod
     def from_poset(cls, p: Poset) -> "_PosetState":
-        labels = range(1, p.n + 1)
-        return cls(dict(zip(labels, p.levels)), dict(zip(labels, p.entry)), p.rank)
+        state = cls()
+        k = p.rank
+        cells = state.cells = [[_EMPTY] * (k + 1 - level) for level in range(k + 1)]
+        for x, (level, e) in enumerate(zip(p.levels, p.entry), start=1):
+            row = cells[level]
+            c = e - 1 - level
+            if row[c]:
+                row[c].append(x)
+            else:
+                row[c] = [x]
+        state.srank = p.srank
+        return state
 
     def freeze(self) -> Poset:
         """The poset with labels renumbered 1..n in increasing order."""
-        labels = sorted(self.levels)
-        return _trusted(Poset, len(labels), tuple(self.levels[x] for x in labels),
-                        tuple(self.entry[x] for x in labels))
-
-    def maximal(self) -> list[int]:
-        top = self.rank + 1
-        return [x for x, e in self.entry.items() if e == top]
-
-    def srank(self) -> int:
-        return min(self.levels[x] for x in self.maximal())
+        level_of: dict[int, int] = {}
+        entry_of: dict[int, int] = {}
+        for level, row in enumerate(self.cells):
+            # the entries of the non-empty cells
+            for e in itertools.compress(itertools.count(level + 1), row):
+                for x in row[e - 1 - level]:
+                    level_of[x] = level
+                    entry_of[x] = e
+        labels = sorted(level_of)
+        return _trusted(Poset, len(labels), tuple(map(level_of.__getitem__, labels)),
+                        tuple(map(entry_of.__getitem__, labels)))
 
     def delete_step(self) -> tuple[int, int]:
         """Delete one maximal element of minimal level i; return (i, element).
 
-        Among several order-equivalent candidates the one with the largest
-        label goes, which makes the deletion order (and hence the canonical
-        labelling) deterministic.
+        Among several order-equivalent candidates (one cell) the one with
+        the largest label goes, which makes the deletion order (and hence
+        the canonical labelling) deterministic.
         """
-        i = self.srank()
-        level_i = [x for x, lvl in self.levels.items() if lvl == i]
-        if len(level_i) > 1:
-            u = max(x for x in self.maximal() if self.levels[x] == i)
-        elif i == self.rank:
-            # D_k goes, so an entry of k now marks a maximal element
-            (u,) = level_i
-            self.rank -= 1
-        else:
-            # D_{i+1} folds onto D_i: the elements entering at i+1
-            # become maximal and later entries shift down
-            (u,) = level_i
-            for x, e in self.entry.items():
-                if e == i + 1:
-                    self.entry[x] = self.rank
-                elif e > i + 1:
-                    self.entry[x] = e - 1
-            for x, lvl in self.levels.items():
-                if lvl > i:
-                    self.levels[x] = lvl - 1
-            self.rank -= 1
-        del self.levels[u], self.entry[u]
+        cells, i = self.cells, self.srank
+        row = cells[i]
+        u = row[-1].pop()
+        if not any(row):
+            # u was alone at level i; the last cells of the rows below are
+            # empty, since i is the srank
+            top = i == len(cells) - 1
+            del cells[i]
+            if top:
+                # D_k goes: drop the last row and column
+                for row in cells:
+                    row.pop()
+            else:
+                # D_{i+1} folds onto D_i: drop row i, and the elements
+                # entering at i+1 become maximal while later entries shift
+                # down, so the column of entry i+1 becomes the last column
+                for r, row in enumerate(cells[:i]):
+                    row[-1] = row.pop(i - r)
+        self.srank = next(r for r, row in enumerate(cells) if row[-1])
         return i, u
 
     def insert_step(self, i: int, label: int) -> None:
         """Insert a new maximal element `label` at level i (0 <= i <= rank+1)."""
-        if not self.levels:
-            if i != 0:
-                raise ValueError("first element must enter at level 0")
-        elif not 0 <= i <= self.rank + 1:
+        cells = self.cells
+        k = len(cells) - 1
+        if not 0 <= i <= k + 1:
             raise ValueError(f"insertion level {i} out of range")
-        elif i == self.rank + 1:
-            # a new top downset holding every element
-            self.rank += 1
-        elif i > self.srank():
-            # a new downset after D_i: the maximal elements below level i
-            # enter there, and everything above shifts up by one
-            top = self.rank + 1
-            for x, e in self.entry.items():
-                if e == top and self.levels[x] < i:
-                    self.entry[x] = i + 1
-                elif e > i:
-                    self.entry[x] = e + 1
-            for x, lvl in self.levels.items():
-                if lvl >= i:
-                    self.levels[x] = lvl + 1
-            self.rank += 1
-        self.levels[label] = i
-        self.entry[label] = self.rank + 1
+        if i == k + 1:
+            # a new top downset holding every element: a new last row and column
+            for row in cells:
+                row.append(_EMPTY)
+            cells.append([[label]])
+        else:
+            if i > self.srank:
+                # a new downset after D_i: the maximal elements below level
+                # i enter there, and later levels and entries shift up by
+                # one, so the last column of the rows below i becomes a new
+                # column of entry i+1
+                for r, row in enumerate(cells[:i]):
+                    row.insert(i - r, row[-1])
+                    row[-1] = _EMPTY
+                cells.insert(i, [_EMPTY] * (k + 2 - i))
+            row = cells[i]
+            if row[-1]:
+                row[-1].append(label)
+            else:
+                row[-1] = [label]
+        self.srank = i
 
 
 def poset_to_sequence(p: Poset) -> AscentSequence:
@@ -277,16 +309,14 @@ def _deletion_trace(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         i, u = state.delete_step()
         seq[m - 1] = i
         labels[u - 1] = m
-    (last,) = state.levels
-    labels[last - 1] = 1
+    ((cell,),) = state.cells  # the element left is alone at level 0
+    labels[cell[0] - 1] = 1
     return tuple(seq), tuple(labels)
 
 
 def sequence_to_poset(x: AscentSequence) -> Poset:
     """Build the poset by replaying insertions; labels come out canonical."""
-    if len(x) == 0:
-        return Poset.empty()
-    state = _PosetState({}, {}, 0)
+    state = _PosetState()
     for label, i in enumerate(x.entries, start=1):
         state.insert_step(i, label)
     return state.freeze()
@@ -351,50 +381,43 @@ def involution_to_poset(c: ChordInvolution) -> Poset:
 def poset_to_involution(p: Poset) -> ChordInvolution:
     """Rebuild the unique nesting-free chord diagram with this interval order.
 
-    The endpoint word reads m_0 openers, n_k closers, m_1 openers,
-    n_{k-1} closers, ..., m_k openers, n_0 closers, where m_i and n_i
-    count the elements at level i of the poset and of its dual.  Openers
-    in run i carry label i, closers in the run after opener run i carry
-    label k-i.  Within opener run i the chords close under labels
-    k, k-1, ..., 0 with multiplicities m_{i,j} = #{elements at level i
-    whose dual level is j}, each taking the leftmost unused closer of its
-    label; partner values must increase along every run, which forces the
-    matching.
+    Element x is the chord of the interval [level(x), entry(x)-1]: it
+    opens in opener run level(x) and closes in the closer run of
+    entry(x).  The endpoint word reads the openers of level 0, the
+    closers of entry 1, the openers of level 1, the closers of entry 2,
+    ..., the openers of level k and the closers of entry k+1, where k is
+    the rank.  Within opener run i the chords close under entries i+1,
+    ..., k+1 in turn, m_{i,e} of them under entry e, where m_{i,e}
+    counts the elements with level i and entry e (the Fishburn matrix),
+    each taking the leftmost unused closer of its run; partner values
+    must increase along every run, which forces the matching.
     """
     n = p.n
     if n == 0:
         return _trusted(ChordInvolution, ())
-    p_dual = dual(p)
     k = p.rank
-    m_counts = [0] * (k + 1)
-    n_counts = [0] * (k + 1)
-    pair_counts: dict[tuple[int, int], int] = {}
-    for x in range(1, n + 1):
-        i, j = p.levels[x - 1], p_dual.levels[x - 1]
-        m_counts[i] += 1
-        n_counts[j] += 1
-        pair_counts[(i, j)] = pair_counts.get((i, j), 0) + 1
-
-    opener_runs: list[list[int]] = []
-    closers_by_label: dict[int, list[int]] = {j: [] for j in range(k + 1)}
+    counts = collections.Counter(zip(p.levels, p.entry))
+    opening = [0] * (k + 1)
+    closing = [0] * (k + 2)
+    for (level, e), m in counts.items():
+        opening[level] += m
+        closing[e] += m
+    # next_opener[i] and next_closer[e]: the first unused endpoint of a run
+    next_opener = [0] * (k + 1)
+    next_closer = [0] * (k + 2)
     pos = 1
     for i in range(k + 1):
-        opener_runs.append(list(range(pos, pos + m_counts[i])))
-        pos += m_counts[i]
-        label = k - i
-        closers_by_label[label].extend(range(pos, pos + n_counts[label]))
-        pos += n_counts[label]
-
+        next_opener[i] = pos
+        pos += opening[i]
+        next_closer[i + 1] = pos
+        pos += closing[i + 1]
     partner = [0] * (2 * n)
-    next_closer = {j: 0 for j in range(k + 1)}
-    for i in range(k + 1):
-        openers = iter(opener_runs[i])
-        for j in range(k, -1, -1):
-            for _ in range(pair_counts.get((i, j), 0)):
-                a = next(openers)
-                b = closers_by_label[j][next_closer[j]]
-                next_closer[j] += 1
-                partner[a - 1], partner[b - 1] = b, a
+    for (level, e), m in sorted(counts.items()):
+        a, b = next_opener[level], next_closer[e]
+        partner[a - 1:a - 1 + m] = range(b, b + m)
+        partner[b - 1:b - 1 + m] = range(a, a + m)
+        next_opener[level] += m
+        next_closer[e] += m
     return _trusted(ChordInvolution, tuple(partner))
 
 

@@ -668,8 +668,9 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def format_poset(p: Poset) -> str:
-    rel = poset_to_relations(p)
-    return json.dumps({"n": p.n, "relations": rel.pairs}, separators=(",", ":"))
+    """The JSON form, `{"n":..,"relations":[[a,b],..]}`, written without an encoder."""
+    pairs = ",".join([f"[{a},{b}]" for a, b in poset_to_relations(p).pairs])
+    return f'{{"n":{p.n},"relations":[{pairs}]}}'
 
 
 def parse_poset(text: str) -> Poset:
@@ -741,51 +742,73 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
 def poset_from_relations(rel: RelationMatrix) -> Poset:
     """Recover the interval form from a strict relation.
 
-    Raises NotPartialOrderError if the relation is not irreflexive and
+    The levels are read off the downset sizes and each entry is the least
+    level above the element, so every pair (a, b) has entry(a) <=
+    level(b): the pairs, distinct as `RelationMatrix` keeps them, lie in
+    the interval order of that form.  When there are as many of them as
+    that order has pairs, they are all of it, and `Poset` checks that the
+    form is valid.  An interval order always passes, since its downsets
+    form a chain, whose members have distinct sizes.
+
+    Otherwise the relation is no interval order and a witness is named:
+    NotPartialOrderError if the relation is not irreflexive and
     transitive, and NotTwoPlusTwoFreeError (with a four-element witness)
-    if the strict downsets are not linearly ordered by inclusion.  An
-    irreflexive relation whose downsets form a chain is transitive (if
-    a < b < c and D(c) < D(b), then b in D(b)), so transitivity is only
-    scanned when the chain test fails.
+    if the strict downsets are not linearly ordered by inclusion.
     """
     n = rel.n
     if n == 0:
         return Poset.empty()
     pairs = rel.pairs
-    below: dict[int, set[int]] = collections.defaultdict(set)
+    sizes = [0] * n
+    for _, b in pairs:
+        sizes[b - 1] += 1
+    level_of_size = {size: level for level, size in enumerate(sorted(set(sizes)))}
+    levels = list(map(level_of_size.__getitem__, sizes))
+    k = len(level_of_size) - 1
+    entry = [k + 1] * n
+    for a, b in pairs:
+        level = levels[b - 1]
+        if level < entry[a - 1]:
+            entry[a - 1] = level
+    # the form's pairs: each y lies above the elements of entry <= level(y)
+    per_level = [0] * (k + 2)
+    per_entry = [0] * (k + 2)
+    for level, e in zip(levels, entry):
+        per_level[level] += 1
+        per_entry[e] += 1
+    implied = entered = 0
+    for j in range(k + 1):
+        entered += per_entry[j]
+        implied += per_level[j] * entered
+    if implied == len(pairs):
+        try:
+            return Poset(n, tuple(levels), tuple(entry))
+        except ValueError:
+            pass  # an invalid form: the relation is no interval order either
     for a, b in pairs:
         if a == b:
             raise NotPartialOrderError(f"reflexive pair ({a},{b})")
-        below[b].add(a)
-    # elements above no other share `empty`; a strict order has such an
-    # element, and without one the chain test below fails all the same
-    empty: frozenset[int] = frozenset()
-    down = {x: frozenset(d) for x, d in below.items()}
-    chain = sorted({empty, *down.values()}, key=len)
-    if any(not a < b for a, b in zip(chain, chain[1:])):
-        # c below and x, y in a witness are above something, so in `down`;
-        # succ[x] holds x's successors as bits over their rank in `uppers`,
-        # so the lowest bit of succ[b] & ~succ[a] is the least c with
-        # b < c but not a < c
-        uppers = sorted(down)
-        rank = {c: i for i, c in enumerate(uppers)}
-        succ: dict[int, int] = collections.defaultdict(int)
-        for a, b in pairs:
-            succ[a] |= 1 << rank[b]
-        for a, b in pairs:
-            missing = succ.get(b, 0) & ~succ[a]
-            if missing:
-                c = uppers[(missing & -missing).bit_length() - 1]
-                raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {c}")
-        # two incomparable downsets: extract a 2+2 witness
-        for x, y in itertools.combinations(uppers, 2):
-            dx, dy = down[x] - down[y], down[y] - down[x]
-            if dx and dy:
-                raise NotTwoPlusTwoFreeError((x, min(dx), y, min(dy)))
-        raise AssertionError("downsets not a chain yet no witness found")
-    index = {d: i for i, d in enumerate(chain)}
-    levels = [index[down.get(x, empty)] for x in range(1, n + 1)]
-    entry = [len(chain)] * n
+    # one bit per label in a pair, in increasing order, so the lowest bit
+    # of a mask names the least label in it
+    labels = sorted(set(itertools.chain.from_iterable(pairs)))
+    bit = {x: 1 << i for i, x in enumerate(labels)}
+    succ: dict[int, int] = collections.defaultdict(int)
+    down: dict[int, int] = collections.defaultdict(int)
     for a, b in pairs:
-        entry[a - 1] = min(entry[a - 1], levels[b - 1])
-    return Poset(n, tuple(levels), tuple(entry))
+        succ[a] |= bit[b]
+        down[b] |= bit[a]
+
+    def least(mask: int) -> int:
+        return labels[(mask & -mask).bit_length() - 1]
+
+    for a, b in pairs:
+        missing = succ.get(b, 0) & ~succ[a]
+        if missing:
+            raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {least(missing)}")
+    # a strict order whose downsets are not a chain: two incomparable
+    # downsets give a 2+2
+    for x, y in itertools.combinations(sorted(down), 2):
+        dx, dy = down[x] & ~down[y], down[y] & ~down[x]
+        if dx and dy:
+            raise NotTwoPlusTwoFreeError((x, least(dx), y, least(dy)))
+    raise AssertionError("no interval order, yet no witness found")

@@ -150,19 +150,19 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
 def stats_of_poset(p: Poset) -> StatRecord:
     if p.n == 0:
         raise EmptyObjectError("statistics of the empty poset are undefined")
-    level_counts = [0] * (p.rank + 1)
-    for lvl in p.levels:
+    top = p.rank + 1
+    level_counts = [0] * top
+    max_level_counts = [0] * top
+    for lvl, e in zip(p.levels, p.entry):
         level_counts[lvl] += 1
-    max_level_counts = [0] * (p.rank + 1)
-    maximal = p.maximal_elements()
-    for x in maximal:
-        max_level_counts[p.levels[x - 1]] += 1
+        if e == top:
+            max_level_counts[lvl] += 1
     return StatRecord(
         size=p.n,
-        minimals=len(p.minimal_elements()),
-        srank=p.srank,
-        rank=p.rank,
-        maximals=len(maximal),
+        minimals=level_counts[0],
+        srank=next(lvl for lvl, count in enumerate(max_level_counts) if count),
+        rank=top - 1,
+        maximals=sum(max_level_counts),
         components=len(components(p)),
         level_counts=_strip(level_counts),
         max_level_counts=_strip(max_level_counts),
@@ -201,11 +201,27 @@ def _perm_cuts(entries) -> list[int]:
 
 
 def _poset_cuts(p: Poset) -> list[int]:
-    """Sizes of proper downsets D_j lying entirely below everything else."""
+    """Sizes of proper downsets D_j lying entirely below everything else.
+
+    D_j does when no element's interval [level, entry-1] holds both j-1
+    and j, that is level < j < entry: `spans` is the difference array of
+    the number of such elements, and `entered[j]` counts the elements
+    with entry j, which make up D_j with those of smaller entry.
+    """
+    top = p.rank + 1
+    spans = [0] * (top + 1)
+    entered = [0] * (top + 1)
+    for lvl, e in zip(p.levels, p.entry):
+        spans[lvl + 1] += 1
+        spans[e] -= 1
+        entered[e] += 1
     cuts = []
-    for j in range(1, p.rank + 1):
-        if all(e <= j or lvl >= j for lvl, e in zip(p.levels, p.entry)):
-            cuts.append(sum(1 for e in p.entry if e <= j))
+    crossing = size = 0
+    for j in range(1, top):
+        crossing += spans[j]
+        size += entered[j]
+        if not crossing:
+            cuts.append(size)
     cuts.append(p.n)
     return cuts
 

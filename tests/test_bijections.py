@@ -16,6 +16,7 @@ from fishburn import (
 )
 from fishburn.bijections import (
     _PosetState,
+    _active_gaps,
     _first_neighbour_nesting,
     active_sites,
     canonical_labelling,
@@ -52,6 +53,33 @@ from conftest import (
     random_ascent_sequence,
 )
 from test_objects import ascent_sequences
+
+
+def _assert_matrix_of(state):
+    """The state's cell sizes are the interval counts of its frozen poset, and
+    the public constructor rebuilds that poset; srank is its srank."""
+    p = state.freeze()
+    assert fb.Poset(p.n, p.levels, p.entry) == p
+    counts = [[0] * (p.rank + 1 - level) for level in range(p.rank + 1)]
+    for level, e in zip(p.levels, p.entry):
+        counts[level][e - 1 - level] += 1
+    assert [[len(cell) for cell in row] for row in state.cells] == counts
+    assert state.srank == p.srank
+    for row in state.cells:
+        for cell in row:
+            assert list(cell) == sorted(cell)
+
+
+def _perm_to_sequence_by_peeling(entries):
+    """Reference encoding: delete n, n-1, ..., 2 in turn, recording the label
+    of the active site each leaves behind; O(n^2)."""
+    word = list(entries)
+    out = [0] * len(word)
+    for m in range(len(word), 1, -1):
+        g = word.index(m)
+        del word[g]
+        out[m - 1] = _active_gaps(word).index(g)
+    return tuple(out)
 
 
 class TestPermutationEncoding:
@@ -91,6 +119,14 @@ class TestPermutationEncoding:
         pi = sequence_to_perm(x)
         assert sequence_to_perm_by_insertion(x) == pi
         assert perm_to_sequence(pi) == x
+
+    def test_level_reading_matches_peeling(self):
+        # every r-permutation with n <= 8, and random ones up to n = 300
+        xs = [x for n in range(9) for x in fb.enumerate_ascent_sequences(n)]
+        xs += [random_ascent_sequence(n, seed) for seed, n in enumerate((20, 60, 150, 300) * 3)]
+        for x in xs:
+            pi = sequence_to_perm(x)
+            assert perm_to_sequence(pi).entries == _perm_to_sequence_by_peeling(pi.entries)
 
 
 class TestActiveSites:
@@ -189,25 +225,24 @@ class TestPosetEncoding:
         # rank grows exactly when its level exceeds the old srank
         for n in range(1, 8):
             for x in sequences_by_length[n]:
-                state = _PosetState({}, {}, 0)
+                state = _PosetState()
                 for label, i in enumerate(x.entries, start=1):
-                    srank = state.srank() if state.levels else 0
-                    rank = state.rank
+                    srank, rank = state.srank, state.rank
                     state.insert_step(i, label)
-                    assert state.srank() == i
+                    assert state.srank == i
                     assert state.rank == rank + (i > srank)
-                    state.freeze()  # every intermediate state is a valid poset
+                    _assert_matrix_of(state)  # every intermediate state is a valid poset
 
     def test_deletion_steps(self, sequences_by_length):
         # the rank drops exactly when the deleted level exceeds the new srank
         for n in range(2, 8):
             for x in sequences_by_length[n]:
                 state = _PosetState.from_poset(sequence_to_poset(x))
-                while len(state.levels) > 1:
+                for _ in range(n - 1):
                     rank = state.rank
                     i, _ = state.delete_step()
-                    assert state.rank == (rank if i <= state.srank() else rank - 1)
-                    state.freeze()
+                    assert state.rank == (rank if i <= state.srank else rank - 1)
+                    _assert_matrix_of(state)
 
     def test_canonical_labelling_of_relabelled_poset(self, poset8b):
         # built with canonical labels, the walkthrough poset has levels m_i

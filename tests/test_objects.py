@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -55,6 +57,7 @@ from fishburn.objects import (
 from conftest import (
     FISHBURN_COUNTS,
     POSET8A_LEVELS,
+    random_ascent_sequence,
     relations,
 )
 
@@ -345,6 +348,65 @@ class TestPosets:
         assert time.perf_counter() - start < 2.0
         assert str(info.value) == f"transitivity fails on {n - 2} < {n - 1} < {n}"
 
+    def test_two_plus_two_witness_on_the_top_labels(self):
+        # a chain on 1..n-2, n-1 above 1..n-4, n above 1..n-4 and n-1: the
+        # 2+2 sits on the top four labels, after every other pair of uppers
+        n = 800
+        pairs = sorted([(a, b) for a in range(1, n - 1) for b in range(a + 1, n - 1)]
+                       + [(a, n - 1) for a in range(1, n - 3)]
+                       + [(a, n) for a in range(1, n - 3)] + [(n - 1, n)])
+        text = '{"n":%d,"relations":[%s]}' % (n, ",".join(f"[{a},{b}]" for a, b in pairs))
+        start = time.perf_counter()
+        with pytest.raises(NotTwoPlusTwoFreeError) as info:
+            parse_poset(text)
+        assert time.perf_counter() - start < 2.0
+        assert info.value.witness == (n - 3, n - 2, n - 1, n)
+        assert str(info.value) == f"contains an induced 2+2 on {(n - 3, n - 2, n - 1, n)}"
+
+    def test_parse_poset_against_the_axioms_on_random_relations(self):
+        # the error type follows the first failing axiom, checked by brute
+        # force; a 2+2 witness is an induced 2+2, and an accepted relation
+        # comes back unchanged
+        rng = random.Random(2010)
+        seen = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            kind = rng.randrange(3)
+            if kind == 0:
+                grid = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+                density = rng.random() / 2
+                pairs = [pair for pair in grid if rng.random() < density]
+            elif kind == 1:  # the transitive closure of a random labelled DAG
+                n = rng.randint(4, 6)
+                order = rng.sample(range(1, n + 1), n)
+                pairs = {(a, b) for i, a in enumerate(order) for b in order[i + 1:]
+                         if rng.random() < 0.3}
+                for c in order:
+                    pairs |= {(a, d) for a, b in pairs if b == c for e, d in pairs if e == c}
+                pairs = sorted(pairs)
+            else:  # a labelled poset with at most two pairs flipped
+                n = max(n, 1)
+                p = fb.sequence_to_poset(random_ascent_sequence(n, rng.randrange(2**32)))
+                relabel = rng.sample(range(1, n + 1), n)
+                pairs = {(relabel[a - 1], relabel[b - 1]) for a, b in poset_to_relations(p).pairs}
+                for _ in range(rng.randint(0, 2)):
+                    pairs ^= {(rng.randint(1, n), rng.randint(1, n))}
+                pairs = sorted(pairs, key=lambda _: rng.random())
+            text = '{"n":%d,"relations":[%s]}' % (n, ",".join(f"[{a},{b}]" for a, b in pairs))
+            expected = _first_failing_axiom(n, set(pairs))
+            seen[expected] += 1
+            if expected is None:
+                assert poset_to_relations(parse_poset(text)).pairs == tuple(sorted(set(pairs)))
+                continue
+            with pytest.raises(expected) as info:
+                parse_poset(text)
+            if expected is NotTwoPlusTwoFreeError:
+                w = info.value.witness
+                below = {(a, b) for a, b in pairs if a in w and b in w}
+                assert len(below) == 2 and len({x for pair in below for x in pair}) == 4
+                assert w == _first_two_plus_two(pairs)
+        assert min(seen.values()) > 200, seen
+
     def test_transitivity_witness_is_the_first_in_sorted_order(self):
         # the first failing pair (a, b) in sorted order, with the least c
         rng = random.Random(11)
@@ -367,6 +429,32 @@ class TestPosets:
             assert str(info.value) == "transitivity fails on {} < {} < {}".format(*witness)
         assert failures > 1000
 
+
+def _first_failing_axiom(n, pairs):
+    """Brute force: the error for the first axiom `pairs` fails, or None."""
+    points = range(1, n + 1)
+    if any(a == b for a, b in pairs):
+        return NotPartialOrderError
+    if any((b, c) in pairs and (a, c) not in pairs for a, b in pairs for c in points):
+        return NotPartialOrderError
+    if any((a, d) not in pairs and (c, b) not in pairs for a, b in pairs for c, d in pairs):
+        return NotTwoPlusTwoFreeError
+    return None
+
+
+
+def _first_two_plus_two(pairs):
+    """The witness named for a strict order that is not 2+2-free: the first
+    pair x < y of labels above something, in lexicographic order, whose
+    downsets are incomparable, with the least label of each difference."""
+    down = collections.defaultdict(set)
+    for a, b in pairs:
+        down[b].add(a)
+    for x, y in itertools.combinations(sorted(down), 2):
+        dx, dy = down[x] - down[y], down[y] - down[x]
+        if dx and dy:
+            return tuple(sorted((x, min(dx), y, min(dy))))
+    return None
 
 class TestRelationMatrix:
     def test_pairs_are_sorted_and_distinct(self):
@@ -523,6 +611,15 @@ class TestTextForms:
             parse_poset('{"n":2,"relations":[[0,1]]}')
         with pytest.raises(ParseError, match=">= 0"):
             parse_poset('{"n":-3,"relations":[]}')
+
+    def test_poset_form_matches_json_dumps(self):
+        # every poset with n <= 8, and one at n = 1000
+        posets = [fb.sequence_to_poset(x) for n in range(9) for x in fb.enumerate_ascent_sequences(n)]
+        posets.append(fb.sequence_to_poset(random_ascent_sequence(1000, 9)))
+        for p in posets:
+            reference = json.dumps({"n": p.n, "relations": poset_to_relations(p).pairs},
+                                   separators=(",", ":"))
+            assert format_poset(p) == reference
 
     @pytest.mark.parametrize("text", [
         '{"n":2,"relations":[[1.5,2]]}',

@@ -112,6 +112,16 @@ class TestComponents:
         assert components(Permutation(())) == []
         assert components(ModifiedAscentSequence(())) == []
 
+    def test_poset_cuts_match_the_definition(self, sequences_by_length):
+        # D_j splits off when every element lies in D_j or sits at level >= j
+        for n in range(1, 8):
+            for x in sequences_by_length[n]:
+                p = fb.sequence_to_poset(x)
+                cuts = [sum(1 for e in p.entry if e <= j) for j in range(1, p.rank + 1)
+                        if all(e <= j or lvl >= j for lvl, e in zip(p.levels, p.entry))]
+                sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+                assert components(p) == sizes
+
 
 class TestDirectSum:
     def test_sequence_example(self):
