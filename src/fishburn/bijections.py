@@ -33,7 +33,6 @@ by descending label) spells the corresponding permutation.
 from __future__ import annotations
 
 import collections
-import itertools
 from dataclasses import dataclass
 
 from .errors import NotInRError
@@ -170,59 +169,85 @@ def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
 # ---------------------------------------------------------------------------
 # Poset deletion / insertion
 
-_EMPTY = ()  # the one empty cell, shared, so a new row allocates no cells
+
+class _Row:
+    """One level of the matrix state.
+
+    `top` is the cell of its maximal elements, `col` the column of the
+    entry equal to its level: the non-empty cells `(row, labels)` of the
+    elements that enter there, by increasing level of `row`.  Labels in a
+    cell increase.
+    """
+
+    __slots__ = ("level", "size", "top", "col")
+
+    def __init__(self, level: int):
+        self.level = level
+        self.size = 0  # elements at this level
+        self.top: list[int] = []
+        self.col: list[tuple[_Row, list[int]]] = []
 
 
 class _PosetState:
     """Mutable Fishburn matrix of an interval order, holding labels.
 
-    The matrix is upper triangular, since level < entry, so row `level`
-    keeps only its cells for the entries level+1..k+1:
-    `cells[level][entry-1-level]` lists, in increasing order, the labels
-    of the elements with that level and entry, and an empty cell is
-    `_EMPTY` (or a list a deletion emptied).  The last cell of each row
-    holds its maximal elements, and `srank` is the first row whose last
-    cell is not empty (-1 for the empty state, whose rank is -1 too).
-    Deleting a maximal element of minimal level i and inserting one edit
-    only the rows below i: a row above starts past the column of entry
-    i+1, the one column that moves.
+    Only the non-empty cells are stored, so the state takes memory in
+    proportion to n.  `rows[level]` is a `_Row`; the cell (level, entry)
+    with entry <= rank sits in the column of `rows[entry]`, and the cell
+    (level, rank+1) of the maximal elements is `rows[level].top`.
+    `maxrows` lists the rows with a non-empty `top` by decreasing level,
+    so its last row is the srank.  Each step moves whole cells between
+    columns: a step that adds or drops the top row renumbers no row, and
+    one that adds or drops a row in the middle renumbers the rows above.
     """
 
-    __slots__ = ("cells", "srank")
+    __slots__ = ("rows", "maxrows")
 
     def __init__(self):
-        self.cells: list[list] = []
-        self.srank = -1
+        self.rows: list[_Row] = []
+        self.maxrows: list[_Row] = []
 
     @property
-    def rank(self) -> int:
-        return len(self.cells) - 1
+    def srank(self) -> int:
+        return self.maxrows[-1].level if self.maxrows else -1
 
     @classmethod
     def from_poset(cls, p: Poset) -> "_PosetState":
         state = cls()
-        k = p.rank
-        cells = state.cells = [[_EMPTY] * (k + 1 - level) for level in range(k + 1)]
-        for x, (level, e) in enumerate(zip(p.levels, p.entry), start=1):
-            row = cells[level]
-            c = e - 1 - level
-            if row[c]:
-                row[c].append(x)
-            else:
-                row[c] = [x]
-        state.srank = p.srank
+        rows = state.rows = [_Row(level) for level in range(p.rank + 1)]
+        by_level: list[list[int]] = [[] for _ in rows]
+        for x, level in enumerate(p.levels, start=1):
+            by_level[level].append(x)
+        top, entry = len(rows), p.entry
+        # rows in increasing level, so every column lists its cells in order
+        for row, labels in zip(rows, by_level):
+            row.size = len(labels)
+            for x in labels:
+                e = entry[x - 1]
+                if e == top:
+                    row.top.append(x)
+                    continue
+                col = rows[e].col
+                if col and col[-1][0] is row:
+                    col[-1][1].append(x)
+                else:
+                    col.append((row, [x]))
+        state.maxrows = [row for row in reversed(rows) if row.top]
         return state
 
     def freeze(self) -> Poset:
         """The poset with labels renumbered 1..n in increasing order."""
         level_of: dict[int, int] = {}
         entry_of: dict[int, int] = {}
-        for level, row in enumerate(self.cells):
-            # the entries of the non-empty cells
-            for e in itertools.compress(itertools.count(level + 1), row):
-                for x in row[e - 1 - level]:
-                    level_of[x] = level
-                    entry_of[x] = e
+        top = len(self.rows)
+        for row in self.rows:
+            for source, labels in row.col:
+                for x in labels:
+                    level_of[x] = source.level
+                    entry_of[x] = row.level
+            for x in row.top:
+                level_of[x] = row.level
+                entry_of[x] = top
         labels = sorted(level_of)
         return _trusted(Poset, len(labels), tuple(map(level_of.__getitem__, labels)),
                         tuple(map(entry_of.__getitem__, labels)))
@@ -234,54 +259,71 @@ class _PosetState:
         the largest label goes, which makes the deletion order (and hence
         the canonical labelling) deterministic.
         """
-        cells, i = self.cells, self.srank
-        row = cells[i]
-        u = row[-1].pop()
-        if not any(row):
-            # u was alone at level i; the last cells of the rows below are
-            # empty, since i is the srank
-            top = i == len(cells) - 1
-            del cells[i]
-            if top:
-                # D_k goes: drop the last row and column
-                for row in cells:
-                    row.pop()
-            else:
-                # D_{i+1} folds onto D_i: drop row i, and the elements
-                # entering at i+1 become maximal while later entries shift
-                # down, so the column of entry i+1 becomes the last column
-                for r, row in enumerate(cells[:i]):
-                    row[-1] = row.pop(i - r)
-        self.srank = next(r for r, row in enumerate(cells) if row[-1])
+        rows, maxrows = self.rows, self.maxrows
+        row = maxrows[-1]
+        i = row.level
+        u = row.top.pop()
+        row.size -= 1
+        if row.top:
+            return i, u
+        maxrows.pop()
+        if row.size:
+            return i, u
+        # u was alone at level i, and the rows below i have no maximal elements
+        del rows[i]
+        if i == len(rows):
+            # D_k goes: drop the last row and column, and the column of
+            # entry k becomes the last column
+            col = row.col
+        else:
+            # D_{i+1} folds onto D_i: drop row i, the elements entering at
+            # i+1 become maximal and later levels and entries shift down
+            above = rows[i]
+            col, above.col = above.col, row.col
+            for r in rows[i:]:
+                r.level -= 1
+        for source, labels in reversed(col):
+            source.top = labels
+            maxrows.append(source)
         return i, u
 
     def insert_step(self, i: int, label: int) -> None:
         """Insert a new maximal element `label` at level i (0 <= i <= rank+1)."""
-        cells = self.cells
-        k = len(cells) - 1
-        if not 0 <= i <= k + 1:
+        rows, maxrows = self.rows, self.maxrows
+        if not 0 <= i <= len(rows):
             raise ValueError(f"insertion level {i} out of range")
-        if i == k + 1:
-            # a new top downset holding every element: a new last row and column
-            for row in cells:
-                row.append(_EMPTY)
-            cells.append([[label]])
+        if i == len(rows):
+            # a new top downset holding every element: the last column
+            # becomes the column of the new row
+            row = _Row(i)
+            for source in reversed(maxrows):
+                row.col.append((source, source.top))
+                source.top = []
+            maxrows.clear()
+            rows.append(row)
+            maxrows.append(row)
+        elif i > self.srank:
+            # a new downset after D_i: the new row i takes the column of
+            # entry i, the maximal elements below level i enter at i+1 (the
+            # old row i), and later levels and entries shift up by one
+            row = _Row(i)
+            old = rows[i]
+            row.col, col = old.col, []
+            while maxrows[-1].level < i:
+                source = maxrows.pop()
+                col.append((source, source.top))
+                source.top = []
+            old.col = col
+            rows.insert(i, row)
+            for r in rows[i + 1:]:
+                r.level += 1
+            maxrows.append(row)
         else:
-            if i > self.srank:
-                # a new downset after D_i: the maximal elements below level
-                # i enter there, and later levels and entries shift up by
-                # one, so the last column of the rows below i becomes a new
-                # column of entry i+1
-                for r, row in enumerate(cells[:i]):
-                    row.insert(i - r, row[-1])
-                    row[-1] = _EMPTY
-                cells.insert(i, [_EMPTY] * (k + 2 - i))
-            row = cells[i]
-            if row[-1]:
-                row[-1].append(label)
-            else:
-                row[-1] = [label]
-        self.srank = i
+            row = rows[i]
+            if not row.top:
+                maxrows.append(row)  # i is below the srank
+        row.top.append(label)
+        row.size += 1
 
 
 def poset_to_sequence(p: Poset) -> AscentSequence:
@@ -309,8 +351,8 @@ def _deletion_trace(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
         i, u = state.delete_step()
         seq[m - 1] = i
         labels[u - 1] = m
-    ((cell,),) = state.cells  # the element left is alone at level 0
-    labels[cell[0] - 1] = 1
+    (row,) = state.rows  # the element left is alone at level 0
+    labels[row.top[0] - 1] = 1
     return tuple(seq), tuple(labels)
 
 

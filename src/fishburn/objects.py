@@ -745,10 +745,11 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     The levels are read off the downset sizes and each entry is the least
     level above the element, so every pair (a, b) has entry(a) <=
     level(b): the pairs, distinct as `RelationMatrix` keeps them, lie in
-    the interval order of that form.  When there are as many of them as
-    that order has pairs, they are all of it, and `Poset` checks that the
-    form is valid.  An interval order always passes, since its downsets
-    form a chain, whose members have distinct sizes.
+    the relation of that form.  When there are as many of them as that
+    relation has pairs, they are all of it, and it is an interval order
+    exactly when level < entry for every element, since x < x holds just
+    when entry(x) <= level(x).  An interval order always passes, since its
+    downsets form a chain, whose members have distinct sizes.
 
     Otherwise the relation is no interval order and a witness is named:
     NotPartialOrderError if the relation is not irreflexive and
@@ -780,11 +781,8 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     for j in range(k + 1):
         entered += per_entry[j]
         implied += per_level[j] * entered
-    if implied == len(pairs):
-        try:
-            return Poset(n, tuple(levels), tuple(entry))
-        except ValueError:
-            pass  # an invalid form: the relation is no interval order either
+    if implied == len(pairs) and all(map(operator.lt, levels, entry)):
+        return Poset(n, tuple(levels), tuple(entry))
     for a, b in pairs:
         if a == b:
             raise NotPartialOrderError(f"reflexive pair ({a},{b})")

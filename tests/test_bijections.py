@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,17 +60,28 @@ from test_objects import ascent_sequences
 
 def _assert_matrix_of(state):
     """The state's cell sizes are the interval counts of its frozen poset, and
-    the public constructor rebuilds that poset; srank is its srank."""
+    the public constructor rebuilds that poset; srank is its srank, and the
+    rows know their levels, sizes and which of them hold maximal elements."""
     p = state.freeze()
     assert fb.Poset(p.n, p.levels, p.entry) == p
-    counts = [[0] * (p.rank + 1 - level) for level in range(p.rank + 1)]
-    for level, e in zip(p.levels, p.entry):
-        counts[level][e - 1 - level] += 1
-    assert [[len(cell) for cell in row] for row in state.cells] == counts
+    top = p.rank + 1
+    cells = {}
+    for row in state.rows:
+        for source, labels in row.col:
+            cells[source.level, row.level] = labels
+        if row.top:
+            cells[row.level, top] = row.top
+    assert {key: len(cell) for key, cell in cells.items()} == \
+        collections.Counter(zip(p.levels, p.entry))
+    assert all(list(cell) == sorted(cell) for cell in cells.values())
+    for row in state.rows:
+        assert [source.level for source, _ in row.col] == \
+            sorted({source.level for source, _ in row.col})
+    assert [row.level for row in state.rows] == list(range(p.rank + 1))
+    assert [row.size for row in state.rows] == \
+        [p.levels.count(level) for level in range(p.rank + 1)]
+    assert state.maxrows == [row for row in reversed(state.rows) if row.top]
     assert state.srank == p.srank
-    for row in state.cells:
-        for cell in row:
-            assert list(cell) == sorted(cell)
 
 
 def _perm_to_sequence_by_peeling(entries):
@@ -227,10 +241,10 @@ class TestPosetEncoding:
             for x in sequences_by_length[n]:
                 state = _PosetState()
                 for label, i in enumerate(x.entries, start=1):
-                    srank, rank = state.srank, state.rank
+                    srank, rank = state.srank, len(state.rows) - 1
                     state.insert_step(i, label)
                     assert state.srank == i
-                    assert state.rank == rank + (i > srank)
+                    assert len(state.rows) - 1 == rank + (i > srank)
                     _assert_matrix_of(state)  # every intermediate state is a valid poset
 
     def test_deletion_steps(self, sequences_by_length):
@@ -239,10 +253,29 @@ class TestPosetEncoding:
             for x in sequences_by_length[n]:
                 state = _PosetState.from_poset(sequence_to_poset(x))
                 for _ in range(n - 1):
-                    rank = state.rank
+                    rank = len(state.rows) - 1
                     i, _ = state.delete_step()
-                    assert state.rank == (rank if i <= state.srank else rank - 1)
+                    assert len(state.rows) - 1 == (rank if i <= state.srank else rank - 1)
                     _assert_matrix_of(state)
+
+    def test_rank_n_minus_one_takes_time_and_memory_in_proportion_to_n(self):
+        # every step on a chain adds or drops the top row; a state with a
+        # slot per (level, entry) pair would hold n^2/2 of them
+        for n in (2000, 20000):
+            x = AscentSequence(tuple(range(n)))
+            chain = ChordInvolution(tuple(p + 1 if p % 2 else p - 1 for p in range(1, 2 * n + 1)))
+            tracemalloc.start()
+            try:
+                assert poset_to_involution(sequence_to_poset(x)) == chain
+                assert poset_to_sequence(involution_to_poset(chain)) == x
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1000 * n
+        start = time.perf_counter()
+        poset_to_involution(sequence_to_poset(x))
+        poset_to_sequence(involution_to_poset(chain))
+        assert time.perf_counter() - start < 2.0
 
     def test_canonical_labelling_of_relabelled_poset(self, poset8b):
         # built with canonical labels, the walkthrough poset has levels m_i
