@@ -7,15 +7,17 @@
   the pairs (modified entry, index) by entry ascending, index
   descending, and reads off the indices; encoding reads the modified
   sequence off the permutation, whose active sites cut it into levels.
-* posets <-> ascent sequences: repeatedly delete a maximal element of
-  minimal level, recording that level; deletion comes in three shapes
-  depending on whether the element shares its level and whether it sits
-  on top of the chain, and each shape has an inverse insertion.  Both
-  directions run on the Fishburn matrix of the interval form, whose cell
-  (level, entry) holds the labels of the elements with that level and
-  entry.  The three shapes are three matrix edits: take the largest
-  label out of a cell; drop the last row and column; drop row i and move
-  the column of entry i+1 into the last column.  No relation is built.
+* posets <-> ascent sequences: the paper inserts the elements one by
+  one; under the canonical labelling element i ends at level m_i of the
+  modified sequence m, so `sequence_to_poset` reads the levels off m and
+  each entry off the first later ascent top that covers the element.
+  The inverse deletes a maximal element of minimal level at each step.
+  Levels keep their numbers from the poset, so no step renumbers
+  anything: a step that empties a level drops it and one adjacent
+  downset, and the elements that entered at that downset become
+  maximal.  The deleted levels, in reverse, are m.  Both directions take
+  O(n) steps, plus the list inserts of the modified sequence.  No
+  relation is built.
 * chord involutions <-> posets: a chord diagram is a collection of
   intervals, ordered by "closes before the other opens"; one sweep over
   the endpoints reads off each chord's level and entry.  The inverse
@@ -32,6 +34,7 @@ by descending label) spells the corresponding permutation.
 
 from __future__ import annotations
 
+import bisect
 import collections
 from dataclasses import dataclass
 
@@ -44,7 +47,6 @@ from .objects import (
     Poset,
     _first_neighbour_nesting,
     _trusted,
-    ascent_positions,
     r_violation,
 )
 
@@ -144,191 +146,82 @@ def sequence_to_perm(x: AscentSequence) -> Permutation:
 
 
 def to_modified(x: AscentSequence) -> ModifiedAscentSequence:
-    """Sweep the ascents left to right, bumping earlier entries that would
-    collide with the ascent top."""
-    work = list(x.entries)
-    for i in ascent_positions(x.entries):
-        top = work[i + 1]
-        for j in range(i + 1):
-            if work[j] >= top:
-                work[j] += 1
-    return _trusted(ModifiedAscentSequence, tuple(work))
+    """Name the level of every entry, then number the levels bottom to top.
+
+    `order` lists the levels bottom to top, each named by the order in
+    which it opened.  An ascent top x_j opens a new level at position x_j,
+    below every level then at x_j or above (appended when x_j opens a new
+    top level); each entry names the level at position x_j, and m_j is
+    the final position of the level it names.
+    """
+    order = [0]
+    named = []
+    prev = 0
+    for v in x.entries:
+        if v > prev:
+            order.insert(v, len(order))
+        named.append(order[v])
+        prev = v
+    rank = [0] * len(order)
+    for r, level in enumerate(order):
+        rank[level] = r
+    return _trusted(ModifiedAscentSequence, tuple(map(rank.__getitem__, named)))
 
 
 def from_modified(m: ModifiedAscentSequence) -> AscentSequence:
-    """Invert the sweep (right to left, decrementing); every valid `m` is an image."""
-    work = list(m.entries)
-    for i in reversed(ascent_positions(m.entries)):
-        top = work[i + 1]
-        for j in range(i + 1):
-            if work[j] > top:
-                work[j] -= 1
-    return _trusted(AscentSequence, tuple(work))
+    """x_j counts the distinct values among m_1..m_j below m_j.
+
+    A value first occurs at an ascent top, so `seen`, the sorted distinct
+    values so far, grows only there.  Every valid `m` is an image.
+    """
+    seen: list[int] = []
+    out = []
+    prev = -1
+    for v in m.entries:
+        if v > prev:
+            bisect.insort(seen, v)
+        out.append(bisect.bisect_left(seen, v))
+        prev = v
+    return _trusted(AscentSequence, tuple(out))
 
 
 # ---------------------------------------------------------------------------
-# Poset deletion / insertion
+# Posets
 
 
-class _Row:
-    """One level of the matrix state.
+def sequence_to_poset(x: AscentSequence) -> Poset:
+    """Read the paper's insertions off the modified sequence; labels come out canonical.
 
-    `top` is the cell of its maximal elements, `col` the column of the
-    entry equal to its level: the non-empty cells `(row, labels)` of the
-    elements that enter there, by increasing level of `row`.  Labels in a
-    cell increase.
+    Element i sits at level m_i.  It stays maximal until the first later
+    ascent top j with m_j > m_i: inserting j adds the downset that i
+    enters.  `bounds` lists the downsets D_1..D_k bottom to top, each
+    named by the ascent top j that added it at position x_j (appended
+    when x_j opens a new top level), so i's entry is the final position
+    of that downset; an element never covered is maximal, with entry k+1.
     """
-
-    __slots__ = ("level", "size", "top", "col")
-
-    def __init__(self, level: int):
-        self.level = level
-        self.size = 0  # elements at this level
-        self.top: list[int] = []
-        self.col: list[tuple[_Row, list[int]]] = []
-
-
-class _PosetState:
-    """Mutable Fishburn matrix of an interval order, holding labels.
-
-    Only the non-empty cells are stored, so the state takes memory in
-    proportion to n.  `rows[level]` is a `_Row`; the cell (level, entry)
-    with entry <= rank sits in the column of `rows[entry]`, and the cell
-    (level, rank+1) of the maximal elements is `rows[level].top`.
-    `maxrows` lists the rows with a non-empty `top` by decreasing level,
-    so its last row is the srank.  Each step moves whole cells between
-    columns: a step that adds or drops the top row renumbers no row, and
-    one that adds or drops a row in the middle renumbers the rows above.
-    """
-
-    __slots__ = ("rows", "maxrows")
-
-    def __init__(self):
-        self.rows: list[_Row] = []
-        self.maxrows: list[_Row] = []
-
-    @property
-    def srank(self) -> int:
-        return self.maxrows[-1].level if self.maxrows else -1
-
-    @classmethod
-    def from_poset(cls, p: Poset) -> "_PosetState":
-        state = cls()
-        rows = state.rows = [_Row(level) for level in range(p.rank + 1)]
-        by_level: list[list[int]] = [[] for _ in rows]
-        for x, level in enumerate(p.levels, start=1):
-            by_level[level].append(x)
-        top, entry = len(rows), p.entry
-        # rows in increasing level, so every column lists its cells in order
-        for row, labels in zip(rows, by_level):
-            row.size = len(labels)
-            for x in labels:
-                e = entry[x - 1]
-                if e == top:
-                    row.top.append(x)
-                    continue
-                col = rows[e].col
-                if col and col[-1][0] is row:
-                    col[-1][1].append(x)
-                else:
-                    col.append((row, [x]))
-        state.maxrows = [row for row in reversed(rows) if row.top]
-        return state
-
-    def freeze(self) -> Poset:
-        """The poset with labels renumbered 1..n in increasing order."""
-        level_of: dict[int, int] = {}
-        entry_of: dict[int, int] = {}
-        top = len(self.rows)
-        for row in self.rows:
-            for source, labels in row.col:
-                for x in labels:
-                    level_of[x] = source.level
-                    entry_of[x] = row.level
-            for x in row.top:
-                level_of[x] = row.level
-                entry_of[x] = top
-        labels = sorted(level_of)
-        return _trusted(Poset, len(labels), tuple(map(level_of.__getitem__, labels)),
-                        tuple(map(entry_of.__getitem__, labels)))
-
-    def delete_step(self) -> tuple[int, int]:
-        """Delete one maximal element of minimal level i; return (i, element).
-
-        Among several order-equivalent candidates (one cell) the one with
-        the largest label goes, which makes the deletion order (and hence
-        the canonical labelling) deterministic.
-        """
-        rows, maxrows = self.rows, self.maxrows
-        row = maxrows[-1]
-        i = row.level
-        u = row.top.pop()
-        row.size -= 1
-        if row.top:
-            return i, u
-        maxrows.pop()
-        if row.size:
-            return i, u
-        # u was alone at level i, and the rows below i have no maximal elements
-        del rows[i]
-        if i == len(rows):
-            # D_k goes: drop the last row and column, and the column of
-            # entry k becomes the last column
-            col = row.col
-        else:
-            # D_{i+1} folds onto D_i: drop row i, the elements entering at
-            # i+1 become maximal and later levels and entries shift down
-            above = rows[i]
-            col, above.col = above.col, row.col
-            for r in rows[i:]:
-                r.level -= 1
-        for source, labels in reversed(col):
-            source.top = labels
-            maxrows.append(source)
-        return i, u
-
-    def insert_step(self, i: int, label: int) -> None:
-        """Insert a new maximal element `label` at level i (0 <= i <= rank+1)."""
-        rows, maxrows = self.rows, self.maxrows
-        if not 0 <= i <= len(rows):
-            raise ValueError(f"insertion level {i} out of range")
-        if i == len(rows):
-            # a new top downset holding every element: the last column
-            # becomes the column of the new row
-            row = _Row(i)
-            for source in reversed(maxrows):
-                row.col.append((source, source.top))
-                source.top = []
-            maxrows.clear()
-            rows.append(row)
-            maxrows.append(row)
-        elif i > self.srank:
-            # a new downset after D_i: the new row i takes the column of
-            # entry i, the maximal elements below level i enter at i+1 (the
-            # old row i), and later levels and entries shift up by one
-            row = _Row(i)
-            old = rows[i]
-            row.col, col = old.col, []
-            while maxrows[-1].level < i:
-                source = maxrows.pop()
-                col.append((source, source.top))
-                source.top = []
-            old.col = col
-            rows.insert(i, row)
-            for r in rows[i + 1:]:
-                r.level += 1
-            maxrows.append(row)
-        else:
-            row = rows[i]
-            if not row.top:
-                maxrows.append(row)  # i is below the srank
-        row.top.append(label)
-        row.size += 1
+    xs = x.entries
+    m = to_modified(x).entries
+    covered_by = [0] * len(xs)  # 0 is never an ascent top: still maximal
+    bounds: list[int] = []
+    maximal: list[int] = []  # levels decrease towards the top of the stack
+    prev = 0
+    for j, v in enumerate(xs):
+        if v > prev:
+            bounds.insert(v, j)
+            level = m[j]
+            while maximal and m[maximal[-1]] < level:
+                covered_by[maximal.pop()] = j
+        maximal.append(j)
+        prev = v
+    entry_of = [len(bounds) + 1] * len(xs)
+    for e, j in enumerate(bounds, start=1):
+        entry_of[j] = e
+    return _trusted(Poset, len(xs), m, tuple(map(entry_of.__getitem__, covered_by)))
 
 
 def poset_to_sequence(p: Poset) -> AscentSequence:
-    """Encode a poset by its deletion history (levels, read in reverse)."""
-    return _trusted(AscentSequence, _deletion_trace(p)[0])
+    """Encode a poset by its deletion history: the deleted levels, reversed, are m."""
+    return from_modified(_trusted(ModifiedAscentSequence, _deletion_trace(p)[0]))
 
 
 def canonical_labelling(p: Poset) -> tuple[int, ...]:
@@ -341,27 +234,54 @@ def canonical_labelling(p: Poset) -> tuple[int, ...]:
 
 
 def _deletion_trace(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = p.n
-    if n == 0:
-        return (), ()
-    state = _PosetState.from_poset(p)
-    seq = [0] * n
+    """Delete a maximal element of minimal level n times; return (m, labels).
+
+    The maximal elements of the minimal level form one cell of the
+    Fishburn matrix, and the largest label goes first, which makes the
+    canonical labelling deterministic.  Levels keep their numbers from p,
+    and `up`/`down` link the levels still present.  `below[i]` is the
+    index b of level i's downset D_b, and `cols[b]` lists the elements
+    that enter at D_b.  A step that empties level i drops it with the
+    downset just above it (the level above then has i's downset), or
+    with the one just below it when i is the top level; the elements
+    that entered at the dropped downset become maximal, all below every
+    level with a maximal element.
+    """
+    n, k = p.n, p.rank
+    levels, entry = p.levels, p.entry
+    by_level: list[list[int]] = [[] for _ in range(k + 1)]
+    for x, level in enumerate(levels, start=1):
+        by_level[level].append(x)
+    size = list(map(len, by_level))
+    # each column by decreasing level, then increasing label
+    cols: list[list[int]] = [[] for _ in range(k + 2)]
+    for xs in reversed(by_level):
+        for x in xs:
+            cols[entry[x - 1]].append(x)
+    maximal = cols[k + 1]  # in the same order, so the next to go is last
+    up = list(range(1, k + 2))  # k+1: above the top level
+    down = list(range(-1, k))
+    below = list(range(k + 1))
+    m = [0] * n
     labels = [0] * n
-    for m in range(n, 1, -1):
-        i, u = state.delete_step()
-        seq[m - 1] = i
-        labels[u - 1] = m
-    (row,) = state.rows  # the element left is alone at level 0
-    labels[row.top[0] - 1] = 1
-    return tuple(seq), tuple(labels)
-
-
-def sequence_to_poset(x: AscentSequence) -> Poset:
-    """Build the poset by replaying insertions; labels come out canonical."""
-    state = _PosetState()
-    for label, i in enumerate(x.entries, start=1):
-        state.insert_step(i, label)
-    return state.freeze()
+    for label in range(n, 0, -1):
+        u = maximal.pop()
+        i = levels[u - 1]
+        labels[u - 1] = label
+        m[label - 1] = i
+        size[i] -= 1
+        if size[i]:
+            continue
+        j, h = up[i], down[i]
+        if j > k:
+            b = below[i]
+        else:
+            b, below[j] = below[j], below[i]
+            down[j] = h
+        if h >= 0:
+            up[h] = j
+        maximal += cols[b]
+    return tuple(m), tuple(labels)
 
 
 def poset_to_perm(p: Poset) -> Permutation:

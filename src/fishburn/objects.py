@@ -54,17 +54,10 @@ from .errors import (
 
 DEFAULT_BRUTE_CAPS = {"perms": 9, "involutions": 6}
 
-FAMILIES = ("ascseq", "posets", "perms", "involutions")
-
 
 def ascents(entries) -> int:
     """Number of strict ascents of an integer sequence."""
     return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
-
-
-def ascent_positions(entries) -> tuple[int, ...]:
-    """0-based indices i with entries[i] < entries[i+1]."""
-    return tuple(i for i in range(len(entries) - 1) if entries[i] < entries[i + 1])
 
 
 def _trusted(cls, *fields):
@@ -174,24 +167,29 @@ def validate_ascent_sequence(entries: Iterable[int]) -> AscentSequence:
 
 
 def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
-    """All ascent sequences of length n, lexicographically."""
+    """All ascent sequences of length n, lexicographically.
+
+    Each next sequence raises the last entry that is below its bound
+    1 + asc(prefix) and resets the entries after it to 0.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         yield _trusted(AscentSequence, ())
         return
-
-    def extend(prefix: list[int], asc: int):
-        if len(prefix) == n:
-            yield _trusted(AscentSequence, tuple(prefix))
+    x = [0] * n
+    asc = [0] * n  # asc[i]: the ascents of x[0..i]
+    while True:
+        yield _trusted(AscentSequence, tuple(x))
+        i = n - 1
+        while i and x[i] > asc[i - 1]:
+            i -= 1
+        if not i:
             return
-        last = prefix[-1]
-        for i in range(0, asc + 2):
-            prefix.append(i)
-            yield from extend(prefix, asc + 1 if i > last else asc)
-            prefix.pop()
-
-    yield from extend([0], 0)
+        x[i] += 1
+        asc[i] = asc[i - 1] + (x[i] > x[i - 1])
+        x[i + 1:] = [0] * (n - 1 - i)
+        asc[i + 1:] = [asc[i]] * (n - 1 - i)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +353,6 @@ class Poset:
         top = self.rank + 1
         return tuple(x for x, e in enumerate(self.entry, start=1) if e == top)
 
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x, lvl in enumerate(self.levels, start=1) if lvl == 0)
-
     @property
     def srank(self) -> int:
         """The minimum level containing a maximal element."""
@@ -417,9 +412,6 @@ class RelationMatrix:
     def less(self, a: int, b: int) -> bool:
         i = bisect.bisect_left(self.pairs, (a, b))
         return i < len(self.pairs) and self.pairs[i] == (a, b)
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return list(self.pairs)
 
 
 def _relation_of_int_pairs(n: int, pairs: list) -> RelationMatrix:

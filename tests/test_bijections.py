@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import collections
 import itertools
 import time
 import tracemalloc
@@ -18,7 +17,6 @@ from fishburn import (
     Permutation,
 )
 from fishburn.bijections import (
-    _PosetState,
     _active_gaps,
     _first_neighbour_nesting,
     active_sites,
@@ -58,30 +56,33 @@ from conftest import (
 from test_objects import ascent_sequences
 
 
-def _assert_matrix_of(state):
-    """The state's cell sizes are the interval counts of its frozen poset, and
-    the public constructor rebuilds that poset; srank is its srank, and the
-    rows know their levels, sizes and which of them hold maximal elements."""
-    p = state.freeze()
-    assert fb.Poset(p.n, p.levels, p.entry) == p
-    top = p.rank + 1
-    cells = {}
-    for row in state.rows:
-        for source, labels in row.col:
-            cells[source.level, row.level] = labels
-        if row.top:
-            cells[row.level, top] = row.top
-    assert {key: len(cell) for key, cell in cells.items()} == \
-        collections.Counter(zip(p.levels, p.entry))
-    assert all(list(cell) == sorted(cell) for cell in cells.values())
-    for row in state.rows:
-        assert [source.level for source, _ in row.col] == \
-            sorted({source.level for source, _ in row.col})
-    assert [row.level for row in state.rows] == list(range(p.rank + 1))
-    assert [row.size for row in state.rows] == \
-        [p.levels.count(level) for level in range(p.rank + 1)]
-    assert state.maxrows == [row for row in reversed(state.rows) if row.top]
-    assert state.srank == p.srank
+def _poset_by_insertion(entries):
+    """Reference: the paper's insertion rule on explicit downsets, O(n^3).
+
+    Inserting x_j: when x_j = rank+1, the new element lies above every
+    element; when srank < x_j <= rank, it gets the downset D_{x_j}, and
+    the maximal elements below level x_j join the downset of every
+    element at level x_j or above; otherwise it gets D_{x_j} and nothing
+    else changes.
+    """
+    down = []  # down[x-1]: the strict downset of x
+    for i in entries:
+        chain = sorted(set(map(frozenset, down)), key=len)  # D_0 < D_1 < ... < D_k
+        level = [chain.index(d) for d in down]
+        maximal = [x for x in range(1, len(down) + 1) if not any(x in d for d in down)]
+        srank = min((level[x - 1] for x in maximal), default=-1)
+        if i == len(chain):
+            new = set(range(1, len(down) + 1))
+        else:
+            new = set(chain[i])
+            if i > srank:
+                lifted = {x for x in maximal if level[x - 1] < i}
+                for d, lvl in zip(down, level):
+                    if lvl >= i:
+                        d |= lifted
+        down.append(new)
+    pairs = [(y, x) for x, d in enumerate(down, start=1) for y in d]
+    return fb.poset_from_relations(fb.RelationMatrix(len(down), pairs))
 
 
 def _perm_to_sequence_by_peeling(entries):
@@ -192,7 +193,7 @@ class TestModification:
                 m = to_modified(x)
                 images.add(m.entries)
                 assert from_modified(m) == x
-                assert fb.objects.ascent_positions(m.entries) == fb.objects.ascent_positions(x.entries)
+                assert [a < b for a, b in zip(m, m[1:])] == [a < b for a, b in zip(x, x[1:])]
                 assert (max(m.entries) if n else 0) == x.asc
             assert len(images) == len(sequences_by_length[n])
 
@@ -239,24 +240,30 @@ class TestPosetEncoding:
         # rank grows exactly when its level exceeds the old srank
         for n in range(1, 8):
             for x in sequences_by_length[n]:
-                state = _PosetState()
-                for label, i in enumerate(x.entries, start=1):
-                    srank, rank = state.srank, len(state.rows) - 1
-                    state.insert_step(i, label)
-                    assert state.srank == i
-                    assert len(state.rows) - 1 == rank + (i > srank)
-                    _assert_matrix_of(state)  # every intermediate state is a valid poset
+                srank, rank = -1, -1
+                for j in range(1, n + 1):
+                    prefix = AscentSequence(x.entries[:j])
+                    p = sequence_to_poset(prefix)
+                    assert fb.Poset(p.n, p.levels, p.entry) == p
+                    assert p.srank == prefix.entries[-1]
+                    assert p.rank == prefix.asc == rank + (p.srank > srank)
+                    srank, rank = p.srank, p.rank
 
     def test_deletion_steps(self, sequences_by_length):
-        # the rank drops exactly when the deleted level exceeds the new srank
-        for n in range(2, 8):
+        # deletion undoes insertion: every prefix comes back, and the last
+        # element inserted is the first deleted
+        for n in range(1, 8):
             for x in sequences_by_length[n]:
-                state = _PosetState.from_poset(sequence_to_poset(x))
-                for _ in range(n - 1):
-                    rank = len(state.rows) - 1
-                    i, _ = state.delete_step()
-                    assert len(state.rows) - 1 == (rank if i <= state.srank else rank - 1)
-                    _assert_matrix_of(state)
+                for j in range(1, n + 1):
+                    prefix = AscentSequence(x.entries[:j])
+                    p = sequence_to_poset(prefix)
+                    assert poset_to_sequence(p) == prefix
+                    assert canonical_labelling(p) == tuple(range(1, j + 1))
+
+    def test_closed_form_matches_the_insertion_rule(self):
+        for n in range(9):
+            for x in fb.enumerate_ascent_sequences(n):
+                assert sequence_to_poset(x) == _poset_by_insertion(x.entries)
 
     def test_rank_n_minus_one_takes_time_and_memory_in_proportion_to_n(self):
         # every step on a chain adds or drops the top row; a state with a
@@ -495,8 +502,25 @@ class TestLargeInputs:
         p = sequence_to_poset(random_ascent_sequence(1000, seed=1001))
         assert parse_poset(format_poset(p)) == p
 
+    def test_alternating_sequence_at_n_20000(self):
+        # rank n/2: every other step opens or empties a level in the middle
+        x = AscentSequence(tuple(i % 2 for i in range(20000)))
+        start = time.perf_counter()
+        p = sequence_to_poset(x)
+        assert poset_to_sequence(p) == x
+        assert poset_to_sequence(involution_to_poset(poset_to_involution(p))) == x
+        assert time.perf_counter() - start < 2.0
+
+    def test_modification_of_a_random_sequence_at_n_20000(self):
+        x = random_ascent_sequence(20000, seed=20000)
+        start = time.perf_counter()
+        m = to_modified(x)
+        assert from_modified(m) == x
+        assert time.perf_counter() - start < 2.0
+        assert max(m.entries) == x.asc
+
     def test_modification_roundtrip_at_n_2000_with_1000_ascents(self):
-        # each odd entry ascends to asc/2 + 1, under earlier tops that the sweep lifts
+        # each odd entry ascends to asc/2 + 1, opening a level below earlier tops
         entries, asc = [0], 0
         for i in range(1, 2000):
             entries.append(asc // 2 + 1 if i % 2 else 0)

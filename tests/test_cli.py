@@ -378,7 +378,10 @@ class TestProcessStreams:
         (["enumerate", "--object", "ascseq", "--n", "9"], "", b"[0,0,0,0,0,0,0,0,0]\n"),
         (["convert", "--from", "ascseq", "--to", "perm"], "[0,1,0,1,3,1,1,2]\n" * 40000,
          b"3 1 7 6 4 8 2 5\n"),
-    ], ids=["enumerate", "convert"])
+        (["enumerate", "--object", "posets", "--n", "1500"], "", b'{"n":1500,"relations":[]}\n'),
+        (["enumerate", "--object", "ascseq", "--n", "3000"], "",
+         ("[" + ",".join(["0"] * 3000) + "]\n").encode()),
+    ], ids=["enumerate", "convert", "enumerate-posets-1500", "enumerate-ascseq-3000"])
     def test_closed_stdout_pipe_exits_quietly(self, argv, stdin_text, first, tmp_path):
         source = tmp_path / "in.txt"
         source.write_text(stdin_text)

@@ -97,13 +97,13 @@ def test_the_boundary_never_skips_validation():
 def test_trusted_construction_sites():
     # every site that skips validation is listed here on purpose
     assert {scope for _, scope in _trusted_calls()} == {
-        "enumerate_ascent_sequences", "enumerate_ascent_sequences.extend",
+        "enumerate_ascent_sequences",
         "Permutation.inverse", "Permutation.reverse", "Permutation.complement",
         "Permutation.compose", "enumerate_permutations", "ChordInvolution.mirror",
         "enumerate_fixed_point_free_involutions", "enumerate_fixed_point_free_involutions.pair",
         "_relation_of_int_pairs", "poset_to_relations",
         "perm_to_sequence", "sequence_to_perm_by_insertion", "sequence_to_perm",
-        "to_modified", "from_modified", "_PosetState.freeze", "poset_to_sequence",
+        "to_modified", "from_modified", "sequence_to_poset", "poset_to_sequence",
         "poset_to_perm", "dual", "involution_to_poset", "poset_to_involution",
         "swap_endpoints", "direct_sum", "_poset_sum",
     }
