@@ -243,13 +243,6 @@ class Permutation:
         return _trusted(Permutation, tuple(self.entries[o - 1] for o in other.entries))
 
 
-def standardize(values: Iterable[int]) -> Permutation:
-    """Relabel distinct integers order-isomorphically onto 1..k."""
-    values = tuple(values)
-    order = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return Permutation(tuple(order[v] for v in values))
-
-
 def r_violation(pi: Permutation) -> tuple[int, int, int] | None:
     """Leftmost witness (i, i+1, k) of the pattern (231,{1},{1}), or None.
 
@@ -333,32 +326,16 @@ class Poset:
     def rank(self) -> int:
         return max(self.levels, default=0)
 
-    def level_of(self, x: int) -> int:
-        return self.levels[x - 1]
-
-    def downset_of(self, x: int) -> frozenset[int]:
-        lvl = self.levels[x - 1]
-        return frozenset(z for z, e in enumerate(self.entry, start=1) if e <= lvl)
-
     def less(self, x: int, y: int) -> bool:
         return self.entry[x - 1] <= self.levels[y - 1]
-
-    def level_sets(self) -> list[tuple[int, ...]]:
-        sets: list[list[int]] = [[] for _ in range(self.rank + 1)]
-        for x, lvl in enumerate(self.levels, start=1):
-            sets[lvl].append(x)
-        return [tuple(s) for s in sets]
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        top = self.rank + 1
-        return tuple(x for x, e in enumerate(self.entry, start=1) if e == top)
 
     @property
     def srank(self) -> int:
         """The minimum level containing a maximal element."""
         if self.n == 0:
             raise ValueError("srank of the empty poset is undefined")
-        return min(self.levels[x - 1] for x in self.maximal_elements())
+        top = self.rank + 1  # the entry of the maximal elements
+        return min(level for level, e in zip(self.levels, self.entry) if e == top)
 
 
 def _are_int_pairs(pairs: list | tuple) -> bool:
@@ -450,15 +427,8 @@ class ChordInvolution:
                 raise NotInvolutionError(f"partner of {i} and {v} disagree")
 
     @property
-    def n_points(self) -> int:
-        return len(self.partner)
-
-    @property
     def n_chords(self) -> int:
         return len(self.partner) // 2
-
-    def partner_of(self, i: int) -> int:
-        return self.partner[i - 1]
 
     def is_opener(self, i: int) -> bool:
         return self.partner[i - 1] > i
@@ -493,66 +463,47 @@ def _first_neighbour_nesting(p: tuple[int, ...]) -> int | None:
     return None
 
 
-def descent_condition_holds(c: ChordInvolution) -> bool:
-    """Every descent crosses the diagonal: p_i > p_{i+1} implies p_i > i >= p_{i+1}."""
+def in_I2n(c: ChordInvolution) -> bool:
+    """Membership by the descent condition: p_i > p_{i+1} implies p_i > i >= p_{i+1}."""
     return _first_neighbour_nesting(c.partner) is None
 
 
-def runs_increasing(c: ChordInvolution) -> bool:
-    """Partner values increase along every maximal opener run and closer run."""
-    p = c.partner
-    for i in range(1, len(p)):
-        same_kind = c.is_opener(i) == c.is_opener(i + 1)
-        if same_kind and p[i - 1] > p[i]:
-            return False
-    return True
-
-
-def neighbour_nesting_positions(c: ChordInvolution) -> list[int]:
-    """Positions i such that the chords at i and i+1 are nested.
-
-    Checked geometrically: with chords (a1,b1) at i and (a2,b2) at i+1,
-    nesting means one interval strictly contains the other.  A single
-    chord joining i to i+1 never counts.
-    """
-    out = []
-    p = c.partner
-    for i in range(1, len(p)):
-        if p[i - 1] == i + 1:
-            continue
-        a1, b1 = min(i, p[i - 1]), max(i, p[i - 1])
-        a2, b2 = min(i + 1, p[i]), max(i + 1, p[i])
-        if a1 < a2 <= b2 < b1 or a2 < a1 <= b1 < b2:
-            out.append(i)
-    return out
-
-
-def in_I2n(c: ChordInvolution) -> bool:
-    """Membership test via the descent condition; the tests compare the other two checks."""
-    return descent_condition_holds(c)
-
-
 def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolution]:
-    """All fixed-point-free involutions of [points]; points must be even."""
+    """All fixed-point-free involutions of [points], lexicographically; points must be even.
+
+    Each chord joins the least unmatched point to a later unmatched one.
+    The next involution moves the last chord that can move to the next
+    unmatched point after its closer, drops the chords after it, and
+    joins every point left unmatched to the next unmatched point.
+    """
     if points % 2:
         raise ValueError("need an even number of points")
-    if points == 0:
-        yield _trusted(ChordInvolution, ())
-        return
-    partner = [0] * (points + 1)
-
-    def pair(free: list[int]):
-        if not free:
-            yield _trusted(ChordInvolution, tuple(partner[1:]))
+    partner = [0] * (points + 1)  # 1-based; 0 marks an unmatched point
+    openers: list[int] = []
+    start = 1  # every point below start is matched
+    while True:
+        for a in range(start, points + 1):
+            if not partner[a]:
+                b = a + 1
+                while partner[b]:
+                    b += 1
+                partner[a], partner[b] = b, a
+                openers.append(a)
+        yield _trusted(ChordInvolution, tuple(partner[1:]))
+        while openers:
+            a = openers.pop()
+            b = partner[a]
+            partner[a] = partner[b] = 0
+            b += 1
+            while b <= points and partner[b]:
+                b += 1
+            if b <= points:
+                partner[a], partner[b] = b, a
+                openers.append(a)
+                start = a + 1
+                break
+        else:
             return
-        a = free[0]
-        for j in range(1, len(free)):
-            b = free[j]
-            partner[a], partner[b] = b, a
-            yield from pair(free[1:j] + free[j + 1 :])
-        partner[a] = 0
-
-    yield from pair(list(range(1, points + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ the ascent sequences fixed by the modification sweep.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from .errors import LengthMismatchError, ParseError
 from .objects import AscentSequence, Permutation
@@ -82,17 +80,6 @@ def parse_pattern(text: str) -> BivincularPattern:
         return BivincularPattern(sigma, frozenset(map(int, sets[0])), frozenset(map(int, sets[1])))
     except ValueError as exc:  # a non-integer member, a word or set out of range
         raise ParseError(f"bad pattern literal {text!r}: {exc}") from exc
-
-
-def enumerate_patterns(k: int) -> Iterator[BivincularPattern]:
-    """All 4^{k+1} k! patterns of length k."""
-    subsets = list(itertools.chain.from_iterable(
-        itertools.combinations(range(k + 1), r) for r in range(k + 2)))
-    for entries in itertools.permutations(range(1, k + 1)):
-        sigma = Permutation(entries)
-        for X in subsets:
-            for Y in subsets:
-                yield BivincularPattern(sigma, frozenset(X), frozenset(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +174,6 @@ def complement(p: BivincularPattern) -> BivincularPattern:
     k = len(p.sigma)
     return BivincularPattern(p.sigma.complement(), p.X,
                              frozenset(k - y for y in p.Y))
-
-
-def identity_pattern(k: int) -> BivincularPattern:
-    return BivincularPattern(Permutation(tuple(range(1, k + 1))),
-                             frozenset(), frozenset())
 
 
 # ---------------------------------------------------------------------------

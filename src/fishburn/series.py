@@ -149,13 +149,6 @@ class TruncatedSeries:
             out[key] = out.get(key, 0) + c
         return self._like(out)
 
-    def subs_u_one(self) -> TruncatedSeries:
-        out: dict[_KEY, int] = {}
-        for (dt, _du, dv), c in self.coeffs.items():
-            key = (dt, 0, dv)
-            out[key] = out.get(key, 0) + c
-        return TruncatedSeries(self.t_order, out, self.u_order)
-
     def u_to_uv(self) -> TruncatedSeries:
         """Substitute u -> uv (each u also contributes a v)."""
         return self._like({(dt, du, dv + du): c
@@ -167,21 +160,8 @@ class TruncatedSeries:
     def with_u_order(self, u_order: int | None) -> TruncatedSeries:
         return TruncatedSeries(self.t_order, self.coeffs, u_order)
 
-    def coefficient_t(self, dt: int) -> dict[tuple[int, int], int]:
-        """The coefficient of t^dt as a {(du, dv): int} polynomial."""
-        return {(du, dv): c for (d, du, dv), c in self.coeffs.items() if d == dt}
-
     def coefficient(self, dt: int, du: int, dv: int = 0) -> int:
         return self.coeffs.get((dt, du, dv), 0)
-
-    def t_coefficients(self) -> list[int]:
-        """As a univariate t-series; requires all u, v exponents zero."""
-        out = [0] * (self.t_order + 1)
-        for (dt, du, dv), c in self.coeffs.items():
-            if du or dv:
-                raise ValueError("series is not univariate in t")
-            out[dt] = c
-        return out
 
     def divisible_by_t(self, k: int) -> bool:
         return all(dt >= k for (dt, _, _) in self.coeffs)
@@ -304,20 +284,6 @@ def p_series(order: int) -> list[int]:
     for k in range(order, 0, -1):
         h = [1, *_times_level(k, h, order - k + 1)]
     return h
-
-
-def product_polynomial(n: int, t_order: int) -> list[int]:
-    """prod_{i=1..n} (1 - (1-t)^i) as a truncated t-polynomial.
-
-    The product of the first i factors is divisible by t^i, so only its
-    coefficients from t^i up are kept.
-    """
-    if n > t_order:
-        return [0] * (t_order + 1)
-    tail = [1] + [0] * t_order
-    for i in range(1, n + 1):
-        tail = _times_level(i, tail, t_order - i + 1)
-    return [0] * n + tail
 
 
 # ---------------------------------------------------------------------------

@@ -39,17 +39,6 @@ def right_to_left_maxima(entries) -> list[int]:
     return out
 
 
-def right_to_left_minima(entries) -> list[int]:
-    out = []
-    best = None
-    for i in range(len(entries) - 1, -1, -1):
-        if best is None or entries[i] <= best:
-            out.append(i)
-            best = entries[i]
-    out.reverse()
-    return out
-
-
 def left_to_right_minima(entries) -> list[int]:
     out = []
     best = None

@@ -40,7 +40,6 @@ from fishburn.objects import (
     enumerate_fixed_point_free_involutions,
     format_poset,
     in_I2n,
-    neighbour_nesting_positions,
     parse_poset,
 )
 from fishburn.statistics import stats_of_perm, stats_of_sequence
@@ -53,6 +52,7 @@ from conftest import (
     POSET8C_SEQUENCE,
     random_ascent_sequence,
 )
+from reference import neighbour_nesting_positions
 from test_objects import ascent_sequences
 
 
@@ -233,7 +233,7 @@ class TestPosetEncoding:
                 labels = canonical_labelling(p)
                 m = to_modified(x).entries
                 for element in range(1, n + 1):
-                    assert p.level_of(element) == m[labels[element - 1] - 1]
+                    assert p.levels[element - 1] == m[labels[element - 1] - 1]
 
     def test_insertion_steps(self, sequences_by_length):
         # each new element is a maximal element of minimal level, and the
@@ -307,7 +307,7 @@ class TestPosetToPerm:
         for n in range(1, 7):
             for x in sequences_by_length[n]:
                 p = sequence_to_poset(x)
-                sizes = [len(s) for s in p.level_sets()]
+                sizes = [p.levels.count(level) for level in range(p.rank + 1)]
                 boundaries = [0] + list(itertools.accumulate(sizes))
                 assert active_sites(poset_to_perm(p)).sites == tuple(boundaries)
 
@@ -364,7 +364,7 @@ class TestIntervalOrders:
                     for j in range(2, opener + 1):
                         if not c.is_opener(j) and c.is_opener(j - 1):
                             runs += 1
-                    assert p.level_of(label) == runs
+                    assert p.levels[label - 1] == runs
 
 
 class TestNestingRemoval:

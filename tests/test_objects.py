@@ -35,21 +35,18 @@ from fishburn.objects import (
     _is_modified,
     ascents,
     check_brute_force_cap,
-    descent_condition_holds,
     enumerate_family,
     enumerate_fixed_point_free_involutions,
     format_involution,
     format_poset,
     format_sequence,
     in_I2n,
-    neighbour_nesting_positions,
     parse_involution,
     parse_permutation,
     parse_poset,
     parse_sequence,
     poset_from_relations,
     poset_to_relations,
-    runs_increasing,
     validate_ascent_sequence,
     validate_involution,
 )
@@ -60,6 +57,7 @@ from conftest import (
     random_ascent_sequence,
     relations,
 )
+from reference import neighbour_nesting_positions, runs_increasing
 
 
 def ascent_sequences(max_length=12):
@@ -234,7 +232,7 @@ class TestPosets:
         assert poset8a.levels == POSET8A_LEVELS
         assert poset8a.rank == 3
         assert poset8a.srank == 1
-        assert len(poset8a.downset_of(1)) == 6
+        assert sum(e <= poset8a.levels[0] for e in poset8a.entry) == 6  # the downset of 1
 
     def test_antichain_from_relations(self):
         p = relations(4, [])
@@ -269,6 +267,14 @@ class TestPosets:
             for x in sequences_by_length[n]:
                 p = fb.sequence_to_poset(x)
                 assert poset_from_relations(poset_to_relations(p)) == p
+
+    def test_less_is_the_relation(self, sequences_by_length):
+        for n in range(7):
+            for x in sequences_by_length[n]:
+                p = fb.sequence_to_poset(x)
+                pairs = set(poset_to_relations(p).pairs)
+                for a, b in itertools.product(range(1, n + 1), repeat=2):
+                    assert p.less(a, b) == ((a, b) in pairs)
 
     def test_reverse_composition_fixes_relations(self, sequences_by_length):
         # relation -> poset -> relation is the identity, whatever the labels
@@ -531,14 +537,27 @@ class TestInvolutions:
     @pytest.mark.parametrize("points", [0, 2, 4, 6, 8])
     def test_three_membership_checks_agree(self, points):
         for c in enumerate_fixed_point_free_involutions(points):
-            by_descent = descent_condition_holds(c)
+            by_descent = fb.objects._first_neighbour_nesting(c.partner) is None
             assert by_descent == runs_increasing(c)
             assert by_descent == (not neighbour_nesting_positions(c))
             assert in_I2n(c) == by_descent
 
-    @pytest.mark.parametrize("points,count", [(0, 1), (2, 1), (4, 3), (6, 15), (8, 105)])
+    @pytest.mark.parametrize("points,count", [(0, 1), (2, 1), (4, 3), (6, 15), (8, 105), (10, 945)])
     def test_fixed_point_free_count_is_double_factorial(self, points, count):
         assert sum(1 for _ in enumerate_fixed_point_free_involutions(points)) == count
+
+    @pytest.mark.parametrize("points", [0, 2, 4, 6, 8])
+    def test_fixed_point_free_order_is_lexicographic(self, points):
+        # S_{2n} filtered in lexicographic order
+        brute = [w for w in itertools.permutations(range(1, points + 1))
+                 if all(w[v - 1] == i != v for i, v in enumerate(w, start=1))]
+        assert [c.partner for c in enumerate_fixed_point_free_involutions(points)] == brute
+
+    def test_fixed_point_free_enumeration_is_not_recursive(self):
+        start = time.perf_counter()
+        first = next(enumerate_fixed_point_free_involutions(3000))
+        assert time.perf_counter() - start < 2
+        assert first.partner == tuple(i + 1 if i % 2 else i - 1 for i in range(1, 3001))
 
     def test_member_count_beyond_default_cap(self):
         # direct filter on 14 points, bypassing the capped helper

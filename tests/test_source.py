@@ -1,5 +1,6 @@
 """Source rules: no `assert` in the library, each check runs by one route,
-and validation happens at the boundary.
+validation happens at the boundary, and the library holds no definition
+that it neither exports nor reads.
 
 `python -O` strips `assert` statements, so invariants are typed
 exceptions.  A second route that recomputes an answer and raises
@@ -10,6 +11,8 @@ the one `raise AssertionError` left guards a branch that the proof in
 Values built from data that is valid by construction skip validation
 through `objects._trusted`; text and public-constructor input never
 does, so no parser, validator or CLI code calls it.
+
+References that only the tests compare against live in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -100,10 +103,39 @@ def test_trusted_construction_sites():
         "enumerate_ascent_sequences",
         "Permutation.inverse", "Permutation.reverse", "Permutation.complement",
         "Permutation.compose", "enumerate_permutations", "ChordInvolution.mirror",
-        "enumerate_fixed_point_free_involutions", "enumerate_fixed_point_free_involutions.pair",
+        "enumerate_fixed_point_free_involutions",
         "_relation_of_int_pairs", "poset_to_relations",
         "perm_to_sequence", "sequence_to_perm_by_insertion", "sequence_to_perm",
         "to_modified", "from_modified", "sequence_to_poset", "poset_to_sequence",
         "poset_to_perm", "dual", "involution_to_poset", "poset_to_involution",
         "swap_endpoints", "direct_sum", "_poset_sum",
     }
+
+
+def _unread_definitions() -> list[str]:
+    """Module-level functions and classes that the package neither exports nor reads.
+
+    A definition counts as read when its name appears as an `ast.Name` or
+    `ast.Attribute` anywhere in the package outside its own body, as the
+    `cmd_*` handlers do in `set_defaults`.
+    """
+    exported = {alias.name
+                for node in ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined, reads = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            is_definition = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_definition:
+                defined.append(top.name)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and not (is_definition and name == top.name):
+                    reads.append(name)
+    return sorted(set(defined) - exported - set(reads))
+
+
+def test_every_definition_is_exported_or_read():
+    assert _unread_definitions() == []
