@@ -611,9 +611,16 @@ def parse_permutation(text: str) -> Permutation:
 
 
 def format_poset(p: Poset) -> str:
-    """The JSON form, `{"n":..,"relations":[[a,b],..]}`, written without an encoder."""
-    pairs = ",".join([f"[{a},{b}]" for a, b in poset_to_relations(p).pairs])
-    return f'{{"n":{p.n},"relations":[{pairs}]}}'
+    """The JSON form, `{"n":..,"relations":[[a,b],..]}`, written without an encoder.
+
+    The pairs of x are contiguous in the sorted relation, so each row is
+    one join over the label strings of their seconds.
+    """
+    labels = list(map(str, range(p.n + 1)))
+    second = operator.itemgetter(1)
+    rows = [f"[{x},{f'],[{x},'.join(map(labels.__getitem__, map(second, row)))}]"
+            for x, row in itertools.groupby(poset_to_relations(p).pairs, operator.itemgetter(0))]
+    return f'{{"n":{p.n},"relations":[{",".join(rows)}]}}'
 
 
 def parse_poset(text: str) -> Poset:
@@ -626,6 +633,13 @@ def parse_poset(text: str) -> Poset:
         raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
     if n < 0:
         raise ParseError(f"poset size must be >= 0, got {n}")
+    # strictly increasing pairs in 1..n are counted as decoded; other lines take the relation route
+    if pairs and all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
+        seconds = list(map(operator.itemgetter(1), pairs))
+        if 1 <= pairs[0][0] and pairs[-1][0] <= n and 1 <= min(seconds) and max(seconds) <= n:
+            poset = _counted_poset(n, pairs)
+            if poset is not None:
+                return poset
     try:
         relation = _relation_of_int_pairs(n, pairs)
     except ValueError as exc:
@@ -682,27 +696,18 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
     return _trusted(RelationMatrix, p.n, tuple(pairs))
 
 
-def poset_from_relations(rel: RelationMatrix) -> Poset:
-    """Recover the interval form from a strict relation.
+def _counted_poset(n: int, pairs: list | tuple) -> Poset | None:
+    """The interval order whose relation is `pairs`, or None if there is none.
 
-    The levels are read off the downset sizes and each entry is the least
-    level above the element, so every pair (a, b) has entry(a) <=
-    level(b): the pairs, distinct as `RelationMatrix` keeps them, lie in
-    the relation of that form.  When there are as many of them as that
+    The pairs must be distinct and in 1..n.  The levels are read off the
+    downset sizes and each entry is the least level above the element,
+    so every pair (a, b) has entry(a) <= level(b): the pairs lie in the
+    relation of that form.  When there are as many of them as that
     relation has pairs, they are all of it, and it is an interval order
     exactly when level < entry for every element, since x < x holds just
-    when entry(x) <= level(x).  An interval order always passes, since its
-    downsets form a chain, whose members have distinct sizes.
-
-    Otherwise the relation is no interval order and a witness is named:
-    NotPartialOrderError if the relation is not irreflexive and
-    transitive, and NotTwoPlusTwoFreeError (with a four-element witness)
-    if the strict downsets are not linearly ordered by inclusion.
+    when entry(x) <= level(x).  An interval order always passes, since
+    its downsets form a chain, whose members have distinct sizes.
     """
-    n = rel.n
-    if n == 0:
-        return Poset.empty()
-    pairs = rel.pairs
     sizes = [0] * n
     for _, b in pairs:
         sizes[b - 1] += 1
@@ -726,6 +731,22 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
         implied += per_level[j] * entered
     if implied == len(pairs) and all(map(operator.lt, levels, entry)):
         return Poset(n, tuple(levels), tuple(entry))
+    return None
+
+
+def poset_from_relations(rel: RelationMatrix) -> Poset:
+    """Recover the interval form from a strict relation.
+
+    The relation is accepted by counting its pairs (`_counted_poset`).
+    Otherwise it is no interval order and a witness is named:
+    NotPartialOrderError if the relation is not irreflexive and
+    transitive, and NotTwoPlusTwoFreeError (with a four-element witness)
+    if the strict downsets are not linearly ordered by inclusion.
+    """
+    pairs = rel.pairs
+    poset = _counted_poset(rel.n, pairs)
+    if poset is not None:
+        return poset
     for a, b in pairs:
         if a == b:
             raise NotPartialOrderError(f"reflexive pair ({a},{b})")

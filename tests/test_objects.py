@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fishburn as fb
+from fishburn import objects
 from fishburn import (
     AscentSequence,
     ChordInvolution,
@@ -468,6 +469,26 @@ def _first_two_plus_two(pairs):
             return tuple(sorted((x, min(dx), y, min(dy))))
     return None
 
+
+def _parse_by_relation(n, pairs):
+    """The poset of a typed poset line by the public relation route, with `parse_poset`'s errors."""
+    if n < 0:
+        raise ParseError(f"poset size must be >= 0, got {n}")
+    try:
+        relation = fb.RelationMatrix(n, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return poset_from_relations(relation)
+
+
+def _outcome(f, *args):
+    """("ok", value) or (exception type, message) of f(*args)."""
+    try:
+        return "ok", f(*args)
+    except fb.FishburnError as exc:
+        return type(exc), str(exc)
+
+
 class TestRelationMatrix:
     def test_pairs_are_sorted_and_distinct(self):
         expected = ((1, 2), (1, 3), (2, 3))
@@ -638,13 +659,69 @@ class TestTextForms:
             parse_poset('{"n":-3,"relations":[]}')
 
     def test_poset_form_matches_json_dumps(self):
-        # every poset with n <= 8, and one at n = 1000
+        # every poset with n <= 8, random ones at n = 150, 600 and 1000,
+        # and the chain and the antichain at n = 2000
         posets = [fb.sequence_to_poset(x) for n in range(9) for x in fb.enumerate_ascent_sequences(n)]
-        posets.append(fb.sequence_to_poset(random_ascent_sequence(1000, 9)))
+        posets += [fb.sequence_to_poset(random_ascent_sequence(n, 9)) for n in (150, 600, 1000)]
+        posets += [Poset.chain(2000), Poset.antichain(2000)]
         for p in posets:
             reference = json.dumps({"n": p.n, "relations": poset_to_relations(p).pairs},
                                    separators=(",", ":"))
             assert format_poset(p) == reference
+
+    def test_parse_poset_matches_the_relation_route(self):
+        # lines near the canonical form: parse_poset returns what the
+        # public relation route returns, or raises the same error
+        rng = random.Random(1985)
+        seen = collections.Counter()
+        for _ in range(6000):
+            n = rng.randint(1, 30)
+            p = fb.sequence_to_poset(random_ascent_sequence(n, rng.randrange(2**32)))
+            relabel = rng.sample(range(1, n + 1), n) if rng.random() < 0.3 else range(1, n + 1)
+            pairs = sorted((relabel[a - 1], relabel[b - 1]) for a, b in poset_to_relations(p).pairs)
+            kind = rng.choice(["canonical", "dropped", "added", "duplicated", "out of range",
+                               "shuffled", "negative", "empty n"])
+            if kind == "dropped" and pairs:
+                pairs.pop(rng.randrange(len(pairs)))
+            elif kind == "added":
+                pairs = sorted(set(pairs) | {(rng.randint(1, n), rng.randint(1, n))})
+            elif kind == "duplicated" and pairs:
+                i = rng.randrange(len(pairs))
+                pairs.insert(i, pairs[i])
+            elif kind == "out of range":
+                bad = rng.choice([0, n + 1, n + 2])
+                pairs = sorted(pairs + [rng.choice([(bad, rng.randint(1, n)), (rng.randint(1, n), bad)])])
+            elif kind == "shuffled":
+                rng.shuffle(pairs)
+            elif kind == "negative":
+                pairs = sorted(pairs + [(-rng.randint(1, 3), rng.randint(-3, n))])
+            elif kind == "empty n":
+                n, pairs = rng.choice([0, -1]), pairs[:rng.randrange(2)]
+            text = '{"n":%d,"relations":[%s]}' % (n, ",".join(f"[{a},{b}]" for a, b in pairs))
+            got, expected = _outcome(parse_poset, text), _outcome(_parse_by_relation, n, pairs)
+            assert got == expected, text
+            seen[kind, expected[0] == "ok"] += 1
+        rejected = ("dropped", "added", "out of range", "negative", "empty n")
+        accepted = ("canonical", "dropped", "added", "duplicated", "shuffled", "empty n")
+        assert min(seen[kind, False] for kind in rejected) > 100, seen
+        assert min(seen[kind, True] for kind in accepted) > 100, seen
+
+    def test_canonical_lines_skip_the_relation_route(self, monkeypatch):
+        # a canonical line with pairs is counted as decoded, with no
+        # RelationMatrix built
+        posets = [fb.sequence_to_poset(x) for n in range(9) for x in fb.enumerate_ascent_sequences(n)]
+        posets = [p for p in posets if p.rank]
+        posets.append(fb.sequence_to_poset(random_ascent_sequence(150, 12)))
+        texts = [format_poset(p) for p in posets]
+
+        def refuse(n, pairs):
+            raise AssertionError("a canonical line went through _relation_of_int_pairs")
+
+        monkeypatch.setattr(objects, "_relation_of_int_pairs", refuse)
+        for p, text in zip(posets, texts):
+            assert parse_poset(text) == p
+        with pytest.raises(AssertionError):
+            parse_poset('{"n":2,"relations":[[1,2],[1,2]]}')
 
     @pytest.mark.parametrize("text", [
         '{"n":2,"relations":[[1.5,2]]}',
