@@ -9,16 +9,30 @@ Everything here is integer arithmetic.  The central objects are
 * `CountTable`: the dynamic program counting ascent sequences by length,
   number of ascents and last entry (appending i <= last keeps the ascent
   count, appending last < i <= asc+1 raises it by one); each row feeds
-  the next through one prefix-sum pass, so N rows take O(N^3) time;
+  the next through one prefix-sum pass, so N rows take O(N^3) time.
+  `ascent_counts(N)` runs the same rows but keeps only the last two, so
+  it stores O(N^2) counts where the table stores O(N^3);
 * residual checks for the recurrence written as a functional equation in
   two catalytic variables, for its kernel-method solution as a u-series
   with rational t-coefficients, and for the polynomial identity that
   converts that solution into a t-convergent form.
 
 `TruncatedSeries` stores such series sparsely by exponent triple
-(t, u, v), truncated in t and optionally in u; inversion (needed to
-expand the rational coefficients of the kernel solution) works in the
-(t, u)-truncated ring and requires the constant term to be a unit.
+(t, u, v), truncated in t and optionally in u.  Its public constructor
+is the one place that drops out-of-range terms and rejects negative
+exponents; results of ring operations keep in range by construction.
+Inversion works in the (t, u)-truncated ring and requires the constant
+term to be a unit.
+
+The kernel checks never multiply two full (t, u)-series.  They hold a
+series as u-rows of t-coefficient lists, where multiplying by (1-t) is
+one first difference and dividing by it one prefix sum.  Dividing by a
+kernel factor u - (u-1)(1-t)^k = p + u(1-p), p = (1-t)^k, goes one
+u-row at a time: p (X_j - X_{j-1}) = Y_j - X_{j-1}.  `verify_S_identity`
+sums its k-terms in Horner form in P = (1-t)^m before the common factor
+(u-1)^m, and `F_n_polynomial` builds its t-only factors as lists and
+expands the (u-1)^{n-l} u^l part once.  `tests/reference.py` keeps the
+ring-product forms, and the tests require equal coefficients.
 """
 
 from __future__ import annotations
@@ -42,14 +56,10 @@ class TruncatedSeries:
         data: dict[_KEY, int] = {}
         if coeffs:
             for (dt, du, dv), c in coeffs.items():
-                if c == 0 or dt > self.t_order:
-                    continue
-                if u_order is not None and du > u_order:
-                    continue
-                key = (dt, du, dv)
-                data[key] = data.get(key, 0) + c
-                if data[key] == 0:
-                    del data[key]
+                if dt < 0 or du < 0 or dv < 0:
+                    raise ValueError(f"negative exponent in {(dt, du, dv)}")
+                if c and dt <= self.t_order and (u_order is None or du <= u_order):
+                    data[dt, du, dv] = c
         self.coeffs = data
 
     # -- construction helpers
@@ -68,7 +78,11 @@ class TruncatedSeries:
         return cls(t_order, {(dt, du, dv): c}, u_order)
 
     def _like(self, coeffs: dict[_KEY, int]) -> TruncatedSeries:
-        return TruncatedSeries(self.t_order, coeffs, self.u_order)
+        """A series with this one's orders; `coeffs` must already be in range."""
+        out = object.__new__(TruncatedSeries)
+        out.t_order, out.u_order = self.t_order, self.u_order
+        out.coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
 
     def _check_compatible(self, other: TruncatedSeries) -> None:
         if self.t_order != other.t_order or self.u_order != other.u_order:
@@ -104,17 +118,24 @@ class TruncatedSeries:
         if isinstance(other, int):
             return self._like({k: other * c for k, c in self.coeffs.items()})
         self._check_compatible(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):  # the shorter operand drives the outer loop
+            a, b = b, a
+        nt, nu = self.t_order, self.u_order
+        if len(a) == 1:
+            # a monomial times a series only shifts the series' keys
+            ((t1, u1, v1), c1), = a.items()
+            return self._like({(t1 + t2, u1 + u2, v1 + v2): c1 * c2
+                               for (t2, u2, v2), c2 in b.items()
+                               if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu)})
         out: dict[_KEY, int] = {}
-        for (t1, u1, v1), c1 in self.coeffs.items():
-            for (t2, u2, v2), c2 in other.coeffs.items():
-                dt = t1 + t2
-                if dt > self.t_order:
-                    continue
-                du = u1 + u2
-                if self.u_order is not None and du > self.u_order:
-                    continue
-                key = (dt, du, v1 + v2)
-                out[key] = out.get(key, 0) + c1 * c2
+        get = out.get
+        b_items = list(b.items())
+        for (t1, u1, v1), c1 in a.items():
+            for (t2, u2, v2), c2 in b_items:
+                if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu):
+                    key = (t1 + t2, u1 + u2, v1 + v2)
+                    out[key] = get(key, 0) + c1 * c2
         return self._like(out)
 
     __rmul__ = __mul__
@@ -188,9 +209,7 @@ class TruncatedSeries:
             for r in range(1, j + 1):
                 _t_mul_into(acc, f[r], g[j - r], nt)
             g.append(_t_mul([-a for a in acc], g0, nt))
-        coeffs = {(dt, du, 0): g[du][dt]
-                  for du in range(nu + 1) for dt in range(nt + 1) if g[du][dt]}
-        return TruncatedSeries(nt, coeffs, nu)
+        return _from_rows(g, nt, nu)
 
     def __repr__(self):
         terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
@@ -212,6 +231,12 @@ def _t_mul_into(out: list[int], a: list[int], b: list[int], order: int) -> None:
                 out[i + j] += ai * b[j]
 
 
+def _from_rows(rows: list[list[int]], t_order: int, u_order: int | None) -> TruncatedSeries:
+    """sum_du u^du rows[du](t); rows[du][dt] must be in range of both orders."""
+    return TruncatedSeries.zero(t_order, u_order)._like(
+        {(dt, du, 0): c for du, row in enumerate(rows) for dt, c in enumerate(row)})
+
+
 def _t_inverse(a: list[int], order: int) -> list[int]:
     c0 = a[0]
     if c0 not in (1, -1):
@@ -228,12 +253,6 @@ def _t_inverse(a: list[int], order: int) -> list[int]:
 # Polynomial building blocks
 
 
-def one_minus_t_pow(k: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
-    """(1-t)^k, exactly (binomials), truncated."""
-    coeffs = {(i, 0, 0): (-1) ** i * comb(k, i) for i in range(min(k, t_order) + 1)}
-    return TruncatedSeries(t_order, coeffs, u_order)
-
-
 def level_coefficients(k: int, width: int) -> list[int]:
     """(1 - (1-t)^k) / t, exactly, truncated to its first `width` coefficients."""
     return [comb(k, j) if j & 1 else -comb(k, j) for j in range(1, min(k, width) + 1)]
@@ -248,23 +267,59 @@ def _times_level(k: int, poly: list[int], width: int) -> list[int]:
     return [sum(map(mul, g, poly[j::-1])) for j in range(width)]
 
 
-def level_factor(i: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
-    """1 - (1-t)^i."""
-    coeffs = {(j, 0, 0): c for j, c in enumerate(level_coefficients(i, t_order), start=1)}
-    return TruncatedSeries(t_order, coeffs, u_order)
+def _times_one_minus_t(row: list[int], k: int) -> list[int]:
+    """row * (1-t)^k, truncated to len(row): k first differences."""
+    for _ in range(k):
+        row = [a - b for a, b in zip(row, [0, *row])]
+    return row
 
 
-def u_minus_one_pow(k: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
-    coeffs = {(0, j, 0): (-1) ** (k - j) * comb(k, j) for j in range(k + 1)}
-    return TruncatedSeries(t_order, coeffs, u_order)
+def _times_level_factor(row: list[int], k: int) -> list[int]:
+    """row * (1 - (1-t)^k), truncated to len(row)."""
+    return [a - b for a, b in zip(row, _times_one_minus_t(row, k))]
 
 
-def _kernel_factor(i: int, t_order: int, u_order: int) -> TruncatedSeries:
-    """u - (u-1)(1-t)^i  =  (1-t)^i + u(1 - (1-t)^i); unit constant term."""
-    p = one_minus_t_pow(i, t_order, u_order)
-    q = level_factor(i, t_order, u_order)
-    u = TruncatedSeries.monomial(1, du=1, t_order=t_order, u_order=u_order)
-    return p + u * q
+def _add_times_u_minus_one(rows: list[list[int]], poly: list[int], k: int,
+                           shift: int, scale: int = 1) -> None:
+    """rows += scale (u-1)^k u^shift poly, dropping u-powers past the last row."""
+    for j in range(min(k + 1, len(rows) - shift)):
+        c = scale * (-comb(k, j) if (k - j) & 1 else comb(k, j))
+        rows[shift + j] = [r + c * x for r, x in zip(rows[shift + j], poly)]
+
+
+def _over_one_minus_t(row: list[int], k: int) -> list[int]:
+    """row / (1-t)^k, truncated to len(row): k prefix sums."""
+    for _ in range(k):
+        row = list(accumulate(row))
+    return row
+
+
+def _divide_by_kernel_factor(rows: list[list[int]], k: int) -> list[list[int]]:
+    """The u-rows of Y / (u - (u-1)(1-t)^k), Y given by its u-rows.
+
+    The factor is p + u(1-p) with p = (1-t)^k, so the quotient X solves
+    p X_j + (1-p) X_{j-1} = Y_j, that is p (X_j - X_{j-1}) = Y_j - X_{j-1}:
+    each row costs one division by p, k prefix sums.  Rows are never
+    modified in place, so an unchanged row may be shared.
+    """
+    out = []
+    prev = [0] * len(rows[0])
+    for row in rows:
+        step = [y - x for y, x in zip(row, prev)]
+        if any(step):
+            prev = [x + d for x, d in zip(prev, _over_one_minus_t(step, k))]
+        out.append(prev)
+    return out
+
+
+def _kernel_rows(t_order: int, u_order: int):
+    """Yields the u-rows of u^(k-1) / prod_{i=1..k}(u - (u-1)(1-t)^i), k = 1..u_order+1."""
+    zero = [0] * (t_order + 1)
+    rows = [[1, *zero[1:]]] + [zero] * u_order
+    for k in range(1, u_order + 2):
+        rows = _divide_by_kernel_factor(rows, k)
+        yield rows
+        rows = [zero, *rows[:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +345,46 @@ def p_series(order: int) -> list[int]:
 # The counting DP
 
 
+def _count_rows(max_length: int):
+    """Yields rows n = 1..max_length of the counting DP, each indexed [a][last]."""
+    if max_length < 1:
+        return
+    prev = [[1]]
+    yield prev
+    for n in range(2, max_length + 1):
+        # Appending i <= a+1 to a sequence counted in row a (whose
+        # last entry is <= a) keeps a ascents if i <= last and adds
+        # one otherwise.  So cur[a][i] gets the row's suffix sum from
+        # i and cur[a+1][i] its prefix sum below i; `carry` holds the
+        # prefix sums of the row before.
+        cur = []
+        carry = [0]
+        for a, row in enumerate(prev):
+            sums = list(accumulate(row[:a + 1], initial=0))
+            total = sums[-1]
+            carry.append(0)
+            cur.append([total - s + c for s, c in zip(sums, carry)] + [0] * (n - a - 2))
+            carry = sums
+        cur.append(carry)
+        yield cur
+        prev = cur
+
+
+def ascent_counts(n: int) -> list[int]:
+    """Counts of length-n ascent sequences with 0, 1, ... ascents.
+
+    The same numbers as `CountTable(n).by_ascents(n)`, but only the row
+    being built and the one before it are kept: O(n^2) stored counts.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return [1]
+    for row in _count_rows(n):
+        pass
+    return [sum(cells) for cells in row]
+
+
 class CountTable:
     """counts[n][a][l] = ascent sequences of length n with a ascents, last entry l."""
 
@@ -297,42 +392,27 @@ class CountTable:
         if max_length < 0:
             raise ValueError("max_length must be >= 0")
         self.max_length = max_length
-        if counts is not None:
-            self.counts = counts
-            return
-        table = [None] * (max_length + 1)
-        if max_length >= 1:
-            table[1] = [[1]]
-        for n in range(2, max_length + 1):
-            # Appending i <= a+1 to a sequence counted in row a (whose
-            # last entry is <= a) keeps a ascents if i <= last and adds
-            # one otherwise.  So cur[a][i] gets the row's suffix sum from
-            # i and cur[a+1][i] its prefix sum below i; `carry` holds the
-            # prefix sums of the row before.
-            cur = []
-            carry = [0]
-            for a, row in enumerate(table[n - 1]):
-                sums = list(accumulate(row[:a + 1], initial=0))
-                total = sums[-1]
-                carry.append(0)
-                cur.append([total - s + c for s, c in zip(sums, carry)] + [0] * (n - a - 2))
-                carry = sums
-            cur.append(carry)
-            table[n] = cur
-        self.counts = table
+        self.counts = [None, *_count_rows(max_length)] if counts is None else counts
+
+    def _check_length(self, n: int) -> None:
+        if not 0 <= n <= self.max_length:
+            raise ValueError(f"length {n} is outside 0..{self.max_length}")
 
     def count(self, n: int, a: int, last: int) -> int:
-        if n == 0 or a >= n or last >= n:
+        self._check_length(n)
+        if n == 0 or not (0 <= a < n and 0 <= last < n):
             return 0
         return self.counts[n][a][last]
 
     def total(self, n: int) -> int:
+        self._check_length(n)
         if n == 0:
             return 1
         return sum(sum(row) for row in self.counts[n])
 
     def by_ascents(self, n: int) -> list[int]:
         """Counts of length-n sequences with 0, 1, ... ascents."""
+        self._check_length(n)
         if n == 0:
             return [1]
         return [sum(row) for row in self.counts[n]]
@@ -393,18 +473,20 @@ def F_n_polynomial(n: int) -> TruncatedSeries:
     prod_{i=1..n}(1 - (1-t)^i), the summand of the product formula.
     """
     t_order = n * (n + 3) // 2
-    total = TruncatedSeries.zero(t_order)
-    for ell in range(n + 1):
-        inner = TruncatedSeries.zero(t_order)
-        for m in range(ell, n + 1):
-            term = one_minus_t_pow(m - ell, t_order) * ((-1) ** (n - m) * comb(n, m))
-            for i in range(m - ell + 1, m + 1):
-                term = term * level_factor(i, t_order)
-            inner = inner + term
-        head = u_minus_one_pow(n - ell, t_order) * TruncatedSeries.monomial(
-            1, du=ell, t_order=t_order)
-        total = total + head * inner
-    return total
+    # inner[ell] is the m-sum for ell.  With d = m - ell, the product over
+    # i = d+1..d+ell grows by one factor from each ell to the next.
+    inner = [[0] * (t_order + 1) for _ in range(n + 1)]
+    for d in range(n + 1):
+        prod = _times_one_minus_t([1] + [0] * t_order, d)
+        for ell in range(n - d + 1):
+            if ell:
+                prod = _times_level_factor(prod, d + ell)
+            c = -comb(n, d + ell) if (n - d - ell) & 1 else comb(n, d + ell)
+            inner[ell] = [a + c * b for a, b in zip(inner[ell], prod)]
+    rows = [[0] * (t_order + 1) for _ in range(n + 1)]
+    for ell, poly in enumerate(inner):
+        _add_times_u_minus_one(rows, poly, n - ell, ell)
+    return _from_rows(rows, t_order, None)
 
 
 def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
@@ -414,16 +496,14 @@ def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> Truncated
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    out = TruncatedSeries.zero(t_order, u_order)
+    top = m - 1 if u_order is None else min(m - 1, u_order)
+    rows = [[0] * (t_order + 1) for _ in range(top + 1)]
     for j in range(m):
-        term = (u_minus_one_pow(j, t_order, u_order)
-                * TruncatedSeries.monomial(1, du=m - 1 - j, t_order=t_order,
-                                           u_order=u_order)
-                * one_minus_t_pow(j, t_order, u_order))
+        poly = _times_one_minus_t([1] + [0] * t_order, j)
         for i in range(j + 1, m):
-            term = term * level_factor(i, t_order, u_order)
-        out = out - term
-    return out
+            poly = _times_level_factor(poly, i)
+        _add_times_u_minus_one(rows, poly, j, m - 1 - j, -1)
+    return _from_rows(rows, t_order, u_order)
 
 
 def kernel_terms(order: int) -> list[TruncatedSeries]:
@@ -432,15 +512,7 @@ def kernel_terms(order: int) -> list[TruncatedSeries]:
     The m-independent part of each term of `verify_S_identity`, with t
     and u both truncated at `order`.
     """
-    nt = nu = order
-    terms = []
-    term = TruncatedSeries.one(nt, nu)
-    u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
-    for k in range(1, nu + 2):
-        term = term * _kernel_factor(k, nt, nu).invert()
-        terms.append(term)
-        term = term * u
-    return terms
+    return [_from_rows(rows, order, order) for rows in _kernel_rows(order, order)]
 
 
 def verify_S_identity(m: int, order: int,
@@ -459,11 +531,21 @@ def verify_S_identity(m: int, order: int,
         terms = kernel_terms(order)
     elif len(terms) != order + 1:
         raise ValueError(f"need {order + 1} kernel terms, got {len(terms)}")
-    lhs = TruncatedSeries.zero(nt, nu)
-    head = u_minus_one_pow(m, nt, nu)
-    for k, term in enumerate(terms, start=1):
-        lhs = lhs + head * one_minus_t_pow(m * k, nt, nu) * term
-    return lhs - S_closed_form(m, nt, nu)
+    elif any(term.t_order != nt or term.u_order != nu for term in terms):
+        raise ValueError("mixed truncation orders")
+    # (u-1)^m is common to every term, and (1-t)^(mk) = P^k with
+    # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first
+    acc = [[0] * (nt + 1) for _ in range(nu + 1)]
+    for term in reversed(terms):
+        rows = [_times_one_minus_t(row, m) for row in acc]
+        for (dt, du, _dv), c in term.coeffs.items():
+            rows[du][dt] += c
+        acc = rows
+    acc = [_times_one_minus_t(row, m) for row in acc]
+    lhs = [[0] * (nt + 1) for _ in range(nu + 1)]
+    for du, row in enumerate(acc):
+        _add_times_u_minus_one(lhs, row, m, du)
+    return _from_rows(lhs, nt, nu) - S_closed_form(m, nt, nu)
 
 
 def kernel_solution_series(u_order: int, t_order: int) -> TruncatedSeries:
@@ -474,17 +556,15 @@ def kernel_solution_series(u_order: int, t_order: int) -> TruncatedSeries:
     k > u_order+1 contribute nothing below u^{u_order+1}.
     """
     nt, nu = t_order, u_order
-    one_minus_u = TruncatedSeries(nt, {(0, 0, 0): 1, (0, 1, 0): -1}, nu)
-    total = TruncatedSeries.zero(nt, nu)
-    running_inv = TruncatedSeries.one(nt, nu)
-    u_pow = TruncatedSeries.one(nt, nu)
-    for k in range(1, nu + 2):
-        factor_inv = _kernel_factor(k, nt, nu).invert()
-        running_inv = running_inv * factor_inv
-        total = total + (one_minus_u * u_pow * one_minus_t_pow(k, nt, nu)
-                         * factor_inv * running_inv)
-        u_pow = u_pow * TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
-    return total
+    total = [[0] * (nt + 1) for _ in range(nu + 1)]
+    for k, rows in enumerate(_kernel_rows(nt, nu), start=1):
+        # With X = Y / K_k for Y = `rows` and K_k the k-th kernel factor,
+        # (1-u)(1-t)^k X has u-rows Y_j - X_{j-1} (see _divide_by_kernel_factor)
+        below = [0] * (nt + 1)
+        for j, (row, x) in enumerate(zip(rows, _divide_by_kernel_factor(rows, k))):
+            total[j] = [a + y - b for a, y, b in zip(total[j], row, below)]
+            below = x
+    return _from_rows(total, nt, nu)
 
 
 def verify_kernel_solution(u_order: int, t_order: int,

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
+from math import comb
 
 from fishburn import BivincularPattern, ChordInvolution, Permutation, TruncatedSeries
-from fishburn.series import _times_level
+from fishburn.series import _times_level, level_coefficients
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -116,3 +117,108 @@ def t_coefficients(s: TruncatedSeries) -> list[int]:
             raise ValueError("series is not univariate in t")
         out[dt] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# The kernel checks as products in the (t, u)-truncated ring
+#
+# The library divides by kernel factors one u-row at a time and keeps
+# t-only factors as coefficient lists; these are the same quantities
+# written as products and inverses of `TruncatedSeries`.
+
+
+def one_minus_t_pow(k: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+    """(1-t)^k, exactly (binomials), truncated."""
+    coeffs = {(i, 0, 0): (-1) ** i * comb(k, i) for i in range(min(k, t_order) + 1)}
+    return TruncatedSeries(t_order, coeffs, u_order)
+
+
+def level_factor(i: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+    """1 - (1-t)^i."""
+    coeffs = {(j, 0, 0): c for j, c in enumerate(level_coefficients(i, t_order), start=1)}
+    return TruncatedSeries(t_order, coeffs, u_order)
+
+
+def u_minus_one_pow(k: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+    coeffs = {(0, j, 0): (-1) ** (k - j) * comb(k, j) for j in range(k + 1)}
+    return TruncatedSeries(t_order, coeffs, u_order)
+
+
+def kernel_factor(i: int, t_order: int, u_order: int) -> TruncatedSeries:
+    """u - (u-1)(1-t)^i  =  (1-t)^i + u(1 - (1-t)^i); unit constant term."""
+    p = one_minus_t_pow(i, t_order, u_order)
+    q = level_factor(i, t_order, u_order)
+    u = TruncatedSeries.monomial(1, du=1, t_order=t_order, u_order=u_order)
+    return p + u * q
+
+
+def kernel_terms_by_products(order: int) -> list[TruncatedSeries]:
+    """u^(k-1) / prod_{i=1..k}(u - (u-1)(1-t)^i) for k = 1..order+1."""
+    nt = nu = order
+    terms = []
+    term = TruncatedSeries.one(nt, nu)
+    u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
+    for k in range(1, nu + 2):
+        term = term * kernel_factor(k, nt, nu).invert()
+        terms.append(term)
+        term = term * u
+    return terms
+
+
+def S_closed_form_by_products(m: int, t_order: int,
+                              u_order: int | None = None) -> TruncatedSeries:
+    """-sum_{j=0..m-1} (u-1)^j u^{m-1-j} (1-t)^j prod_{i=j+1..m-1}(1-(1-t)^i)."""
+    out = TruncatedSeries.zero(t_order, u_order)
+    for j in range(m):
+        term = (u_minus_one_pow(j, t_order, u_order)
+                * TruncatedSeries.monomial(1, du=m - 1 - j, t_order=t_order,
+                                           u_order=u_order)
+                * one_minus_t_pow(j, t_order, u_order))
+        for i in range(j + 1, m):
+            term = term * level_factor(i, t_order, u_order)
+        out = out - term
+    return out
+
+
+def S_identity_term_by_term(m: int, order: int,
+                            terms: list[TruncatedSeries]) -> TruncatedSeries:
+    """Residual of `verify_S_identity`, each k-term multiplied out in full."""
+    nt = nu = order
+    lhs = TruncatedSeries.zero(nt, nu)
+    head = u_minus_one_pow(m, nt, nu)
+    for k, term in enumerate(terms, start=1):
+        lhs = lhs + head * one_minus_t_pow(m * k, nt, nu) * term
+    return lhs - S_closed_form_by_products(m, nt, nu)
+
+
+def kernel_solution_series_by_products(u_order: int, t_order: int) -> TruncatedSeries:
+    """`kernel_solution_series` with each kernel factor inverted as a series."""
+    nt, nu = t_order, u_order
+    one_minus_u = TruncatedSeries(nt, {(0, 0, 0): 1, (0, 1, 0): -1}, nu)
+    total = TruncatedSeries.zero(nt, nu)
+    running_inv = TruncatedSeries.one(nt, nu)
+    u_pow = TruncatedSeries.one(nt, nu)
+    for k in range(1, nu + 2):
+        factor_inv = kernel_factor(k, nt, nu).invert()
+        running_inv = running_inv * factor_inv
+        total = total + (one_minus_u * u_pow * one_minus_t_pow(k, nt, nu)
+                         * factor_inv * running_inv)
+        u_pow = u_pow * TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
+    return total
+
+
+def F_n_polynomial_by_products(n: int) -> TruncatedSeries:
+    """`F_n_polynomial` with every factor a series and every product in the ring."""
+    t_order = n * (n + 3) // 2
+    total = TruncatedSeries.zero(t_order)
+    for ell in range(n + 1):
+        inner = TruncatedSeries.zero(t_order)
+        for m in range(ell, n + 1):
+            term = one_minus_t_pow(m - ell, t_order) * ((-1) ** (n - m) * comb(n, m))
+            for i in range(m - ell + 1, m + 1):
+                term = term * level_factor(i, t_order)
+            inner = inner + term
+        head = u_minus_one_pow(n - ell, t_order) * TruncatedSeries.monomial(
+            1, du=ell, t_order=t_order)
+        total = total + head * inner
+    return total

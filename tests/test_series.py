@@ -5,16 +5,18 @@ from __future__ import annotations
 import pytest
 
 import fishburn as fb
+from fishburn import series
 from fishburn.series import (
     CountTable,
     F_n_polynomial,
+    S_closed_form,
     TruncatedSeries,
+    ascent_counts,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
     count_table,
     kernel_solution_series,
     kernel_terms,
-    one_minus_t_pow,
     p_series,
     verify_functional_equation,
     verify_kernel_solution,
@@ -22,7 +24,17 @@ from fishburn.series import (
 )
 
 from conftest import BARRED_COUNTS, FISHBURN_COUNTS
-from reference import product_polynomial, subs_u_one, t_coefficients
+from reference import (
+    F_n_polynomial_by_products,
+    S_closed_form_by_products,
+    S_identity_term_by_term,
+    kernel_solution_series_by_products,
+    kernel_terms_by_products,
+    one_minus_t_pow,
+    product_polynomial,
+    subs_u_one,
+    t_coefficients,
+)
 
 
 def quartic_counts(max_length):
@@ -81,6 +93,21 @@ class TestTruncatedSeries:
         assert s.u_to_uv().coeffs == {(1, 2, 2): 5, (2, 1, 2): 7}
         assert s.subs_v_one().coeffs == {(1, 2, 0): 5, (2, 1, 0): 7}
         assert subs_u_one(s).coeffs == {(1, 0, 0): 5, (2, 0, 1): 7}
+
+    def test_negative_exponents_are_rejected(self):
+        for key in [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError):
+                TruncatedSeries(3, {key: 5})
+        with pytest.raises(ValueError):
+            TruncatedSeries.monomial(1, du=-2, t_order=3)
+
+    def test_products_drop_cancelled_terms(self):
+        t = TruncatedSeries.monomial(1, dt=1, t_order=4, u_order=2)
+        u = TruncatedSeries.monomial(1, du=1, t_order=4, u_order=2)
+        s = (1 + t + u) * (1 - t)
+        assert s.coeffs == {(0, 0, 0): 1, (2, 0, 0): -1, (0, 1, 0): 1, (1, 1, 0): -1}
+        assert (u * u * u).is_zero()
+        assert ((t * t) * (t * t * t)).is_zero()
 
     def test_all_coefficients_are_ints(self):
         f = kernel_solution_series(3, 6)
@@ -141,6 +168,9 @@ class TestKernelOracles:
     def test_kernel_terms_must_match_the_order(self):
         with pytest.raises(ValueError):
             verify_S_identity(2, 8, kernel_terms(6))
+        wider = [term.truncate_t(9) for term in kernel_terms(8)]
+        with pytest.raises(ValueError):
+            verify_S_identity(2, 8, wider)
 
 
 class TestCountTable:
@@ -170,6 +200,30 @@ class TestCountTable:
             for x in sequences_by_length[n]:
                 histogram[x.asc] += 1
             assert table.by_ascents(n) == histogram
+
+    def test_lengths_outside_the_table_are_rejected(self):
+        table = count_table(5)
+        for n in (-1, 6):
+            for lookup in (table.total, table.by_ascents):
+                with pytest.raises(ValueError):
+                    lookup(n)
+            with pytest.raises(ValueError):
+                table.count(n, 0, 0)
+
+    def test_negative_ascents_or_last_entry_count_zero(self):
+        table = count_table(5)
+        assert table.count(5, -1, 0) == 0
+        assert table.count(5, 0, -1) == 0
+        assert table.count(5, 2, -3) == 0
+        assert table.count(5, 5, 0) == table.count(5, 0, 5) == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    def test_ascent_counts_match_the_table(self, n):
+        assert ascent_counts(n) == count_table(max(n, 1)).by_ascents(n)
+
+    def test_ascent_counts_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            ascent_counts(-1)
 
     def test_nonnegativity(self):
         table = count_table(9)
@@ -223,6 +277,68 @@ class TestSummandPolynomials:
         assert f5[:9] == product_polynomial(5, 8)
 
 
+class TestAgainstRingProducts:
+    """The row-by-row forms give exactly the coefficients of the ring products."""
+
+    @pytest.mark.parametrize("order", range(17))
+    def test_kernel_terms(self, order):
+        fast, slow = kernel_terms(order), kernel_terms_by_products(order)
+        assert len(fast) == len(slow) == order + 1
+        for a, b in zip(fast, slow):
+            assert (a.t_order, a.u_order, a.coeffs) == (b.t_order, b.u_order, b.coeffs)
+
+    @pytest.mark.parametrize("order", range(17))
+    def test_kernel_solution_series(self, order):
+        fast = kernel_solution_series(4, order)
+        slow = kernel_solution_series_by_products(4, order)
+        assert (fast.t_order, fast.u_order, fast.coeffs) == (slow.t_order, slow.u_order, slow.coeffs)
+
+    def test_kernel_solution_series_at_other_u_orders(self):
+        for nu, nt in [(0, 5), (1, 7), (6, 3), (9, 9)]:
+            assert kernel_solution_series(nu, nt) == kernel_solution_series_by_products(nu, nt)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_F_n_polynomial(self, n):
+        fast, slow = F_n_polynomial(n), F_n_polynomial_by_products(n)
+        assert (fast.t_order, fast.u_order, fast.coeffs) == (slow.t_order, slow.u_order, slow.coeffs)
+
+    def test_S_closed_form(self):
+        for m in range(1, 8):
+            for t_order, u_order in [(0, 0), (6, None), (6, 2), (10, 10), (3, 12)]:
+                fast = S_closed_form(m, t_order, u_order)
+                slow = S_closed_form_by_products(m, t_order, u_order)
+                assert (fast.t_order, fast.u_order, fast.coeffs) == (
+                    slow.t_order, slow.u_order, slow.coeffs)
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 10])
+    def test_S_identity(self, order):
+        terms = kernel_terms(order)
+        for m in range(1, 6):
+            assert verify_S_identity(m, order, terms) == S_identity_term_by_term(m, order, terms)
+
+    def test_corrupted_kernel_term_is_detected(self):
+        order = 8
+        terms = kernel_terms(order)
+        key = (3, 2, 0)
+        bad = TruncatedSeries(order, {**terms[2].coeffs, key: terms[2].coefficient(3, 2) + 1}, order)
+        terms[2] = bad
+        for m in range(1, 6):
+            residual = verify_S_identity(m, order, terms)
+            assert not residual.is_zero()
+            assert residual == S_identity_term_by_term(m, order, terms)
+
+    def test_wrong_closed_form_is_detected(self, monkeypatch):
+        right = series.S_closed_form
+
+        def wrong(m, t_order, u_order=None):
+            return right(m, t_order, u_order) + TruncatedSeries.monomial(
+                1, dt=2, du=1, t_order=t_order, u_order=u_order)
+
+        monkeypatch.setattr(series, "S_closed_form", wrong)
+        for m in range(1, 6):
+            assert not verify_S_identity(m, 8).is_zero()
+
+
 class TestKernelChecks:
     def test_polynomial_identity(self):
         for m in range(1, 6):
@@ -230,14 +346,18 @@ class TestKernelChecks:
 
     def test_closed_form_base_case(self):
         # at m = 1 the closed side collapses to the constant -1
-        from fishburn.series import S_closed_form
-
         closed = S_closed_form(1, 6, 6)
         assert closed.coeffs == {(0, 0, 0): -1}
         assert verify_S_identity(1, 6).is_zero()
 
     def test_kernel_solution(self):
         assert verify_kernel_solution(4, 8).is_zero()
+
+    def test_kernel_solution_detects_a_corrupted_table(self):
+        table = count_table(6)
+        counts = [None if r is None else [row[:] for row in r] for r in table.counts]
+        counts[5][2][1] += 1
+        assert not verify_kernel_solution(4, 6, CountTable(6, counts)).is_zero()
 
     def test_zero_ascents_row(self):
         f = kernel_solution_series(0, 8)
