@@ -74,7 +74,6 @@ from .series import (
     CountTable,
     F_n_polynomial,
     TruncatedSeries,
-    ascent_counts,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
     count_table,

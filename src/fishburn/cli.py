@@ -137,7 +137,7 @@ def cmd_count(args, emit: Emit) -> int:
     family = args.object
     if args.by is not None:
         if family in ("ascseq", "posets") and args.by == "asc":
-            values = series.ascent_counts(n)
+            values = series._ascent_counts(n)
         elif family == "barred" and args.by == "rlmin":
             if n < 1:
                 print("--by rlmin needs n >= 1", file=sys.stderr)

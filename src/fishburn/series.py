@@ -10,7 +10,7 @@ Everything here is integer arithmetic.  The central objects are
   number of ascents and last entry (appending i <= last keeps the ascent
   count, appending last < i <= asc+1 raises it by one); each row feeds
   the next through one prefix-sum pass, so N rows take O(N^3) time.
-  `ascent_counts(N)` runs the same rows but keeps only the last two, so
+  `_ascent_counts(N)` runs the same rows but keeps only the last two, so
   it stores O(N^2) counts where the table stores O(N^3);
 * residual checks for the recurrence written as a functional equation in
   two catalytic variables, for its kernel-method solution as a u-series
@@ -118,20 +118,11 @@ class TruncatedSeries:
         if isinstance(other, int):
             return self._like({k: other * c for k, c in self.coeffs.items()})
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):  # the shorter operand drives the outer loop
-            a, b = b, a
         nt, nu = self.t_order, self.u_order
-        if len(a) == 1:
-            # a monomial times a series only shifts the series' keys
-            ((t1, u1, v1), c1), = a.items()
-            return self._like({(t1 + t2, u1 + u2, v1 + v2): c1 * c2
-                               for (t2, u2, v2), c2 in b.items()
-                               if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu)})
         out: dict[_KEY, int] = {}
         get = out.get
-        b_items = list(b.items())
-        for (t1, u1, v1), c1 in a.items():
+        b_items = list(other.coeffs.items())
+        for (t1, u1, v1), c1 in self.coeffs.items():
             for (t2, u2, v2), c2 in b_items:
                 if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu):
                     key = (t1 + t2, u1 + u2, v1 + v2)
@@ -370,7 +361,7 @@ def _count_rows(max_length: int):
         prev = cur
 
 
-def ascent_counts(n: int) -> list[int]:
+def _ascent_counts(n: int) -> list[int]:
     """Counts of length-n ascent sequences with 0, 1, ... ascents.
 
     The same numbers as `CountTable(n).by_ascents(n)`, but only the row
@@ -522,7 +513,8 @@ def verify_S_identity(m: int, order: int,
     The u-series sum_{k>=1} (u-1)^m u^{k-1} (1-t)^{mk} /
     prod_{i=1..k}(u - (u-1)(1-t)^i) equals `S_closed_form(m)`; terms with
     k > order+1 only touch u-powers above the truncation.  `terms` are
-    the shared factors from `kernel_terms(order)`, built here if absent.
+    the shared factors from `kernel_terms(order)`, built here if absent;
+    they have no v terms.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -533,6 +525,8 @@ def verify_S_identity(m: int, order: int,
         raise ValueError(f"need {order + 1} kernel terms, got {len(terms)}")
     elif any(term.t_order != nt or term.u_order != nu for term in terms):
         raise ValueError("mixed truncation orders")
+    elif any(dv for term in terms for (_, _, dv) in term.coeffs):
+        raise ValueError("kernel terms must not have v terms")
     # (u-1)^m is common to every term, and (1-t)^(mk) = P^k with
     # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first
     acc = [[0] * (nt + 1) for _ in range(nu + 1)]

@@ -11,7 +11,7 @@ from fishburn.series import (
     F_n_polynomial,
     S_closed_form,
     TruncatedSeries,
-    ascent_counts,
+    _ascent_counts,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
     count_table,
@@ -172,6 +172,18 @@ class TestKernelOracles:
         with pytest.raises(ValueError):
             verify_S_identity(2, 8, wider)
 
+    def test_kernel_terms_with_v_terms_are_rejected(self):
+        # moving one coefficient onto v^1 changes the term-by-term residual,
+        # so the row form, which has no v-rows, must refuse such terms
+        order = 8
+        terms = kernel_terms(order)
+        coeffs = dict(terms[2].coeffs)
+        coeffs[3, 2, 1] = coeffs.pop((3, 2, 0))
+        terms[2] = TruncatedSeries(order, coeffs, order)
+        assert not S_identity_term_by_term(2, order, terms).is_zero()
+        with pytest.raises(ValueError):
+            verify_S_identity(2, order, terms)
+
 
 class TestCountTable:
     def test_low_order_series(self):
@@ -219,11 +231,11 @@ class TestCountTable:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
     def test_ascent_counts_match_the_table(self, n):
-        assert ascent_counts(n) == count_table(max(n, 1)).by_ascents(n)
+        assert _ascent_counts(n) == count_table(max(n, 1)).by_ascents(n)
 
     def test_ascent_counts_rejects_negative_length(self):
         with pytest.raises(ValueError):
-            ascent_counts(-1)
+            _ascent_counts(-1)
 
     def test_nonnegativity(self):
         table = count_table(9)
