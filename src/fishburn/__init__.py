@@ -30,7 +30,6 @@ from .objects import (
     Poset,
     RelationMatrix,
     enumerate_ascent_sequences,
-    enumerate_family,
     enumerate_fixed_point_free_involutions,
     enumerate_permutations,
     in_I2n,
@@ -45,6 +44,7 @@ from .bijections import (
     active_sites,
     canonical_labelling,
     dual,
+    enumerate_family,
     from_modified,
     involution_to_poset,
     perm_to_sequence,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NotInRError
@@ -47,6 +48,7 @@ from .objects import (
     Poset,
     _first_neighbour_nesting,
     _trusted,
+    enumerate_ascent_sequences,
     r_violation,
 )
 
@@ -406,3 +408,26 @@ def remove_neighbour_nestings(c: ChordInvolution) -> ChordInvolution:
         if i is None:
             return current
         current = swap_endpoints(current, i)
+
+
+# ---------------------------------------------------------------------------
+# Family enumeration through the hub
+
+# late-bound, so that a wrapper put on a module attribute sees every call
+_FAMILY_DECODERS = {
+    "ascseq": lambda x: x,
+    "posets": lambda x: sequence_to_poset(x),
+    "perms": lambda x: sequence_to_perm(x),
+    "involutions": lambda x: poset_to_involution(sequence_to_poset(x)),
+}
+
+
+def enumerate_family(family: str, n: int) -> Iterator:
+    """Stream one family in canonical order: `enumerate_ascent_sequences(n)`, decoded.
+
+    The four streams line up index by index, and none is capped.
+    """
+    decode = _FAMILY_DECODERS.get(family)
+    if decode is None:
+        raise ValueError(f"unknown family {family!r}")
+    return map(decode, enumerate_ascent_sequences(n))

@@ -27,7 +27,6 @@ from .objects import (
     AscentSequence,
     ModifiedAscentSequence,
     check_brute_force_cap,
-    enumerate_family,
     enumerate_nesting_free_involutions,
     enumerate_permutations,
     enumerate_r_permutations,
@@ -165,7 +164,7 @@ def cmd_count(args, emit: Emit) -> int:
 
 def cmd_enumerate(args, emit: Emit) -> int:
     codec = CODECS[FAMILY_FORMATS[args.object]]
-    for obj in enumerate_family(args.object, args.n):
+    for obj in bijections.enumerate_family(args.object, args.n):
         emit(codec.format(obj))
     return EXIT_OK
 

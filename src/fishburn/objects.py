@@ -16,15 +16,17 @@ Four families, all counted by the Fishburn numbers (OEIS A022493):
   at neighbouring endpoints (equivalently: every descent p_i > p_{i+1}
   crosses the diagonal, p_i > i >= p_{i+1}).
 
-All values are immutable and hashable.  Enumeration of every family runs
-in the lexicographic order of the associated ascent sequence, so the four
-streams line up index by index under the bijections of
-:mod:`fishburn.bijections`.
+All values are immutable and hashable.  The families are enumerated
+through the ascent sequences: `bijections.enumerate_family` decodes
+`enumerate_ascent_sequences(n)`, so the four streams line up index by
+index and none is capped.
 
-The exhaustive enumerations of the permutation and involution families
-filter all of S_n (resp. all fixed-point-free involutions); they exist as
-verification oracles and are capped (see `brute_force_cap`); the cap can
-be raised with the environment variable FISHBURN_MAX_BRUTE_N.
+`enumerate_r_permutations` and `enumerate_nesting_free_involutions` are
+the brute-force oracles: they filter all of S_n (resp. all
+fixed-point-free involutions on 2n points), in lexicographic order, and
+use no bijection.  Only `count`, `avoiders` and `verify` filter, and
+they are capped (see `brute_force_cap`); the environment variable
+FISHBURN_MAX_BRUTE_N sets the cap.
 """
 
 from __future__ import annotations
@@ -265,6 +267,8 @@ def is_r_permutation(pi: Permutation) -> bool:
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     for entries in itertools.permutations(range(1, n + 1)):
         yield _trusted(Permutation, entries)
 
@@ -476,8 +480,8 @@ def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolut
     unmatched point after its closer, drops the chords after it, and
     joins every point left unmatched to the next unmatched point.
     """
-    if points % 2:
-        raise ValueError("need an even number of points")
+    if points < 0 or points % 2:
+        raise ValueError("need an even number of points >= 0")
     partner = [0] * (points + 1)  # 1-based; 0 marks an unmatched point
     openers: list[int] = []
     start = 1  # every point below start is matched
@@ -507,7 +511,7 @@ def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolut
 
 
 # ---------------------------------------------------------------------------
-# Family enumeration
+# Brute-force oracles
 
 
 def brute_force_cap(kind: str) -> int:
@@ -532,46 +536,15 @@ def check_brute_force_cap(kind: str, n: int) -> None:
 
 
 def enumerate_r_permutations(n: int) -> list[Permutation]:
-    """Filtered S_n oracle, sorted into canonical (ascent-sequence) order."""
-    from . import bijections
-
+    """Oracle: the members of S_n, filtered in lexicographic order."""
     check_brute_force_cap("perms", n)
-    found = [pi for pi in enumerate_permutations(n) if is_r_permutation(pi)]
-    found.sort(key=lambda pi: bijections.perm_to_sequence(pi).entries)
-    return found
+    return [pi for pi in enumerate_permutations(n) if is_r_permutation(pi)]
 
 
 def enumerate_nesting_free_involutions(n: int) -> list[ChordInvolution]:
-    """Filtered fixed-point-free-involution oracle on 2n points, canonical order."""
-    from . import bijections
-
+    """Oracle: the members among the fixed-point-free involutions of [2n], lexicographically."""
     check_brute_force_cap("involutions", n)
-    found = [c for c in enumerate_fixed_point_free_involutions(2 * n) if in_I2n(c)]
-    found.sort(key=lambda c: bijections.poset_to_sequence(bijections.involution_to_poset(c)).entries)
-    return found
-
-
-def enumerate_family(family: str, n: int) -> Iterator:
-    """Stream one of the four families in canonical order.
-
-    'ascseq' and 'posets' are generated directly; 'perms' and
-    'involutions' are brute-force filtered oracles subject to the caps.
-    """
-    from . import bijections
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if family == "ascseq":
-        yield from enumerate_ascent_sequences(n)
-    elif family == "posets":
-        for x in enumerate_ascent_sequences(n):
-            yield bijections.sequence_to_poset(x)
-    elif family == "perms":
-        yield from enumerate_r_permutations(n)
-    elif family == "involutions":
-        yield from enumerate_nesting_free_involutions(n)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    return [c for c in enumerate_fixed_point_free_involutions(2 * n) if in_I2n(c)]
 
 
 # ---------------------------------------------------------------------------

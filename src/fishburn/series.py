@@ -408,8 +408,7 @@ class CountTable:
             return [1]
         return [sum(row) for row in self.counts[n]]
 
-    def series(self, t_order: int | None = None,
-               u_order: int | None = None) -> TruncatedSeries:
+    def series(self, t_order: int | None = None) -> TruncatedSeries:
         """F(t; u, v) = sum t^len u^ascents v^last, including the empty sequence."""
         if t_order is None:
             t_order = self.max_length
@@ -420,8 +419,8 @@ class CountTable:
             for a, row in enumerate(self.counts[n]):
                 for last, c in enumerate(row):
                     if c:
-                        coeffs[(n, a, last)] = c
-        return TruncatedSeries(t_order, coeffs, u_order)
+                        coeffs[n, a, last] = c
+        return TruncatedSeries.zero(t_order)._like(coeffs)  # in range by construction
 
     def series_u(self, t_order: int | None = None,
                  u_order: int | None = None) -> TruncatedSeries:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishburn import AscentSequence, Poset, bijections, cli, verify
+from fishburn import AscentSequence, ChordInvolution, Poset, bijections, cli, verify
 from fishburn.objects import _trusted
 
 from conftest import random_ascent_sequence
@@ -107,6 +107,12 @@ class TestEnumerate:
         assert code == 0 and len(lines) == 2
         assert json.loads(lines[0]) == {"n": 2, "relations": []}
         assert json.loads(lines[1]) == {"n": 2, "relations": [[1, 2]]}
+
+    def test_involutions_past_the_brute_cap(self, capsys):
+        # enumeration decodes the ascent sequences and filters nothing
+        code, out, err = run(["enumerate", "--object", "involutions", "--n", "7"], capsys=capsys)
+        assert code == 0 and not err
+        assert len(out.splitlines()) == 1014
 
 
 class TestConvert:
@@ -333,6 +339,16 @@ class TestVerify:
         monkeypatch.setattr(bijections, "dual", lambda p: _trusted(Poset, p.n, p.levels, p.levels))
         code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", "2"], capsys=capsys)
         assert code == 1 and out == "FAIL: dual output rejected by its constructor on [0]\n"
+
+    def test_roundtrips_check_involutions_past_the_brute_cap(self, capsys, monkeypatch):
+        # a decoder that leaves a nesting on three chords only
+        real = bijections.poset_to_involution
+        nested = ChordInvolution((6, 5, 4, 3, 2, 1))
+        monkeypatch.setattr(bijections, "poset_to_involution",
+                            lambda p: nested if p.n == 3 else real(p))
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "1")
+        code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", "3"], capsys=capsys)
+        assert code == 1 and out == "FAIL: reconstruction leaves a nesting for [0,0,0]\n"
 
     def test_nestings_rebuild_outputs_through_the_constructors(self, capsys, monkeypatch):
         # a poset map that leaves its levels as a list

@@ -36,8 +36,11 @@ from fishburn.objects import (
     _is_modified,
     ascents,
     check_brute_force_cap,
-    enumerate_family,
+    enumerate_ascent_sequences,
     enumerate_fixed_point_free_involutions,
+    enumerate_nesting_free_involutions,
+    enumerate_permutations,
+    enumerate_r_permutations,
     format_involution,
     format_poset,
     format_sequence,
@@ -51,6 +54,7 @@ from fishburn.objects import (
     validate_ascent_sequence,
     validate_involution,
 )
+from fishburn.bijections import enumerate_family
 
 from conftest import (
     FISHBURN_COUNTS,
@@ -613,11 +617,25 @@ class TestFamilyEnumeration:
                     got.append(bj.poset_to_sequence(bj.involution_to_poset(obj)).entries)
             assert got == seqs
 
+    @pytest.mark.parametrize("family,oracle,top", [
+        ("perms", enumerate_r_permutations, 8),
+        ("involutions", enumerate_nesting_free_involutions, 6),
+    ])
+    def test_streams_list_the_oracle_sets(self, family, oracle, top):
+        # the oracles filter in lexicographic order and use no bijection
+        key = (lambda pi: pi.entries) if family == "perms" else (lambda c: c.partner)
+        for n in range(top + 1):
+            assert sorted(enumerate_family(family, n), key=key) == oracle(n)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            list(enumerate_family("widgets", 3))
+
     def test_cap_applies(self):
         with pytest.raises(BruteForceCapError):
-            list(enumerate_family("perms", 10))
+            enumerate_r_permutations(10)
         with pytest.raises(BruteForceCapError):
-            list(enumerate_family("involutions", 7))
+            enumerate_nesting_free_involutions(7)
         check_brute_force_cap("perms", 9)
         with pytest.raises(BruteForceCapError):
             check_brute_force_cap("perms", 10)
@@ -625,9 +643,27 @@ class TestFamilyEnumeration:
     def test_cap_override(self, monkeypatch):
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
         with pytest.raises(BruteForceCapError):
-            list(enumerate_family("perms", 5))
+            enumerate_r_permutations(5)
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "10")
+        assert len(enumerate_r_permutations(5)) == 53
+
+    def test_streams_are_not_capped(self, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "0")
         assert sum(1 for _ in enumerate_family("perms", 5)) == 53
+        assert sum(1 for _ in enumerate_family("involutions", 7)) == FISHBURN_COUNTS[7]
+
+    @pytest.mark.parametrize("enumerator,size", [
+        (enumerate_ascent_sequences, -1),
+        (enumerate_permutations, -1),
+        (enumerate_fixed_point_free_involutions, -2),
+        (enumerate_r_permutations, -1),
+        (enumerate_nesting_free_involutions, -1),
+        (lambda n: enumerate_family("perms", n), -1),
+    ], ids=["ascseq", "permutations", "fixed-point-free", "r-permutations",
+            "nesting-free", "family"])
+    def test_negative_size_raises(self, enumerator, size):
+        with pytest.raises(ValueError):
+            list(enumerator(size))
 
 
 class TestTextForms:

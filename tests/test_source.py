@@ -1,6 +1,6 @@
 """Source rules: no `assert` in the library, each check runs by one route,
-validation happens at the boundary, and the library holds no definition
-that it neither exports nor reads.
+validation happens at the boundary, no import hides inside a function,
+and the library holds no definition that it neither exports nor reads.
 
 `python -O` strips `assert` statements, so invariants are typed
 exceptions.  A second route that recomputes an answer and raises
@@ -56,6 +56,17 @@ def test_no_assert_and_one_unreachable_guard():
         finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found += finder.found
     assert found == [("raise AssertionError", "objects.py", "poset_from_relations")]
+
+
+def test_no_function_level_imports():
+    # every module states its dependencies at the top, so no cycle hides in a function
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update((path.name, scope.name, node.lineno) for node in ast.walk(scope)
+                             if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert sorted(found) == []
 
 
 class _TrustedCalls(ast.NodeVisitor):
