@@ -2,10 +2,15 @@
 
 Everything here is integer arithmetic.  The central objects are
 
-* `p_series(N)`: the family counts p_0..p_N from the product formula
-  sum_n prod_{i=1..n} (1 - (1-t)^i); the n-th summand is divisible by
-  t^n, so each coefficient is a finite sum.  It is evaluated in Horner
-  form, innermost factor first, in O(N^3) big-integer products;
+* `p_series(N)`: the family counts p_0..p_N.  The paper's product
+  formula sum_n prod_{i=1..n} (1 - (1-t)^i) equals, with x = 1-t,
+  sum_n x^-(n+1) prod_{i=1..n} (1 - x^-i)^2 (conjectured by Jelinek,
+  "Counting general and self-dual interval orders", JCTA 2012; proved by
+  Andrews and Jelinek, "On q-series identities related to interval
+  orders", Europ. J. Combin. 2014).  Each factor of this form is
+  divisible by t^2, so floor(N/2) of them reach t^N, and dividing by x
+  is a prefix sum: the Horner evaluation uses prefix sums only, no
+  big-integer products;
 * `CountTable`: the dynamic program counting ascent sequences by length,
   number of ascents and last entry (appending i <= last keeps the ascent
   count, appending last < i <= asc+1 raises it by one); each row feeds
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from operator import mul
 
 _KEY = tuple[int, int, int]
 
@@ -244,20 +248,6 @@ def _t_inverse(a: list[int], order: int) -> list[int]:
 # Polynomial building blocks
 
 
-def level_coefficients(k: int, width: int) -> list[int]:
-    """(1 - (1-t)^k) / t, exactly, truncated to its first `width` coefficients."""
-    return [comb(k, j) if j & 1 else -comb(k, j) for j in range(1, min(k, width) + 1)]
-
-
-def _times_level(k: int, poly: list[int], width: int) -> list[int]:
-    """The first `width` coefficients of poly * (1 - (1-t)^k) / t.
-
-    `poly` must hold at least `width` coefficients.
-    """
-    g = level_coefficients(k, width)
-    return [sum(map(mul, g, poly[j::-1])) for j in range(width)]
-
-
 def _times_one_minus_t(row: list[int], k: int) -> list[int]:
     """row * (1-t)^k, truncated to len(row): k first differences."""
     for _ in range(k):
@@ -314,22 +304,28 @@ def _kernel_rows(t_order: int, u_order: int):
 
 
 # ---------------------------------------------------------------------------
-# The product formula
+# The product formula, in its Andrews-Jelinek form
 
 
 def p_series(order: int) -> list[int]:
-    """Counts p_0..p_order of each family, from the product formula.
+    """Counts p_0..p_order of each family, from the Andrews-Jelinek form.
 
-    Horner form: with f_k = 1 - (1-t)^k, the sum is H_1 where
-    H_k = 1 + f_k H_{k+1} and H_{order+1} = 1.  Each f_k is divisible by
-    t, so H_k is needed only up to t^(order-k+1).
+    Horner form in x = 1-t: the sum is x^-1 K_1, where
+    K_k = 1 + x^-1 (1 - x^-k)^2 K_{k+1} and K_{order//2+1} = 1.  Each
+    (1 - x^-k)^2 is divisible by t^2, so K_k is needed only up to
+    t^(order+2-2k).  With y = x^-k K_{k+1} and z = x^-k y, both k prefix
+    sums, K_k is 1 plus one more prefix sum of K_{k+1} - 2y + z.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     h = [1]
-    for k in range(order, 0, -1):
-        h = [1, *_times_level(k, h, order - k + 1)]
-    return h
+    for k in range(order // 2, 0, -1):
+        h += [0] * (order + 3 - 2 * k - len(h))
+        y = _over_one_minus_t(h, k)
+        z = _over_one_minus_t(y, k)
+        h = list(accumulate(a - 2 * b + c for a, b, c in zip(h, y, z)))
+        h[0] += 1
+    return list(accumulate(h + [0] * (order + 1 - len(h))))
 
 
 # ---------------------------------------------------------------------------

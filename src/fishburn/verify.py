@@ -116,10 +116,12 @@ def _stats(max_n: int) -> tuple[str, int]:
 
 def _series(order: int) -> tuple[str, int]:
     """Checks the t-coefficients 0..order of the counting series."""
-    residual = series.verify_functional_equation(order)
+    table = series.count_table(order)
+    residual = series.verify_functional_equation(order, table)
     _check(residual.is_zero(), f"functional equation residual nonzero at order {order}")
-    table = series.count_table(10)
-    reference = table.series_u(10)
+    _check(series.p_series(order) == [table.total(n) for n in range(order + 1)],
+           f"p_series disagrees with the counting DP at order {order}")
+    reference = series.count_table(10).series_u(10)
     total = series.TruncatedSeries.zero(10)
     for n in range(11):
         f_n = series.F_n_polynomial(n)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from math import comb
+from operator import mul
 
 from fishburn import BivincularPattern, ChordInvolution, Permutation, TruncatedSeries
-from fishburn.series import _times_level, level_coefficients
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -83,7 +83,36 @@ def enumerate_patterns(k: int) -> Iterator[BivincularPattern]:
 
 
 # ---------------------------------------------------------------------------
-# Series
+# Series: the paper's product form sum_n prod_{i=1..n} (1 - (1-t)^i)
+
+
+def level_coefficients(k: int, width: int) -> list[int]:
+    """(1 - (1-t)^k) / t, exactly, truncated to its first `width` coefficients."""
+    return [comb(k, j) if j & 1 else -comb(k, j) for j in range(1, min(k, width) + 1)]
+
+
+def _times_level(k: int, poly: list[int], width: int) -> list[int]:
+    """The first `width` coefficients of poly * (1 - (1-t)^k) / t.
+
+    `poly` must hold at least `width` coefficients.
+    """
+    g = level_coefficients(k, width)
+    return [sum(map(mul, g, poly[j::-1])) for j in range(width)]
+
+
+def p_series_by_products(order: int) -> list[int]:
+    """p_0..p_order from the paper's product formula.
+
+    Horner form: with f_k = 1 - (1-t)^k, the sum is H_1 where
+    H_k = 1 + f_k H_{k+1} and H_{order+1} = 1.  Each f_k is divisible by
+    t, so H_k is needed only up to t^(order-k+1).
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    h = [1]
+    for k in range(order, 0, -1):
+        h = [1, *_times_level(k, h, order - k + 1)]
+    return h
 
 
 def product_polynomial(n: int, t_order: int) -> list[int]:

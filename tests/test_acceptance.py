@@ -55,7 +55,7 @@ from conftest import (
     POSET8C_SEQUENCE,
     relations,
 )
-from reference import right_to_left_minima
+from reference import p_series_by_products, right_to_left_minima
 
 EXPECTED_COUNTS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
 
@@ -65,18 +65,20 @@ def report(k, text):
 
 
 def test_criterion_1_counting_concordance():
-    by_product = p_series(8)
+    by_product = p_series_by_products(8)
+    by_series = p_series(8)
     table = count_table(8)
     by_dp = [table.total(n) for n in range(9)]
     by_enumeration = [sum(1 for _ in enumerate_ascent_sequences(n)) for n in range(9)]
     by_filtered_perms = [len(enumerate_r_permutations(n)) for n in range(9)]
     by_filtered_involutions = [len(enumerate_nesting_free_involutions(n)) for n in range(7)]
     assert by_product == EXPECTED_COUNTS
+    assert by_series == EXPECTED_COUNTS
     assert by_dp == EXPECTED_COUNTS
     assert by_enumeration == EXPECTED_COUNTS
     assert by_filtered_perms == EXPECTED_COUNTS
     assert by_filtered_involutions == EXPECTED_COUNTS[:7]
-    report(1, "five independent routes give 1,1,2,5,15,53,217,1014,5335")
+    report(1, "six independent routes give 1,1,2,5,15,53,217,1014,5335")
 
 
 def test_criterion_2_worked_examples():

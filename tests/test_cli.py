@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishburn import AscentSequence, ChordInvolution, Poset, bijections, cli, verify
+from fishburn import AscentSequence, ChordInvolution, Poset, bijections, cli, series, verify
 from fishburn.objects import _trusted
 
 from conftest import random_ascent_sequence
@@ -349,6 +349,13 @@ class TestVerify:
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "1")
         code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", "3"], capsys=capsys)
         assert code == 1 and out == "FAIL: reconstruction leaves a nesting for [0,0,0]\n"
+
+    def test_series_checks_p_series_against_the_counting_dp(self, capsys, monkeypatch):
+        real = series.p_series
+        monkeypatch.setattr(series, "p_series", lambda order: [*real(order)[:-1], 0])
+        code, out, _ = run(["verify", "--suite", "series", "--max-n", "6"], capsys=capsys)
+        assert code == 1
+        assert out == "FAIL: p_series disagrees with the counting DP at order 6\n"
 
     def test_nestings_rebuild_outputs_through_the_constructors(self, capsys, monkeypatch):
         # a poset map that leaves its levels as a list

@@ -31,6 +31,7 @@ from reference import (
     kernel_solution_series_by_products,
     kernel_terms_by_products,
     one_minus_t_pow,
+    p_series_by_products,
     product_polynomial,
     subs_u_one,
     t_coefficients,
@@ -147,6 +148,11 @@ class TestKernelOracles:
                 summed[i] += c
         table = count_table(order)
         assert p_series(order) == summed == [table.total(n) for n in range(order + 1)]
+
+    @pytest.mark.parametrize("order", [*range(61), 250])
+    def test_p_series_matches_the_paper_product_form(self, order):
+        # both parities: the Andrews-Jelinek loop runs order // 2 factors
+        assert p_series(order) == p_series_by_products(order)
 
     @pytest.mark.parametrize("n", range(13))
     def test_product_polynomial_matches_series_product(self, n):
