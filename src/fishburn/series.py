@@ -22,27 +22,30 @@ Everything here is integer arithmetic.  The central objects are
   with rational t-coefficients, and for the polynomial identity that
   converts that solution into a t-convergent form.
 
-`TruncatedSeries` stores such series sparsely by exponent triple
-(t, u, v), truncated in t and optionally in u.  Its public constructor
-is the one place that drops out-of-range terms and rejects negative
-exponents; results of ring operations keep in range by construction.
-Inversion works in the (t, u)-truncated ring and requires the constant
-term to be a unit.
+`TruncatedSeries` is the exchange type of the checks: a series stored
+sparsely by exponent triple (t, u, v), truncated in t and optionally in
+u, that adds, subtracts, compares and substitutes v = 1 but does not
+multiply.  Its public constructor is the one place that drops
+out-of-range terms and rejects negative exponents and negative orders;
+sums keep in range by construction.
 
-The kernel checks never multiply two full (t, u)-series.  They hold a
-series as u-rows of t-coefficient lists, where multiplying by (1-t) is
-one first difference and dividing by it one prefix sum.  Dividing by a
-kernel factor u - (u-1)(1-t)^k = p + u(1-p), p = (1-t)^k, goes one
-u-row at a time: p (X_j - X_{j-1}) = Y_j - X_{j-1}.  `verify_S_identity`
-sums its k-terms in Horner form in P = (1-t)^m before the common factor
-(u-1)^m, and `F_n_polynomial` builds its t-only factors as lists and
-expands the (u-1)^{n-l} u^l part once.  `tests/reference.py` keeps the
-ring-product forms, and the tests require equal coefficients.
+No check multiplies two series.  The functional-equation residual is
+read off two consecutive rows of the counting table at a time.  The
+kernel checks hold a series as u-rows of t-coefficient lists, where
+multiplying by (1-t) is one first difference and dividing by it one
+prefix sum.  Dividing by a kernel factor u - (u-1)(1-t)^k = p + u(1-p),
+p = (1-t)^k, goes one u-row at a time: p (X_j - X_{j-1}) = Y_j - X_{j-1}.
+`verify_S_identity` sums its k-terms in Horner form in P = (1-t)^m
+before the common factor (u-1)^m, and `F_n_polynomial` builds its
+t-only factors as lists and expands the (u-1)^{n-l} u^l part once.
+`tests/reference.py` keeps the ring products, powers and inverses and
+the product forms built on them, and the tests require equal
+coefficients.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import comb
 
 _KEY = tuple[int, int, int]
@@ -57,6 +60,8 @@ class TruncatedSeries:
                  u_order: int | None = None):
         self.t_order = int(t_order)
         self.u_order = u_order
+        if self.t_order < 0 or (u_order is not None and u_order < 0):
+            raise ValueError(f"truncation orders must be >= 0, got t {t_order}, u {u_order}")
         data: dict[_KEY, int] = {}
         if coeffs:
             for (dt, du, dv), c in coeffs.items():
@@ -92,7 +97,7 @@ class TruncatedSeries:
         if self.t_order != other.t_order or self.u_order != other.u_order:
             raise ValueError("mixed truncation orders")
 
-    # -- ring operations
+    # -- additive operations
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -118,35 +123,6 @@ class TruncatedSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self._like({k: other * c for k, c in self.coeffs.items()})
-        self._check_compatible(other)
-        nt, nu = self.t_order, self.u_order
-        out: dict[_KEY, int] = {}
-        get = out.get
-        b_items = list(other.coeffs.items())
-        for (t1, u1, v1), c1 in self.coeffs.items():
-            for (t2, u2, v2), c2 in b_items:
-                if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu):
-                    key = (t1 + t2, u1 + u2, v1 + v2)
-                    out[key] = get(key, 0) + c1 * c2
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = TruncatedSeries.one(self.t_order, self.u_order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and self.t_order == other.t_order
@@ -165,11 +141,6 @@ class TruncatedSeries:
             out[key] = out.get(key, 0) + c
         return self._like(out)
 
-    def u_to_uv(self) -> TruncatedSeries:
-        """Substitute u -> uv (each u also contributes a v)."""
-        return self._like({(dt, du, dv + du): c
-                           for (dt, du, dv), c in self.coeffs.items()})
-
     def truncate_t(self, t_order: int) -> TruncatedSeries:
         return TruncatedSeries(t_order, self.coeffs, self.u_order)
 
@@ -182,66 +153,15 @@ class TruncatedSeries:
     def divisible_by_t(self, k: int) -> bool:
         return all(dt >= k for (dt, _, _) in self.coeffs)
 
-    def invert(self) -> TruncatedSeries:
-        """Multiplicative inverse in the (t, u)-truncated ring.
-
-        Requires a u truncation, no v terms, and constant term +-1 (all
-        coefficients stay integral).  Computed as a u-series whose
-        t-series coefficients are solved for degree by degree.
-        """
-        if self.u_order is None:
-            raise ValueError("inversion needs a u truncation order")
-        if any(dv for (_, _, dv) in self.coeffs):
-            raise ValueError("inversion is only supported without v terms")
-        nt, nu = self.t_order, self.u_order
-        f = [[0] * (nt + 1) for _ in range(nu + 1)]
-        for (dt, du, _dv), c in self.coeffs.items():
-            f[du][dt] = c
-        g0 = _t_inverse(f[0], nt)
-        g = [g0]
-        for j in range(1, nu + 1):
-            acc = [0] * (nt + 1)
-            for r in range(1, j + 1):
-                _t_mul_into(acc, f[r], g[j - r], nt)
-            g.append(_t_mul([-a for a in acc], g0, nt))
-        return _from_rows(g, nt, nu)
-
     def __repr__(self):
         terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
         return f"TruncatedSeries(t<= {self.t_order}, u<= {self.u_order}, {{{terms}}})"
-
-
-def _t_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    _t_mul_into(out, a, b, order)
-    return out
-
-
-def _t_mul_into(out: list[int], a: list[int], b: list[int], order: int) -> None:
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j in range(min(len(b), order - i + 1)):
-            if b[j]:
-                out[i + j] += ai * b[j]
 
 
 def _from_rows(rows: list[list[int]], t_order: int, u_order: int | None) -> TruncatedSeries:
     """sum_du u^du rows[du](t); rows[du][dt] must be in range of both orders."""
     return TruncatedSeries.zero(t_order, u_order)._like(
         {(dt, du, 0): c for du, row in enumerate(rows) for dt, c in enumerate(row)})
-
-
-def _t_inverse(a: list[int], order: int) -> list[int]:
-    c0 = a[0]
-    if c0 not in (1, -1):
-        raise ValueError("constant term must be a unit for integral inversion")
-    out = [0] * (order + 1)
-    out[0] = c0
-    for k in range(1, order + 1):
-        s = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
-        out[k] = -c0 * s
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +353,43 @@ def count_table(max_length: int) -> CountTable:
 
 
 def verify_functional_equation(order: int, table: CountTable | None = None) -> TruncatedSeries:
-    """Residual of (v-1-tv(1-u)) G = t(v-1) - t G(u,1) + t u v^2 G(uv,1)."""
+    """Residual of (v-1-tv(1-u)) G = t(v-1) - t G(u,1) + t u v^2 G(uv,1).
+
+    G = F - 1, so g[n][a][l] = `table.counts[n][a][l]` for n >= 1 and G
+    has no t^0 term; write G1[n][a] = sum_l g[n][a][l].  Each coefficient
+    of the residual is read off two rows of the table: at t^n u^a v^l,
+    1 <= n <= order, it is
+
+        g[n][a][l-1] - g[n][a][l] - g[n-1][a][l-1] + g[n-1][a-1][l-1]
+        - [n=1, a=0]([l=1] - [l=0]) + [l=0] G1[n-1][a] - [l=a+1] G1[n-1][a-1],
+
+    with out-of-range indices counting as 0.
+    """
     if table is None:
         table = CountTable(order)
-    G = table.series(order) - TruncatedSeries.one(order)
-    mono = lambda c, dt=0, du=0, dv=0: TruncatedSeries.monomial(c, dt, du, dv, t_order=order)
-    kernel = mono(1, dv=1) - mono(1) - mono(1, dt=1, dv=1) + mono(1, dt=1, du=1, dv=1)
-    lhs = kernel * G
-    g_u1 = G.subs_v_one()
-    g_uv1 = g_u1.u_to_uv()
-    rhs = (mono(1, dt=1, dv=1) - mono(1, dt=1)
-           - mono(1, dt=1) * g_u1
-           + mono(1, dt=1, du=1, dv=2) * g_uv1)
-    return lhs - rhs
+    if order > table.max_length:
+        raise ValueError("table too short for requested order")
+    residual: dict[_KEY, int] = {}
+    prev: list[list[int]] = []
+    for n in range(1, order + 1):
+        cur = table.counts[n]
+        for a in range(max(len(cur), len(prev) + 1)):
+            row = cur[a] if a < len(cur) else []
+            same = prev[a] if a < len(prev) else []
+            below = prev[a - 1] if 0 < a <= len(prev) else []
+            # the three terms at v^(l-1), then the one at v^l
+            up = [r - s + b for r, s, b in zip_longest(row, same, below, fillvalue=0)]
+            cells = [x - r for x, r in zip_longest([0, *up], row, fillvalue=0)]
+            cells += [0] * (a + 2 - len(cells))
+            cells[0] += sum(same)
+            cells[a + 1] -= sum(below)
+            if n == 1 and a == 0:
+                cells[0] += 1
+                cells[1] -= 1
+            if any(cells):
+                residual.update(((n, a, last), c) for last, c in enumerate(cells) if c)
+        prev = cur
+    return TruncatedSeries(order, residual)
 
 
 def F_n_polynomial(n: int) -> TruncatedSeries:

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from math import comb
 from operator import mul
 
-from fishburn import BivincularPattern, ChordInvolution, Permutation, TruncatedSeries
+from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation, TruncatedSeries
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -129,6 +129,107 @@ def product_polynomial(n: int, t_order: int) -> list[int]:
     return [0] * n + tail
 
 
+# ---------------------------------------------------------------------------
+# The multiplicative half of the series ring
+#
+# `TruncatedSeries` only adds and subtracts; these products, powers and
+# inverses are the oracle forms the row-by-row library code is checked
+# against.
+
+
+def times(a: TruncatedSeries, *factors: TruncatedSeries | int) -> TruncatedSeries:
+    """a times each factor in turn, truncated at a's orders; a factor may be an integer."""
+    for b in factors:
+        if isinstance(b, int):
+            a = TruncatedSeries(a.t_order, {k: b * c for k, c in a.coeffs.items()}, a.u_order)
+            continue
+        a._check_compatible(b)
+        nt, nu = a.t_order, a.u_order
+        out: dict[tuple[int, int, int], int] = {}
+        get = out.get
+        b_items = list(b.coeffs.items())
+        for (t1, u1, v1), c1 in a.coeffs.items():
+            for (t2, u2, v2), c2 in b_items:
+                if t1 + t2 <= nt and (nu is None or u1 + u2 <= nu):
+                    key = (t1 + t2, u1 + u2, v1 + v2)
+                    out[key] = get(key, 0) + c1 * c2
+        a = TruncatedSeries(nt, out, nu)
+    return a
+
+
+def power(s: TruncatedSeries, k: int) -> TruncatedSeries:
+    """s ** k by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = TruncatedSeries.one(s.t_order, s.u_order)
+    base = s
+    while k:
+        if k & 1:
+            result = times(result, base)
+        base = times(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def u_to_uv(s: TruncatedSeries) -> TruncatedSeries:
+    """Substitute u -> uv (each u also contributes a v)."""
+    return TruncatedSeries(s.t_order, {(dt, du, dv + du): c
+                                       for (dt, du, dv), c in s.coeffs.items()}, s.u_order)
+
+
+def _t_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    _t_mul_into(out, a, b, order)
+    return out
+
+
+def _t_mul_into(out: list[int], a: list[int], b: list[int], order: int) -> None:
+    for i, ai in enumerate(a):
+        if ai == 0 or i > order:
+            continue
+        for j in range(min(len(b), order - i + 1)):
+            if b[j]:
+                out[i + j] += ai * b[j]
+
+
+def _t_inverse(a: list[int], order: int) -> list[int]:
+    c0 = a[0]
+    if c0 not in (1, -1):
+        raise ValueError("constant term must be a unit for integral inversion")
+    out = [0] * (order + 1)
+    out[0] = c0
+    for k in range(1, order + 1):
+        s = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        out[k] = -c0 * s
+    return out
+
+
+def invert(s: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse in the (t, u)-truncated ring.
+
+    Requires a u truncation, no v terms, and constant term +-1 (all
+    coefficients stay integral).  Computed as a u-series whose
+    t-series coefficients are solved for degree by degree.
+    """
+    if s.u_order is None:
+        raise ValueError("inversion needs a u truncation order")
+    if any(dv for (_, _, dv) in s.coeffs):
+        raise ValueError("inversion is only supported without v terms")
+    nt, nu = s.t_order, s.u_order
+    f = [[0] * (nt + 1) for _ in range(nu + 1)]
+    for (dt, du, _dv), c in s.coeffs.items():
+        f[du][dt] = c
+    g0 = _t_inverse(f[0], nt)
+    g = [g0]
+    for j in range(1, nu + 1):
+        acc = [0] * (nt + 1)
+        for r in range(1, j + 1):
+            _t_mul_into(acc, f[r], g[j - r], nt)
+        g.append(_t_mul([-a for a in acc], g0, nt))
+    return TruncatedSeries(nt, {(dt, du, 0): c for du, row in enumerate(g)
+                                for dt, c in enumerate(row)}, nu)
+
+
 def subs_u_one(s: TruncatedSeries) -> TruncatedSeries:
     """Substitute u -> 1."""
     out: dict[tuple[int, int, int], int] = {}
@@ -178,7 +279,7 @@ def kernel_factor(i: int, t_order: int, u_order: int) -> TruncatedSeries:
     p = one_minus_t_pow(i, t_order, u_order)
     q = level_factor(i, t_order, u_order)
     u = TruncatedSeries.monomial(1, du=1, t_order=t_order, u_order=u_order)
-    return p + u * q
+    return p + times(u, q)
 
 
 def kernel_terms_by_products(order: int) -> list[TruncatedSeries]:
@@ -188,9 +289,9 @@ def kernel_terms_by_products(order: int) -> list[TruncatedSeries]:
     term = TruncatedSeries.one(nt, nu)
     u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
     for k in range(1, nu + 2):
-        term = term * kernel_factor(k, nt, nu).invert()
+        term = times(term, invert(kernel_factor(k, nt, nu)))
         terms.append(term)
-        term = term * u
+        term = times(term, u)
     return terms
 
 
@@ -199,12 +300,12 @@ def S_closed_form_by_products(m: int, t_order: int,
     """-sum_{j=0..m-1} (u-1)^j u^{m-1-j} (1-t)^j prod_{i=j+1..m-1}(1-(1-t)^i)."""
     out = TruncatedSeries.zero(t_order, u_order)
     for j in range(m):
-        term = (u_minus_one_pow(j, t_order, u_order)
-                * TruncatedSeries.monomial(1, du=m - 1 - j, t_order=t_order,
-                                           u_order=u_order)
-                * one_minus_t_pow(j, t_order, u_order))
+        term = times(u_minus_one_pow(j, t_order, u_order),
+                     TruncatedSeries.monomial(1, du=m - 1 - j, t_order=t_order,
+                                              u_order=u_order),
+                     one_minus_t_pow(j, t_order, u_order))
         for i in range(j + 1, m):
-            term = term * level_factor(i, t_order, u_order)
+            term = times(term, level_factor(i, t_order, u_order))
         out = out - term
     return out
 
@@ -216,7 +317,7 @@ def S_identity_term_by_term(m: int, order: int,
     lhs = TruncatedSeries.zero(nt, nu)
     head = u_minus_one_pow(m, nt, nu)
     for k, term in enumerate(terms, start=1):
-        lhs = lhs + head * one_minus_t_pow(m * k, nt, nu) * term
+        lhs = lhs + times(head, one_minus_t_pow(m * k, nt, nu), term)
     return lhs - S_closed_form_by_products(m, nt, nu)
 
 
@@ -228,11 +329,11 @@ def kernel_solution_series_by_products(u_order: int, t_order: int) -> TruncatedS
     running_inv = TruncatedSeries.one(nt, nu)
     u_pow = TruncatedSeries.one(nt, nu)
     for k in range(1, nu + 2):
-        factor_inv = kernel_factor(k, nt, nu).invert()
-        running_inv = running_inv * factor_inv
-        total = total + (one_minus_u * u_pow * one_minus_t_pow(k, nt, nu)
-                         * factor_inv * running_inv)
-        u_pow = u_pow * TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
+        factor_inv = invert(kernel_factor(k, nt, nu))
+        running_inv = times(running_inv, factor_inv)
+        total = total + times(one_minus_u, u_pow, one_minus_t_pow(k, nt, nu),
+                              factor_inv, running_inv)
+        u_pow = times(u_pow, TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu))
     return total
 
 
@@ -243,11 +344,29 @@ def F_n_polynomial_by_products(n: int) -> TruncatedSeries:
     for ell in range(n + 1):
         inner = TruncatedSeries.zero(t_order)
         for m in range(ell, n + 1):
-            term = one_minus_t_pow(m - ell, t_order) * ((-1) ** (n - m) * comb(n, m))
+            term = times(one_minus_t_pow(m - ell, t_order), (-1) ** (n - m) * comb(n, m))
             for i in range(m - ell + 1, m + 1):
-                term = term * level_factor(i, t_order)
+                term = times(term, level_factor(i, t_order))
             inner = inner + term
-        head = u_minus_one_pow(n - ell, t_order) * TruncatedSeries.monomial(
-            1, du=ell, t_order=t_order)
-        total = total + head * inner
+        head = times(u_minus_one_pow(n - ell, t_order), TruncatedSeries.monomial(
+            1, du=ell, t_order=t_order))
+        total = total + times(head, inner)
     return total
+
+
+# ---------------------------------------------------------------------------
+# The functional equation as ring products
+
+
+def functional_equation_residual_by_products(order: int, table: CountTable) -> TruncatedSeries:
+    """`verify_functional_equation` with the kernel and both sides as ring products."""
+    G = table.series(order) - TruncatedSeries.one(order)
+    mono = lambda c, dt=0, du=0, dv=0: TruncatedSeries.monomial(c, dt, du, dv, t_order=order)
+    kernel = mono(1, dv=1) - mono(1) - mono(1, dt=1, dv=1) + mono(1, dt=1, du=1, dv=1)
+    lhs = times(kernel, G)
+    g_u1 = G.subs_v_one()
+    g_uv1 = u_to_uv(g_u1)
+    rhs = (mono(1, dt=1, dv=1) - mono(1, dt=1)
+           - times(mono(1, dt=1), g_u1)
+           + times(mono(1, dt=1, du=1, dv=2), g_uv1))
+    return lhs - rhs

@@ -357,6 +357,19 @@ class TestVerify:
         assert code == 1
         assert out == "FAIL: p_series disagrees with the counting DP at order 6\n"
 
+    def test_series_checks_the_functional_equation(self, capsys, monkeypatch):
+        real = series.count_table
+
+        def bumped(order):
+            table = real(order)
+            table.counts[order][1][0] += 1
+            return table
+
+        monkeypatch.setattr(series, "count_table", bumped)
+        code, out, _ = run(["verify", "--suite", "series", "--max-n", "8"], capsys=capsys)
+        assert code == 1
+        assert out == "FAIL: functional equation residual nonzero at order 8\n"
+
     def test_nestings_rebuild_outputs_through_the_constructors(self, capsys, monkeypatch):
         # a poset map that leaves its levels as a list
         real = bijections.involution_to_poset

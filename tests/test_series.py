@@ -28,13 +28,18 @@ from reference import (
     F_n_polynomial_by_products,
     S_closed_form_by_products,
     S_identity_term_by_term,
+    functional_equation_residual_by_products,
+    invert,
     kernel_solution_series_by_products,
     kernel_terms_by_products,
     one_minus_t_pow,
     p_series_by_products,
+    power,
     product_polynomial,
     subs_u_one,
     t_coefficients,
+    times,
+    u_to_uv,
 )
 
 
@@ -62,13 +67,13 @@ class TestTruncatedSeries:
     def test_ring_basics(self):
         t = TruncatedSeries.monomial(1, dt=1, t_order=4)
         one = TruncatedSeries.one(4)
-        s = (one + t) * (one - t)
+        s = times(one + t, one - t)
         assert s.coeffs == {(0, 0, 0): 1, (2, 0, 0): -1}
-        assert ((one + t) ** 3).coeffs == {(0, 0, 0): 1, (1, 0, 0): 3, (2, 0, 0): 3, (3, 0, 0): 1}
+        assert power(one + t, 3).coeffs == {(0, 0, 0): 1, (1, 0, 0): 3, (2, 0, 0): 3, (3, 0, 0): 1}
 
     def test_truncation(self):
         t = TruncatedSeries.monomial(1, dt=1, t_order=3)
-        s = (1 + t) ** 5
+        s = power(1 + t, 5)
         assert s.coeffs == {(0, 0, 0): 1, (1, 0, 0): 5, (2, 0, 0): 10, (3, 0, 0): 10}
 
     def test_inversion(self):
@@ -76,22 +81,22 @@ class TestTruncatedSeries:
         one = TruncatedSeries.one(nt, nu)
         t = TruncatedSeries.monomial(1, dt=1, t_order=nt, u_order=nu)
         u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
-        f = one - t + t * u
-        g = f.invert()
-        assert (f * g) == one
-        assert (g * f) == one
+        f = one - t + times(t, u)
+        g = invert(f)
+        assert times(f, g) == one
+        assert times(g, f) == one
 
     def test_inversion_requires_unit(self):
         nt, nu = 4, 2
         t = TruncatedSeries.monomial(1, dt=1, t_order=nt, u_order=nu)
         with pytest.raises(ValueError):
-            (2 + t).invert()
+            invert(2 + t)
         with pytest.raises(ValueError):
-            (1 + t).with_u_order(None).invert()
+            invert((1 + t).with_u_order(None))
 
     def test_substitutions(self):
         s = TruncatedSeries(3, {(1, 2, 0): 5, (2, 1, 1): 7})
-        assert s.u_to_uv().coeffs == {(1, 2, 2): 5, (2, 1, 2): 7}
+        assert u_to_uv(s).coeffs == {(1, 2, 2): 5, (2, 1, 2): 7}
         assert s.subs_v_one().coeffs == {(1, 2, 0): 5, (2, 1, 0): 7}
         assert subs_u_one(s).coeffs == {(1, 0, 0): 5, (2, 0, 1): 7}
 
@@ -105,10 +110,32 @@ class TestTruncatedSeries:
     def test_products_drop_cancelled_terms(self):
         t = TruncatedSeries.monomial(1, dt=1, t_order=4, u_order=2)
         u = TruncatedSeries.monomial(1, du=1, t_order=4, u_order=2)
-        s = (1 + t + u) * (1 - t)
+        s = times(1 + t + u, 1 - t)
         assert s.coeffs == {(0, 0, 0): 1, (2, 0, 0): -1, (0, 1, 0): 1, (1, 1, 0): -1}
-        assert (u * u * u).is_zero()
-        assert ((t * t) * (t * t * t)).is_zero()
+        assert times(u, u, u).is_zero()
+        assert times(times(t, t), times(t, t, t)).is_zero()
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify_functional_equation(-1, CountTable(3)),
+        lambda: verify_kernel_solution(-1, 5),
+        lambda: verify_kernel_solution(2, -1, CountTable(3)),
+        lambda: verify_S_identity(2, -1),
+        lambda: CountTable(3).series(-2),
+        lambda: CountTable(3).series_u(2, -1),
+        lambda: TruncatedSeries(-1),
+        lambda: TruncatedSeries.zero(2, -1),
+    ], ids=["functional-equation", "kernel-u", "kernel-t", "S-identity", "series",
+            "series-u", "constructor", "zero"])
+    def test_negative_orders_are_rejected(self, call):
+        # a negative order would truncate everything away and pass vacuously
+        with pytest.raises(ValueError):
+            call()
+
+    def test_order_zero_still_checks(self):
+        assert verify_functional_equation(0, CountTable(3)).is_zero()
+        assert verify_kernel_solution(0, 0).is_zero()
+        assert verify_S_identity(2, 0).is_zero()
+        assert CountTable(3).series(0).coeffs == {(0, 0, 0): 1}
 
     def test_all_coefficients_are_ints(self):
         f = kernel_solution_series(3, 6)
@@ -133,6 +160,28 @@ class TestProductFormula:
         ps = p_series(20)
         assert [table.total(n) for n in range(21)] == ps
         assert ps[20] > 10**14  # far beyond word size, still exact
+
+
+# p(mk + r) = 0 (mod m) for these residues r: Andrews and Sellers,
+# J. Number Theory 2016, and Garvan
+CONGRUENCES = {5: (3, 4), 7: (6,), 11: (8, 9, 10), 17: (16,), 19: (17, 18),
+               23: (18, 19, 20, 21, 22)}
+
+
+def congruence_failures(ps: list[int]) -> list[tuple[int, int]]:
+    """The (m, n) with n in a listed residue class mod m but p_n not divisible by m."""
+    return [(m, n) for m, residues in CONGRUENCES.items()
+            for n, p in enumerate(ps) if n % m in residues and p % m]
+
+
+class TestCongruences:
+    def test_p_series_satisfies_the_congruences(self):
+        assert congruence_failures(p_series(300)) == []
+
+    def test_a_bumped_term_breaks_one(self):
+        ps = p_series(300)
+        ps[23] += 1  # 23 = 3 (mod 5), in no other listed class
+        assert congruence_failures(ps) == [(5, 23)]
 
 
 class TestKernelOracles:
@@ -160,7 +209,7 @@ class TestKernelOracles:
         one = TruncatedSeries.one(order)
         prod = one
         for i in range(1, n + 1):
-            prod = prod * (one - one_minus_t_pow(i, order))
+            prod = times(prod, one - one_minus_t_pow(i, order))
         assert product_polynomial(n, order) == t_coefficients(prod)
 
     def test_shared_kernel_terms_agree(self):
@@ -249,6 +298,13 @@ class TestCountTable:
             assert all(c >= 0 for row in table.counts[n] for c in row)
 
 
+def bumped(table: CountTable, n: int, a: int, last: int) -> CountTable:
+    """A copy of `table` with one count raised by 1."""
+    counts = [None if r is None else [row[:] for row in r] for r in table.counts]
+    counts[n][a][last] += 1
+    return CountTable(table.max_length, counts)
+
+
 class TestFunctionalEquation:
     def test_zero_residual(self):
         assert verify_functional_equation(12).is_zero()
@@ -261,6 +317,33 @@ class TestFunctionalEquation:
         counts = [None if r is None else [row[:] for row in r] for r in table.counts]
         counts[5][2][1] += 1
         assert not verify_functional_equation(6, CountTable(6, counts)).is_zero()
+
+    def test_table_too_short_is_rejected(self):
+        with pytest.raises(ValueError, match="table too short for requested order"):
+            verify_functional_equation(5, CountTable(4))
+
+    def test_a_bumped_cell_shows_in_its_own_row_and_the_next(self):
+        residual = verify_functional_equation(10, bumped(count_table(10), 7, 3, 2))
+        assert {(n, a) for n, a, _ in residual.coeffs} == {(7, 3), (8, 3), (8, 4)}
+
+
+class TestFunctionalEquationAgainstProducts:
+    """The row reading gives exactly the coefficients of the ring products."""
+
+    @pytest.mark.parametrize("order", range(21))
+    def test_real_table(self, order):
+        table = count_table(order)
+        fast = verify_functional_equation(order, table)
+        assert fast.coeffs == functional_equation_residual_by_products(order, table).coeffs == {}
+
+    def test_every_single_cell_bump(self):
+        table = count_table(8)
+        cells = [(n, a, last) for n in range(1, 9) for a in range(n) for last in range(n)]
+        for cell in cells:
+            bad = bumped(table, *cell)
+            fast = verify_functional_equation(8, bad)
+            assert not fast.is_zero(), cell
+            assert fast.coeffs == functional_equation_residual_by_products(8, bad).coeffs, cell
 
 
 class TestSummandPolynomials:
@@ -388,8 +471,8 @@ class TestKernelChecks:
         one = TruncatedSeries.one(nt, nu)
         t = TruncatedSeries.monomial(1, dt=1, t_order=nt, u_order=nu)
         u = TruncatedSeries.monomial(1, du=1, t_order=nt, u_order=nu)
-        root = (one - t + t * u).invert()
-        kernel_at_root = root - one - t * root * (one - u)
+        root = invert(one - t + times(t, u))
+        kernel_at_root = root - one - times(t, root, one - u)
         assert kernel_at_root.is_zero()
 
 
