@@ -104,6 +104,9 @@ FAMILY_FORMATS = {"ascseq": "ascseq", "posets": "poset", "perms": "perm",
 
 Emit = Callable[[str], None]
 
+# the writer of `stats` records, built once: `json.dumps` with separators builds one per call
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def each_line(handle: Callable[[str], None]) -> int:
     """Run `handle` on every stripped stdin line, reporting bad lines as `line N: ...`.
@@ -183,8 +186,8 @@ def cmd_convert(args, emit: Emit) -> int:
 
 def cmd_stats(args, emit: Emit) -> int:
     source = CODECS[args.format]
-    return each_line(lambda line: emit(json.dumps(source.stats(source.parse(line)).as_dict(),
-                                                  separators=(",", ":"))))
+    return each_line(lambda line: emit(_COMPACT_JSON.encode(
+        source.stats(source.parse(line)).as_dict())))
 
 
 def cmd_series(args, emit: Emit) -> int:

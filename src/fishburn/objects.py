@@ -245,19 +245,23 @@ class Permutation:
         return _trusted(Permutation, tuple(self.entries[o - 1] for o in other.entries))
 
 
-def r_violation(pi: Permutation) -> tuple[int, int, int] | None:
-    """Leftmost witness (i, i+1, k) of the pattern (231,{1},{1}), or None.
+def r_occurrences(pi: Permutation) -> Iterator[tuple[int, int, int]]:
+    """Every occurrence (i, i+1, k) of the pattern (231,{1},{1}), by increasing i.
 
-    Positions are 1-based; the witness satisfies p_i < p_{i+1} and
-    p_k = p_i - 1 with k > i.
+    Positions are 1-based; each satisfies p_i < p_{i+1} and p_k = p_i - 1
+    with k > i, so an occurrence is fixed by i and one O(n) scan lists all.
     """
     entries = pi.entries
     pos = {v: j for j, v in enumerate(entries, start=1)}
     for i in range(1, len(entries)):
         a = entries[i - 1]
         if a > 1 and a < entries[i] and pos[a - 1] > i:
-            return (i, i + 1, pos[a - 1])
-    return None
+            yield (i, i + 1, pos[a - 1])
+
+
+def r_violation(pi: Permutation) -> tuple[int, int, int] | None:
+    """Leftmost witness (i, i+1, k) of the pattern (231,{1},{1}), or None."""
+    return next(r_occurrences(pi), None)
 
 
 def is_r_permutation(pi: Permutation) -> bool:
@@ -626,6 +630,11 @@ def format_involution(partner: Iterable[int]) -> str:
     return "[" + ",".join(f"({a},{b})" for a, b in chords) + "]"
 
 
+_CHORD = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# one or more chords, separated and surrounded by any run of spaces and commas
+_CHORD_LIST = re.compile(r"[\s,]*(?:\(\s*\d+\s*,\s*\d+\s*\)[\s,]*)+")
+
+
 def parse_involution(text: str) -> ChordInvolution:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -633,14 +642,12 @@ def parse_involution(text: str) -> ChordInvolution:
     body = text[1:-1].strip()
     chords = []
     if body:
+        if not _CHORD_LIST.fullmatch(body):
+            raise ParseError(f"bad involution literal: {text!r}")
         try:
-            for m in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", body):
-                chords.append((int(m.group(1)), int(m.group(2))))
+            chords = [(int(a), int(b)) for a, b in _CHORD.findall(body)]
         except ValueError as exc:  # an endpoint with more digits than int() reads
             raise ParseError(f"bad involution literal: {text!r}") from exc
-        cleaned = re.sub(r"\(\s*\d+\s*,\s*\d+\s*\)", "", body).replace(",", "").strip()
-        if cleaned or not chords:
-            raise ParseError(f"bad involution literal: {text!r}")
     m = 2 * len(chords)
     partner = [0] * m
     for a, b in chords:

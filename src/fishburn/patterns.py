@@ -14,6 +14,12 @@ composition (sigma rho, X_p symdiff Y_q, Y_p symdiff X_q) the patterns of
 a fixed length form a quasigroup with right identity; composition is not
 associative.
 
+`find_occurrence` finds the family pattern (231,{1},{1}) and its seven
+images under these symmetries in O(n): an occurrence of the family
+pattern is fixed by its first position, so one scan of the transformed
+permutation lists them all.  Every other pattern is searched by
+backtracking, which is worst-case polynomial of degree its length.
+
 The barred condition implemented by `avoids_barred` asks that every
 231-occurrence extend to a 31524-occurrence; its avoiders correspond to
 the ascent sequences fixed by the modification sweep.
@@ -21,10 +27,11 @@ the ascent sequences fixed by the modification sweep.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation
+from .objects import AscentSequence, Permutation, r_occurrences
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,22 @@ def parse_pattern(text: str) -> BivincularPattern:
 def find_occurrence(pi: Permutation, p: BivincularPattern) -> tuple[int, ...] | None:
     """Positions (1-based) of the leftmost occurrence, or None.
 
-    Backtracking over position tuples; position adjacency and the pattern
-    order are enforced as slots are placed, value adjacency as soon as
-    both partners of a constraint are known.
+    The family pattern and its seven symmetry images take the O(n) route
+    of `_image_occurrence`; every other pattern is searched by
+    backtracking.
+    """
+    flips = _FAMILY_IMAGES.get(p)
+    if flips is not None:
+        return _image_occurrence(pi, *flips)
+    return _backtrack(pi, p)
+
+
+def _backtrack(pi: Permutation, p: BivincularPattern) -> tuple[int, ...] | None:
+    """Leftmost occurrence by backtracking over position tuples.
+
+    Position adjacency and the pattern order are enforced as slots are
+    placed, value adjacency as soon as both partners of a constraint are
+    known.
     """
     n, k = len(pi), len(p.sigma)
     if k == 0:
@@ -174,6 +194,53 @@ def complement(p: BivincularPattern) -> BivincularPattern:
     k = len(p.sigma)
     return BivincularPattern(p.sigma.complement(), p.X,
                              frozenset(k - y for y in p.Y))
+
+
+def _family_images() -> dict[BivincularPattern, tuple[bool, bool, bool]]:
+    """The eight images of R_PATTERN, each mapped to the flags (inverse,
+    complement, reverse) of the symmetry that turns it back into
+    R_PATTERN, applied in that order."""
+    images = {}
+    for inverted, complemented, reversed_ in itertools.product((False, True), repeat=3):
+        p = R_PATTERN
+        if reversed_:
+            p = reverse(p)
+        if complemented:
+            p = complement(p)
+        if inverted:
+            p = inverse(p)
+        images[p] = (inverted, complemented, reversed_)
+    return images
+
+
+_FAMILY_IMAGES = _family_images()
+
+
+def _image_occurrence(pi: Permutation, inverted: bool, complemented: bool,
+                      reversed_: bool) -> tuple[int, int, int] | None:
+    """Leftmost occurrence in pi of the image of R_PATTERN with these flags.
+
+    A symmetry of the square maps the occurrences of a pattern in pi one
+    to one onto those of the transformed pattern in the transformed
+    permutation.  The flagged symmetries send the image to R_PATTERN and
+    pi to sigma, so the occurrences of the image are the R-occurrences
+    of sigma mapped back: a reverse takes position q to n+1-q, and an
+    inverse reads the position in pi as the value of pi^-1 at q.  The
+    least sorted tuple is the occurrence that backtracking finds first.
+    """
+    n = len(pi)
+    sigma = pi.inverse() if inverted else pi
+    positions = sigma.entries
+    if complemented:
+        sigma = sigma.complement()
+    if reversed_:
+        sigma = sigma.reverse()
+    occurrences = r_occurrences(sigma)
+    if reversed_:
+        occurrences = ([n + 1 - q for q in occurrence] for occurrence in occurrences)
+    if inverted:
+        occurrences = ([positions[q - 1] for q in occurrence] for occurrence in occurrences)
+    return min(map(tuple, map(sorted, occurrences)), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,14 @@ class CountTable:
     def __init__(self, max_length: int, counts=None):
         if max_length < 0:
             raise ValueError("max_length must be >= 0")
+        if counts is None:
+            counts = [None, *_count_rows(max_length)]
+        elif len(counts) != max_length + 1 or not all(
+                len(counts[n]) == n and all(len(row) == n for row in counts[n])
+                for n in range(1, max_length + 1)):
+            raise ValueError(f"counts must hold rows 0..{max_length}, row n an n x n table")
         self.max_length = max_length
-        self.counts = [None, *_count_rows(max_length)] if counts is None else counts
+        self.counts = counts
 
     def _check_length(self, n: int) -> None:
         if not 0 <= n <= self.max_length:

@@ -8,11 +8,13 @@ library value that only the tests need.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterable, Iterator
 from math import comb
 from operator import mul
 
 from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation, TruncatedSeries
+from fishburn.errors import NotInvolutionError, ParseError
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -80,6 +82,58 @@ def enumerate_patterns(k: int) -> Iterator[BivincularPattern]:
         for X in subsets:
             for Y in subsets:
                 yield BivincularPattern(sigma, frozenset(X), frozenset(Y))
+
+
+def occurrences_by_subsequences(pi: Permutation, p: BivincularPattern) -> Iterator[tuple[int, ...]]:
+    """Every occurrence, in lexicographic order of positions, by testing
+    every subsequence against the raw definition."""
+    n, k = len(pi), len(p.sigma)
+    for positions in itertools.combinations(range(1, n + 1), k):
+        values = tuple(pi(i) for i in positions)
+        if standardize(values).entries != p.sigma.entries:
+            continue
+        i = (0,) + positions + (n + 1,)
+        j = (0,) + tuple(sorted(values)) + (n + 1,)
+        if all(i[x + 1] == i[x] + 1 for x in p.X) and \
+           all(j[y + 1] == j[y] + 1 for y in p.Y):
+            yield positions
+
+
+def contains_by_subsequences(pi: Permutation, p: BivincularPattern) -> bool:
+    return any(True for _ in occurrences_by_subsequences(pi, p))
+
+
+# ---------------------------------------------------------------------------
+# Text forms
+
+
+def parse_involution_by_scanning(text: str) -> ChordInvolution:
+    """The chord-list reader that finds the chords, then checks what is left.
+
+    Every chord match is read, the matches are cut out of the body, and
+    the rest must be commas and surrounding whitespace.
+    """
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"bad involution literal: {text!r}")
+    body = text[1:-1].strip()
+    chords = []
+    if body:
+        try:
+            for m in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", body):
+                chords.append((int(m.group(1)), int(m.group(2))))
+        except ValueError as exc:  # an endpoint with more digits than int() reads
+            raise ParseError(f"bad involution literal: {text!r}") from exc
+        cleaned = re.sub(r"\(\s*\d+\s*,\s*\d+\s*\)", "", body).replace(",", "").strip()
+        if cleaned or not chords:
+            raise ParseError(f"bad involution literal: {text!r}")
+    m = 2 * len(chords)
+    partner = [0] * m
+    for a, b in chords:
+        if not (1 <= a <= m and 1 <= b <= m) or partner[a - 1] or partner[b - 1]:
+            raise NotInvolutionError(f"bad chord list: {text!r}")
+        partner[a - 1], partner[b - 1] = b, a
+    return ChordInvolution(tuple(partner))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from conftest import (
     random_ascent_sequence,
     relations,
 )
-from reference import neighbour_nesting_positions, runs_increasing
+from reference import neighbour_nesting_positions, parse_involution_by_scanning, runs_increasing
 
 
 def ascent_sequences(max_length=12):
@@ -796,6 +796,34 @@ class TestTextForms:
         assert parse_involution(text) == chord10
         with pytest.raises(ParseError):
             parse_involution("[(1,2]")
+
+    def test_involution_reader_matches_the_scanning_reader(self):
+        # mutated chord lists: the one-pass reader returns the value the
+        # scanning reader returns, or raises its error type and message
+        rng = random.Random(1992)
+        alphabet = "()[], ,\t0123456789x-+\u00a0\u0663"
+        seen = collections.Counter()
+        for _ in range(20000):
+            n = rng.randint(1, 8)
+            c = fb.poset_to_involution(fb.sequence_to_poset(random_ascent_sequence(n, rng.randrange(2**32))))
+            text = list(rng.choice([format_involution(c.partner), str(c.chords())]))
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                i = rng.randrange(len(text) + 1)
+                kind = rng.choice(["insert", "delete", "replace", "swap"])
+                if kind == "insert":
+                    text.insert(i, rng.choice(alphabet))
+                elif i < len(text) and kind == "delete":
+                    del text[i]
+                elif i < len(text) and kind == "replace":
+                    text[i] = rng.choice(alphabet)
+                elif i + 1 < len(text):
+                    text[i], text[i + 1] = text[i + 1], text[i]
+            line = "".join(text)
+            got, expected = _outcome(parse_involution, line), _outcome(parse_involution_by_scanning, line)
+            assert got == expected, line
+            seen[expected[0] if expected[0] == "ok" else expected[0].__name__] += 1
+        assert seen["ok"] > 3000 and seen["ParseError"] > 3000, seen
+        assert seen["NotInvolutionError"] > 100, seen
 
     def test_roundtrip_all_families(self, sequences_by_length):
         from fishburn import bijections as bj

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 
 import fishburn as fb
-from fishburn import AscentSequence, Permutation
+from fishburn import AscentSequence, Permutation, patterns
 from fishburn.errors import LengthMismatchError, ParseError
 from fishburn.patterns import (
     BivincularPattern,
@@ -24,28 +26,14 @@ from fishburn.patterns import (
     reverse,
 )
 
-from conftest import BARRED_COUNTS
-from reference import enumerate_patterns, right_to_left_minima, standardize
+from conftest import BARRED_COUNTS, random_ascent_sequence
+from reference import (contains_by_subsequences, enumerate_patterns, occurrences_by_subsequences,
+                       right_to_left_minima)
 
 
 def pattern(word, X=(), Y=()):
     return BivincularPattern(Permutation(tuple(int(ch) for ch in word)),
                              frozenset(X), frozenset(Y))
-
-
-def contains_by_subsequences(pi, p):
-    """Independent oracle: test every subsequence against the raw definition."""
-    n, k = len(pi), len(p.sigma)
-    for positions in itertools.combinations(range(1, n + 1), k):
-        values = tuple(pi(i) for i in positions)
-        if standardize(values).entries != p.sigma.entries:
-            continue
-        i = (0,) + positions + (n + 1,)
-        j = (0,) + tuple(sorted(values)) + (n + 1,)
-        if all(i[x + 1] == i[x] + 1 for x in p.X) and \
-           all(j[y + 1] == j[y] + 1 for y in p.Y):
-            return True
-    return False
 
 
 class TestContainment:
@@ -118,6 +106,87 @@ class TestContainment:
                       if all(pi.entries[i + 1] != pi.entries[i] - 1
                              for i in range(n - 1))) for n in range(1, 6)]
         assert counts == oracle
+
+
+# the family pattern and its seven images under reverse, complement and inverse
+FAMILY_IMAGES = ("231|X={1}|Y={1}", "231|X={2}|Y={2}", "132|X={1}|Y={2}", "132|X={2}|Y={1}",
+                 "213|X={1}|Y={2}", "213|X={2}|Y={1}", "312|X={1}|Y={1}", "312|X={2}|Y={2}")
+
+
+def symmetry_orbit(pi):
+    """(g(R_PATTERN), g(pi)) for the eight symmetries g of the square, grown
+    from (R_PATTERN, pi) by the pattern and permutation symmetries in step."""
+    steps = ((reverse, Permutation.reverse), (complement, Permutation.complement),
+             (inverse, Permutation.inverse))
+    orbit = {R_PATTERN: pi}
+    frontier = [(R_PATTERN, pi)]
+    while frontier:
+        p, sigma = frontier.pop()
+        for on_pattern, on_perm in steps:
+            image = on_pattern(p)
+            if image not in orbit:
+                orbit[image] = on_perm(sigma)
+                frontier.append((image, orbit[image]))
+    return orbit
+
+
+class TestFamilyImages:
+    """find_occurrence takes an O(n) route for these eight patterns; the
+    backtracking search and the subsequence definition are the oracles."""
+
+    def test_the_images_are_the_symmetry_orbit(self):
+        orbit = symmetry_orbit(Permutation((1,)))
+        assert sorted(map(format_pattern, orbit)) == sorted(FAMILY_IMAGES)
+        assert set(patterns._FAMILY_IMAGES) == set(orbit)
+
+    @pytest.mark.parametrize("text", FAMILY_IMAGES)
+    def test_every_permutation_up_to_seven(self, text):
+        p = parse_pattern(text)
+        for n in range(8):
+            for pi in fb.enumerate_permutations(n):
+                assert find_occurrence(pi, p) == patterns._backtrack(pi, p), (pi, text)
+
+    @pytest.mark.parametrize("text", FAMILY_IMAGES)
+    def test_random_permutations_up_to_sixty(self, text):
+        p = parse_pattern(text)
+        rng = random.Random(text)
+        found = 0
+        for _ in range(300):
+            entries = list(range(1, rng.randint(0, 60) + 1))
+            rng.shuffle(entries)
+            pi = Permutation(tuple(entries))
+            occurrence = find_occurrence(pi, p)
+            assert occurrence == patterns._backtrack(pi, p), (pi, text)
+            found += occurrence is not None
+        # random images of family members: avoiders, and the other images' containers
+        for _ in range(100):
+            pi = fb.sequence_to_perm(random_ascent_sequence(rng.randint(1, 60), rng.randrange(2**32)))
+            for image, sigma in symmetry_orbit(pi).items():
+                occurrence = find_occurrence(sigma, p)
+                assert occurrence == patterns._backtrack(sigma, p), (sigma, text)
+                if image == p:
+                    assert occurrence is None, (sigma, text)
+        assert found > 100
+
+    def test_against_the_subsequence_definition(self):
+        # the witness is the lexicographically first occurrence by definition
+        for text in FAMILY_IMAGES:
+            p = parse_pattern(text)
+            for n in range(7):
+                for pi in fb.enumerate_permutations(n):
+                    occurrence = find_occurrence(pi, p)
+                    assert (occurrence is not None) == contains_by_subsequences(pi, p), (pi, text)
+                    assert occurrence == next(occurrences_by_subsequences(pi, p), None), (pi, text)
+
+    @pytest.mark.parametrize("text", FAMILY_IMAGES)
+    def test_an_avoider_of_length_5000_in_linear_time(self, text):
+        # the image g(pi) of a family member avoids g(R_PATTERN), the
+        # worst case of a search: backtracking takes seconds on the R case
+        p = parse_pattern(text)
+        sigma = symmetry_orbit(fb.sequence_to_perm(random_ascent_sequence(5000, 17)))[p]
+        start = time.perf_counter()
+        assert find_occurrence(sigma, p) is None
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSymmetries:

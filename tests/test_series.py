@@ -322,6 +322,19 @@ class TestFunctionalEquation:
         with pytest.raises(ValueError, match="table too short for requested order"):
             verify_functional_equation(5, CountTable(4))
 
+    def test_counts_of_the_wrong_shape_are_rejected_at_construction(self):
+        # before: a bare IndexError when a missing row was first read
+        short = CountTable(4).counts
+        with pytest.raises(ValueError, match="counts must hold rows 0..10"):
+            CountTable(10, short).total(8)
+        with pytest.raises(ValueError, match="counts must hold rows 0..10"):
+            verify_functional_equation(8, CountTable(10, short))
+        ragged = [None if r is None else [row[:] for row in r] for r in CountTable(6).counts]
+        ragged[5][2].pop()
+        with pytest.raises(ValueError, match="row n an n x n table"):
+            CountTable(6, ragged)
+        assert CountTable(4, short).total(4) == 15
+
     def test_a_bumped_cell_shows_in_its_own_row_and_the_next(self):
         residual = verify_functional_equation(10, bumped(count_table(10), 7, 3, 2))
         assert {(n, a) for n, a, _ in residual.coeffs} == {(7, 3), (8, 3), (8, 4)}
