@@ -24,9 +24,9 @@ index and none is capped.
 `enumerate_r_permutations` and `enumerate_nesting_free_involutions` are
 the brute-force oracles: they filter all of S_n (resp. all
 fixed-point-free involutions on 2n points), in lexicographic order, and
-use no bijection.  Only `count`, `avoiders` and `verify` filter, and
-they are capped (see `brute_force_cap`); the environment variable
-FISHBURN_MAX_BRUTE_N sets the cap.
+use no bijection.  Only `verify`, the tests and `avoiders --pattern`
+filter, and the filters are capped (see `brute_force_cap`); the
+environment variable FISHBURN_MAX_BRUTE_N sets the cap.
 """
 
 from __future__ import annotations
@@ -631,8 +631,8 @@ def format_involution(partner: Iterable[int]) -> str:
 
 
 _CHORD = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
-# one or more chords, separated and surrounded by any run of spaces and commas
-_CHORD_LIST = re.compile(r"[\s,]*(?:\(\s*\d+\s*,\s*\d+\s*\)[\s,]*)+")
+# one or more chords, each pair separated by one comma with optional whitespace around it
+_CHORD_LIST = re.compile(rf"{_CHORD.pattern}(?:\s*,\s*{_CHORD.pattern})*")
 
 
 def parse_involution(text: str) -> ChordInvolution:

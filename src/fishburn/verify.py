@@ -2,9 +2,9 @@
 
 `run_suite` returns (ok, message); on failure the message contains the
 first counterexample in canonical text form.  Each suite counts what it
-checked, and one that checks nothing fails.  The suites also rebuild the
-bijection outputs through their public constructors, which the library
-itself skips.
+checked, a pass reports the count, and one that checks nothing fails.
+The suites also rebuild the bijection outputs through their public
+constructors, which the library itself skips.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from .objects import (
     brute_force_cap,
     enumerate_ascent_sequences,
     enumerate_fixed_point_free_involutions,
+    enumerate_nesting_free_involutions,
     enumerate_r_permutations,
     format_involution,
-    format_permutation,
     format_sequence,
     in_I2n,
 )
@@ -42,7 +42,7 @@ def run_suite(name: str, max_n: int | None = None) -> tuple[bool, str]:
         return False, str(exc)
     if not checked:
         return False, f"{name} checked no object at max-n {n}"
-    return True, message
+    return True, f"{message}, {checked} checked at max-n {n}"
 
 
 def _check(ok: bool, message: str) -> None:
@@ -94,11 +94,20 @@ def _roundtrips(max_n: int) -> tuple[str, int]:
                 "dual": bijections.dual(p), "to_modified": m, "from_modified": x_mod,
                 "poset_to_involution": c, "involution_to_poset": back,
             }, text)
-    for n in range(min(max_n, brute_force_cap("perms")) + 1):
-        for pi in enumerate_r_permutations(n):
-            checked += 1
-            _check(bijections.sequence_to_perm(bijections.perm_to_sequence(pi)) == pi,
-                   f"encode/decode fails on {format_permutation(pi.entries)}")
+    # the brute-force oracles use no bijection: each must count p_n, and its members round-trip
+    counts = series.p_series(max_n)
+    for oracle, kind, encode, decode in [
+        (enumerate_r_permutations, "perms", bijections.perm_to_sequence, bijections.sequence_to_perm),
+        (enumerate_nesting_free_involutions, "involutions", bijections.involution_to_poset,
+         bijections.poset_to_involution),
+    ]:
+        for n in range(min(max_n, brute_force_cap(kind)) + 1):
+            found = oracle(n)
+            _check(len(found) == counts[n],
+                   f"{oracle.__name__} counts {len(found)} at n = {n}, not p_{n} = {counts[n]}")
+            for obj in found:
+                checked += 1
+                _check(decode(encode(obj)) == obj, f"encode/decode fails on {obj}")
     return "roundtrips pass", checked
 
 

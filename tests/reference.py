@@ -110,8 +110,9 @@ def contains_by_subsequences(pi: Permutation, p: BivincularPattern) -> bool:
 def parse_involution_by_scanning(text: str) -> ChordInvolution:
     """The chord-list reader that finds the chords, then checks what is left.
 
-    Every chord match is read, the matches are cut out of the body, and
-    the rest must be commas and surrounding whitespace.
+    Every chord match is read and the body is cut at the matches: the
+    pieces before the first chord and after the last must be whitespace,
+    and each piece between two chords one comma with whitespace around it.
     """
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -124,8 +125,8 @@ def parse_involution_by_scanning(text: str) -> ChordInvolution:
                 chords.append((int(m.group(1)), int(m.group(2))))
         except ValueError as exc:  # an endpoint with more digits than int() reads
             raise ParseError(f"bad involution literal: {text!r}") from exc
-        cleaned = re.sub(r"\(\s*\d+\s*,\s*\d+\s*\)", "", body).replace(",", "").strip()
-        if cleaned or not chords:
+        pieces = [piece.strip() for piece in re.split(r"\(\s*\d+\s*,\s*\d+\s*\)", body)]
+        if not chords or pieces[0] or pieces[-1] or any(piece != "," for piece in pieces[1:-1]):
             raise ParseError(f"bad involution literal: {text!r}")
     m = 2 * len(chords)
     partner = [0] * m

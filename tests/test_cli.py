@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishburn import AscentSequence, ChordInvolution, Poset, bijections, cli, series, verify
+from fishburn import (AscentSequence, ChordInvolution, Poset, avoids_barred, bijections, cli,
+                      enumerate_permutations, series, verify)
 from fishburn.objects import _trusted
 
 from conftest import random_ascent_sequence
@@ -52,20 +54,17 @@ class TestCount:
         code, out, _ = run(["count", "--object", "involutions", "--n", "4"], capsys=capsys)
         assert code == 0 and out == "15\n"
 
-    def test_cap_exit_code(self, capsys):
-        code, _, err = run(["count", "--object", "perms", "--n", "10"], capsys=capsys)
-        assert code == 3 and "cap" in err
-
-    def test_cap_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
-        code, _, err = run(["count", "--object", "perms", "--n", "5"], capsys=capsys)
-        assert code == 3
-
-    def test_bad_cap_setting_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_perms_and_involutions_count_through_the_hub(self, n, capsys, monkeypatch):
+        # an unreadable cap setting shows that no brute-force filter runs
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "abc")
-        code, out, err = run(["count", "--object", "perms", "--n", "3"], capsys=capsys)
-        assert code == 2 and not out
-        assert "FISHBURN_MAX_BRUTE_N" in err and "'abc'" in err
+        outputs = {}
+        for family in ("posets", "perms", "involutions"):
+            code, outputs[family], err = run(["count", "--object", family, "--n", str(n)],
+                                             capsys=capsys)
+            assert code == 0 and not err
+        assert outputs["perms"] == outputs["involutions"] == outputs["posets"]
+        assert outputs["posets"] == f"{series.p_series(n)[n]}\n"
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -161,6 +160,17 @@ class TestConvert:
         lines = err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["line 1", "line 2", "line 3"]
         assert all("integer" in line for line in lines) and "Traceback" not in err
+
+    def test_chord_lists_need_one_comma_between_chords(self, capsys, monkeypatch):
+        code, out, err = run(["convert", "--from", "involution", "--to", "ascseq"],
+                             "[(1,2)(3,4)]\n[(1,2) (3,4)]\n[,(1,2),,]\n[ (1,2) , (3,4) ]\n",
+                             monkeypatch, capsys)
+        assert code == 1 and out == "[0,1]\n"
+        assert err.splitlines() == [
+            "line 1: bad involution literal: '[(1,2)(3,4)]'",
+            "line 2: bad involution literal: '[(1,2) (3,4)]'",
+            "line 3: bad involution literal: '[,(1,2),,]'",
+        ]
 
     def test_empty_object_rejected(self, capsys, monkeypatch):
         code, _, err = run(["convert", "--from", "ascseq", "--to", "perm"],
@@ -276,6 +286,9 @@ class TestSeries:
         assert code == 0 and len(out.split()) == 21
 
 
+FAMILY_PATTERN = "231|X={1}|Y={1}"
+
+
 class TestPatternsCommands:
     def test_contains_with_witness(self, capsys, monkeypatch):
         code, out, _ = run(["contains", "--pattern", "231|X={1}|Y={1}", "--witness"],
@@ -306,6 +319,35 @@ class TestPatternsCommands:
         code, _, err = run(["avoiders", "--n", "3"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
 
+    # the brute-force cap guards `avoiders --pattern` only
+    def test_cap_exit_code(self, capsys):
+        code, _, err = run(["avoiders", "--n", "10", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        assert code == 3 and "cap" in err
+
+    def test_cap_env_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
+        code, _, err = run(["avoiders", "--n", "5", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        assert code == 3
+
+    def test_bad_cap_setting_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "abc")
+        code, out, err = run(["avoiders", "--n", "3", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        assert code == 2 and not out
+        assert "FISHBURN_MAX_BRUTE_N" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_barred_avoiders_are_the_brute_filter(self, n, capsys):
+        expected = [str(pi) for pi in enumerate_permutations(n) if avoids_barred(pi)]
+        code, out, err = run(["avoiders", "--n", str(n), "--barred"], capsys=capsys)
+        assert code == 0 and not err and out.splitlines() == expected
+        code, out, err = run(["avoiders", "--n", str(n), "--barred", "--count"], capsys=capsys)
+        assert code == 0 and not err and out == f"{len(expected)}\n"
+
+    def test_barred_avoiders_are_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "1")
+        code, out, err = run(["avoiders", "--n", "10", "--barred", "--count"], capsys=capsys)
+        assert code == 0 and not err and out == f"{series.count_barred_avoiders(10)}\n"
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite,max_n", [
@@ -315,6 +357,27 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", suite, "--max-n", str(max_n)],
                            capsys=capsys)
         assert code == 0 and out.startswith("PASS")
+
+    @pytest.mark.parametrize("suite,line", [
+        ("roundtrips", "PASS: roundtrips pass, 27 checked at max-n 3\n"),
+        ("stats", "PASS: statistics dictionary holds, 8 checked at max-n 3\n"),
+        ("kernel", "PASS: kernel checks pass, 4 checked at max-n 3\n"),
+    ], ids=["roundtrips", "stats", "kernel"])
+    def test_a_pass_says_what_it_checked(self, suite, line, capsys):
+        # roundtrips: the 9 ascent sequences with n <= 3, then the 9 permutations and
+        # the 9 chord involutions that the two oracles list
+        code, out, _ = run(["verify", "--suite", suite, "--max-n", "3"], capsys=capsys)
+        assert code == 0 and out == line
+
+    @pytest.mark.parametrize("oracle", ["enumerate_r_permutations",
+                                        "enumerate_nesting_free_involutions"])
+    def test_roundtrips_count_each_oracle(self, oracle, capsys, monkeypatch):
+        # an oracle that drops the last object at n = 3
+        real = getattr(verify, oracle)
+        monkeypatch.setattr(verify, oracle,
+                            functools.wraps(real)(lambda n: real(n)[:-1] if n == 3 else real(n)))
+        code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", "4"], capsys=capsys)
+        assert code == 1 and out == f"FAIL: {oracle} counts 4 at n = 3, not p_3 = 5\n"
 
     def test_negative_max_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
