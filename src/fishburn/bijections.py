@@ -35,7 +35,6 @@ by descending label) spells the corresponding permutation.
 from __future__ import annotations
 
 import bisect
-import collections
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -354,18 +353,20 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
     ..., k+1 in turn, m_{i,e} of them under entry e, where m_{i,e}
     counts the elements with level i and entry e (the Fishburn matrix),
     each taking the leftmost unused closer of its run; partner values
-    must increase along every run, which forces the matching.
+    must increase along every run, which forces the matching.  So the
+    elements, walked in (level, entry) order, each take the next free
+    opener of their level and the next free closer of their entry.
     """
     n = p.n
     if n == 0:
         return _trusted(ChordInvolution, ())
     k = p.rank
-    counts = collections.Counter(zip(p.levels, p.entry))
     opening = [0] * (k + 1)
     closing = [0] * (k + 2)
-    for (level, e), m in counts.items():
-        opening[level] += m
-        closing[e] += m
+    for level in p.levels:
+        opening[level] += 1
+    for e in p.entry:
+        closing[e] += 1
     # next_opener[i] and next_closer[e]: the first unused endpoint of a run
     next_opener = [0] * (k + 1)
     next_closer = [0] * (k + 2)
@@ -376,12 +377,10 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
         next_closer[i + 1] = pos
         pos += closing[i + 1]
     partner = [0] * (2 * n)
-    for (level, e), m in sorted(counts.items()):
+    for level, e in sorted(zip(p.levels, p.entry)):
         a, b = next_opener[level], next_closer[e]
-        partner[a - 1:a - 1 + m] = range(b, b + m)
-        partner[b - 1:b - 1 + m] = range(a, a + m)
-        next_opener[level] += m
-        next_closer[e] += m
+        partner[a - 1], partner[b - 1] = b, a
+        next_opener[level], next_closer[e] = a + 1, b + 1
     return _trusted(ChordInvolution, tuple(partner))
 
 

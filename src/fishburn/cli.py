@@ -15,6 +15,7 @@ ends the command quietly with exit code 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,9 +104,6 @@ FAMILY_FORMATS = {"ascseq": "ascseq", "posets": "poset", "perms": "perm",
 
 Emit = Callable[[str], None]
 
-# the writer of `stats` records, built once: `json.dumps` with separators builds one per call
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
-
 
 def each_line(handle: Callable[[str], None]) -> int:
     """Run `handle` on every stripped stdin line, reporting bad lines as `line N: ...`.
@@ -175,10 +173,17 @@ def cmd_convert(args, emit: Emit) -> int:
     return each_line(handle)
 
 
+def stats_line(r: statistics.StatRecord) -> str:
+    """`json.dumps(r.as_dict(), separators=(",", ":"))`, written straight from the fields."""
+    return (f'{{"n":{r.size},"minimals":{r.minimals},"srank":{r.srank},"rank":{r.rank},'
+            f'"maximals":{r.maximals},"components":{r.components},'
+            f'"level_counts":[{",".join(map(str, r.level_counts))}],'
+            f'"max_level_counts":[{",".join(map(str, r.max_level_counts))}]}}')
+
+
 def cmd_stats(args, emit: Emit) -> int:
     source = CODECS[args.format]
-    return each_line(lambda line: emit(_COMPACT_JSON.encode(
-        source.stats(source.parse(line)).as_dict())))
+    return each_line(lambda line: emit(stats_line(source.stats(source.parse(line)))))
 
 
 def cmd_series(args, emit: Emit) -> int:
@@ -205,12 +210,17 @@ def cmd_avoiders(args, emit: Emit) -> int:
         return EXIT_USAGE
     if args.barred:
         # the avoiders are the images of the self-modified sequences; `avoids_barred` is the oracle
-        found = sorted((bijections.sequence_to_perm(x) for x in enumerate_ascent_sequences(args.n)
-                        if patterns.is_self_modified(x)), key=lambda pi: pi.entries)
+        found = (bijections.sequence_to_perm(x) for x in enumerate_ascent_sequences(args.n)
+                 if patterns.is_self_modified(x))
+    elif (carry := patterns.family_symmetry(args.pattern)) is not None:
+        # an image of the family pattern: its avoiders are images of the family; the filter
+        # is the oracle
+        found = map(carry, bijections.enumerate_family("perms", args.n))
     else:
         check_brute_force_cap("perms", args.n)
-        found = [pi for pi in enumerate_permutations(args.n)
-                 if not patterns.contains(pi, args.pattern)]
+        found = (pi for pi in enumerate_permutations(args.n)
+                 if not patterns.contains(pi, args.pattern))
+    found = sorted(found, key=lambda pi: pi.entries)
     for line in [str(len(found))] if args.count else map(CODECS["perm"].format, found):
         emit(line)
     return EXIT_OK
@@ -241,7 +251,14 @@ def pattern_argument(text: str) -> patterns.BivincularPattern:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged, and the commands and argument
+    types it names look package functions up at call time, so a wrapper
+    put on a package function still sees every call.
+    """
     parser = argparse.ArgumentParser(
         prog="fishburn",
         description="Exact combinatorics of ascent sequences, (2+2)-free posets, "

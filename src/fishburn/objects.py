@@ -25,7 +25,8 @@ index and none is capped.
 the brute-force oracles: they filter all of S_n (resp. all
 fixed-point-free involutions on 2n points), in lexicographic order, and
 use no bijection.  Only `verify`, the tests and `avoiders --pattern`
-filter, and the filters are capped (see `brute_force_cap`); the
+(for a pattern off the family pattern's eight images) filter, and the
+filters are capped (see `brute_force_cap`); the
 environment variable FISHBURN_MAX_BRUTE_N sets the cap.
 """
 
@@ -60,6 +61,14 @@ DEFAULT_BRUTE_CAPS = {"perms": 9, "involutions": 6}
 def ascents(entries) -> int:
     """Number of strict ascents of an integer sequence."""
     return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
+
+
+def _exact_ints(values) -> tuple[int, ...]:
+    """`values` as a tuple of exact ints: a tuple of them as it is, anything else as
+    `tuple(int(v) for v in values)` reads it (bools and other int-likes included)."""
+    if type(values) is tuple and {int}.issuperset(map(type, values)):
+        return values
+    return tuple(int(v) for v in values)
 
 
 def _trusted(cls, *fields):
@@ -113,7 +122,7 @@ class AscentSequence(_EntriesSequence):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if entries and entries[0] != 0:
             raise NotAscentSequenceError(1)
@@ -157,7 +166,7 @@ class ModifiedAscentSequence(_EntriesSequence):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if not _is_modified(entries):
             raise NotModifiedSequenceError(f"not a modified ascent sequence: {entries}")
@@ -205,7 +214,7 @@ class Permutation:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise NotPermutationError(f"not a permutation of 1..n: {entries}")
@@ -299,24 +308,26 @@ class Poset:
     entry: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(int(v) for v in self.levels)
-        entry = tuple(int(v) for v in self.entry)
+        levels = _exact_ints(self.levels)
+        entry = _exact_ints(self.entry)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "entry", entry)
         n = self.n
         if n < 0 or len(levels) != n or len(entry) != n:
             raise ValueError("levels and entry must assign one value to each of 1..n")
-        k = max(levels, default=0)
-        occupied = [False] * (k + 1)
-        entered = [False] * (k + 2)
+        if not n:
+            return
+        k = max(levels)
+        # whole-tuple passes accept; only a rejection scans for the first bad element
+        if (min(levels) >= 0 and max(entry) <= k + 1 and all(map(operator.lt, levels, entry))
+                and len(set(levels)) == k + 1 and set(entry).issuperset(range(1, k + 1))):
+            return
         for x, (lvl, e) in enumerate(zip(levels, entry), start=1):
             if not 0 <= lvl < e <= k + 1:
                 raise ValueError(f"element {x} needs 0 <= level < entry <= k+1")
-            occupied[lvl] = entered[e] = True
-        if n and not all(occupied):
+        if len(set(levels)) != k + 1:
             raise ValueError("every level 0..k must be occupied")
-        if not all(entered[1:k + 1]):
-            raise ValueError("downsets must form a strictly increasing chain")
+        raise ValueError("downsets must form a strictly increasing chain")
 
     @classmethod
     def empty(cls) -> Poset:
@@ -421,9 +432,17 @@ class ChordInvolution:
     partner: tuple[int, ...]
 
     def __post_init__(self):
-        partner = tuple(int(v) for v in self.partner)
+        partner = _exact_ints(self.partner)
         object.__setattr__(self, "partner", partner)
         m = len(partner)
+        points = range(1, m + 1)
+        try:
+            # an involution of 1..m without fixed points; m is then even
+            if ([partner[v - 1] for v in partner] == list(points)
+                    and all(map(operator.ne, partner, points))):
+                return
+        except IndexError:  # an endpoint past m
+            pass
         if m % 2:
             raise NotInvolutionError("odd number of endpoints")
         if sorted(partner) != list(range(1, m + 1)):
@@ -567,7 +586,7 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     try:
-        return tuple(int(part) for part in body.split(","))
+        return tuple(map(int, body.split(",")))
     except ValueError as exc:
         raise ParseError(f"bad sequence literal: {text!r}") from exc
 
@@ -581,7 +600,7 @@ def parse_permutation(text: str) -> Permutation:
     if not parts:
         raise ParseError("empty permutation literal")
     try:
-        entries = tuple(int(p) for p in parts)
+        entries = tuple(map(int, parts))
     except ValueError as exc:
         raise ParseError(f"bad permutation literal: {text!r}") from exc
     return Permutation(entries)

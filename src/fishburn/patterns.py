@@ -19,6 +19,7 @@ images under these symmetries in O(n): an occurrence of the family
 pattern is fixed by its first position, so one scan of the transformed
 permutation lists them all.  Every other pattern is searched by
 backtracking, which is worst-case polynomial of degree its length.
+`family_symmetry` carries the family onto the avoiders of each image.
 
 The barred condition implemented by `avoids_barred` asks that every
 231-occurrence extend to a 31524-occurrence; its avoiders correspond to
@@ -28,6 +29,7 @@ the ascent sequences fixed by the modification sweep.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import LengthMismatchError, ParseError
@@ -214,6 +216,30 @@ def _family_images() -> dict[BivincularPattern, tuple[bool, bool, bool]]:
 
 
 _FAMILY_IMAGES = _family_images()
+
+
+def family_symmetry(p: BivincularPattern) -> Callable[[Permutation], Permutation] | None:
+    """The symmetry of the square that carries R_PATTERN to p, acting on
+    permutations, or None when p is no image of R_PATTERN.
+
+    pi avoids R_PATTERN exactly when its image avoids p, so the map
+    carries the family of R_PATTERN-avoiders one to one onto the avoiders
+    of p.  It applies the flagged symmetries of `_FAMILY_IMAGES` in reverse
+    order, which undoes them.
+    """
+    flips = _FAMILY_IMAGES.get(p)
+    if flips is None:
+        return None
+    inverted, complemented, reversed_ = flips
+
+    def carry(pi: Permutation) -> Permutation:
+        if reversed_:
+            pi = pi.reverse()
+        if complemented:
+            pi = pi.complement()
+        return pi.inverse() if inverted else pi
+
+    return carry
 
 
 def _image_occurrence(pi: Permutation, inverted: bool, complemented: bool,

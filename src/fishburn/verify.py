@@ -25,6 +25,10 @@ SUITES = ("roundtrips", "stats", "series", "kernel", "nestings")
 
 DEFAULT_MAX_N = {"roundtrips": 7, "stats": 7, "series": 12, "kernel": 8, "nestings": 4}
 
+# p(mk + r) = 0 (mod m) for these residues r (see `_series`)
+CONGRUENCES = {5: (3, 4), 7: (6,), 11: (8, 9, 10), 17: (16,), 19: (17, 18),
+               23: (18, 19, 20, 21, 22)}
+
 
 class _Counterexample(Exception):
     """A suite's first failure, as its report message."""
@@ -124,11 +128,23 @@ def _stats(max_n: int) -> tuple[str, int]:
 
 
 def _series(order: int) -> tuple[str, int]:
-    """Checks the t-coefficients 0..order of the counting series."""
+    """Checks the t-coefficients 0..order of the counting series.
+
+    `p_series` must also satisfy the congruences p(mk + r) = 0 (mod m)
+    listed in CONGRUENCES: Andrews and Sellers, "Congruences for the
+    Fishburn numbers", J. Number Theory 2016, and Garvan, "Congruences
+    and relations for r-Fishburn numbers", J. Combin. Theory Ser. A 2015.
+    They hold at every order, with no counting table behind them.
+    """
     table = series.count_table(order)
     residual = series.verify_functional_equation(order, table)
     _check(residual.is_zero(), f"functional equation residual nonzero at order {order}")
-    _check(series.p_series(order) == [table.total(n) for n in range(order + 1)],
+    counts = series.p_series(order)
+    for n, p in enumerate(counts):
+        for m, residues in CONGRUENCES.items():
+            _check(n % m not in residues or not p % m,
+                   f"p({m}k+{n % m}) is not 0 mod {m} at n = {n}")
+    _check(counts == [table.total(n) for n in range(order + 1)],
            f"p_series disagrees with the counting DP at order {order}")
     reference = series.count_table(10).series_u(10)
     total = series.TruncatedSeries.zero(10)

@@ -14,7 +14,14 @@ from math import comb
 from operator import mul
 
 from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation, TruncatedSeries
-from fishburn.errors import NotInvolutionError, ParseError
+from fishburn.errors import (
+    FixedPointError,
+    NotAscentSequenceError,
+    NotInvolutionError,
+    NotModifiedSequenceError,
+    NotPermutationError,
+    ParseError,
+)
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -101,6 +108,87 @@ def occurrences_by_subsequences(pi: Permutation, p: BivincularPattern) -> Iterat
 
 def contains_by_subsequences(pi: Permutation, p: BivincularPattern) -> bool:
     return any(True for _ in occurrences_by_subsequences(pi, p))
+
+
+# ---------------------------------------------------------------------------
+# The public constructors' checks, element by element
+#
+# Each takes a constructor's fields and returns what the constructor
+# stores, or raises the error it raises, with the same message.
+
+
+def sequence_entries_by_scanning(entries) -> tuple[int, ...]:
+    """AscentSequence: x_1 = 0 and 0 <= x_i <= 1 + asc(x_1..x_{i-1})."""
+    entries = tuple(int(e) for e in entries)
+    if entries and entries[0] != 0:
+        raise NotAscentSequenceError(1)
+    asc = 0
+    for i in range(1, len(entries)):
+        if not 0 <= entries[i] <= 1 + asc:
+            raise NotAscentSequenceError(i + 1)
+        if entries[i] > entries[i - 1]:
+            asc += 1
+    return entries
+
+
+def modified_entries_by_scanning(entries) -> tuple[int, ...]:
+    """ModifiedAscentSequence: y_1 = 0, the values are 0..max, and y_i is
+    the first of its value exactly when y_{i-1} < y_i."""
+    entries = tuple(int(e) for e in entries)
+    ok = not entries or (entries[0] == 0 and min(entries) >= 0
+                         and len(set(entries)) == max(entries) + 1)
+    for i in range(1, len(entries)):
+        ok = ok and (entries[i] in entries[:i]) == (entries[i - 1] >= entries[i])
+    if not ok:
+        raise NotModifiedSequenceError(f"not a modified ascent sequence: {entries}")
+    return entries
+
+
+def permutation_entries_by_scanning(entries) -> tuple[int, ...]:
+    entries = tuple(int(e) for e in entries)
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        raise NotPermutationError(f"not a permutation of 1..n: {entries}")
+    return entries
+
+
+def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Poset: 0 <= level < entry <= k+1 for every element, every level
+    0..k occupied and every entry 1..k taken, where k is the top level.
+
+    It keeps a flag per level, so a huge level costs memory here.
+    """
+    levels = tuple(int(v) for v in levels)
+    entry = tuple(int(v) for v in entry)
+    if n < 0 or len(levels) != n or len(entry) != n:
+        raise ValueError("levels and entry must assign one value to each of 1..n")
+    k = max(levels, default=0)
+    occupied = [False] * (k + 1)
+    entered = [False] * (k + 2)
+    for x, (lvl, e) in enumerate(zip(levels, entry), start=1):
+        if not 0 <= lvl < e <= k + 1:
+            raise ValueError(f"element {x} needs 0 <= level < entry <= k+1")
+        occupied[lvl] = entered[e] = True
+    if n and not all(occupied):
+        raise ValueError("every level 0..k must be occupied")
+    if not all(entered[1:k + 1]):
+        raise ValueError("downsets must form a strictly increasing chain")
+    return levels, entry
+
+
+def partner_by_scanning(partner) -> tuple[int, ...]:
+    """ChordInvolution: a fixed-point-free involution of 1..m."""
+    partner = tuple(int(v) for v in partner)
+    m = len(partner)
+    if m % 2:
+        raise NotInvolutionError("odd number of endpoints")
+    if sorted(partner) != list(range(1, m + 1)):
+        raise NotInvolutionError(f"not a permutation of 1..{m}: {partner}")
+    for i, v in enumerate(partner, start=1):
+        if v == i:
+            raise FixedPointError(f"fixed point at {i}")
+        if partner[v - 1] != i:
+            raise NotInvolutionError(f"partner of {i} and {v} disagree")
+    return partner
 
 
 # ---------------------------------------------------------------------------

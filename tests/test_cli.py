@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fishburn import (AscentSequence, ChordInvolution, Poset, avoids_barred, bijections, cli,
-                      enumerate_permutations, series, verify)
+                      enumerate_ascent_sequences, enumerate_permutations, patterns, series,
+                      verify)
 from fishburn.objects import _trusted
 
 from conftest import random_ascent_sequence
@@ -216,6 +217,15 @@ class TestConvert:
 
 
 class TestStats:
+    @pytest.mark.parametrize("fmt", tuple(cli.CODECS))
+    def test_stats_line_is_the_compact_json_of_the_record(self, fmt):
+        codec = cli.CODECS[fmt]
+        for n in range(1, 9):
+            for x in enumerate_ascent_sequences(n):
+                record = codec.stats(codec.from_hub(x))
+                assert cli.stats_line(record) == json.dumps(record.as_dict(),
+                                                            separators=(",", ":"))
+
     def test_perm_record(self, capsys, monkeypatch):
         code, out, _ = run(["stats", "--format", "perm"],
                            "3 1 7 6 4 8 2 5\n", monkeypatch, capsys)
@@ -286,7 +296,8 @@ class TestSeries:
         assert code == 0 and len(out.split()) == 21
 
 
-FAMILY_PATTERN = "231|X={1}|Y={1}"
+# a pattern outside the family's eight images, so `avoiders` filters S_n for it
+CAPPED_PATTERN = "123|X={}|Y={}"
 
 
 class TestPatternsCommands:
@@ -319,21 +330,38 @@ class TestPatternsCommands:
         code, _, err = run(["avoiders", "--n", "3"], capsys=capsys, monkeypatch=monkeypatch)
         assert code == 2
 
-    # the brute-force cap guards `avoiders --pattern` only
+    # the brute-force cap guards `avoiders --pattern` off the family's images only
     def test_cap_exit_code(self, capsys):
-        code, _, err = run(["avoiders", "--n", "10", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        code, _, err = run(["avoiders", "--n", "10", "--pattern", CAPPED_PATTERN], capsys=capsys)
         assert code == 3 and "cap" in err
 
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "4")
-        code, _, err = run(["avoiders", "--n", "5", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        code, _, err = run(["avoiders", "--n", "5", "--pattern", CAPPED_PATTERN], capsys=capsys)
         assert code == 3
 
     def test_bad_cap_setting_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "abc")
-        code, out, err = run(["avoiders", "--n", "3", "--pattern", FAMILY_PATTERN], capsys=capsys)
+        code, out, err = run(["avoiders", "--n", "3", "--pattern", CAPPED_PATTERN], capsys=capsys)
         assert code == 2 and not out
         assert "FISHBURN_MAX_BRUTE_N" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("pattern", sorted(map(str, patterns._FAMILY_IMAGES)))
+    def test_family_image_avoiders_are_the_brute_filter(self, pattern, capsys):
+        p = patterns.parse_pattern(pattern)
+        for n in range(9):
+            expected = [str(pi) for pi in enumerate_permutations(n) if not patterns.contains(pi, p)]
+            code, out, err = run(["avoiders", "--n", str(n), "--pattern", pattern], capsys=capsys)
+            assert code == 0 and not err and out.splitlines() == expected
+            code, out, err = run(["avoiders", "--n", str(n), "--pattern", pattern, "--count"],
+                                 capsys=capsys)
+            assert code == 0 and not err and out == f"{len(expected)}\n"
+
+    def test_family_image_avoiders_are_not_capped(self, capsys, monkeypatch):
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "1")
+        code, out, err = run(["avoiders", "--n", "9", "--pattern", "132|X={2}|Y={1}", "--count"],
+                             capsys=capsys)
+        assert code == 0 and not err and out == f"{series.p_series(9)[9]}\n"
 
     @pytest.mark.parametrize("n", range(9))
     def test_barred_avoiders_are_the_brute_filter(self, n, capsys):
@@ -419,6 +447,18 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "series", "--max-n", "6"], capsys=capsys)
         assert code == 1
         assert out == "FAIL: p_series disagrees with the counting DP at order 6\n"
+
+    def test_series_checks_the_congruences(self, capsys, monkeypatch):
+        real = series.p_series
+
+        def bumped(order):
+            counts = real(order)
+            counts[3] += 1  # 3 = 3 (mod 5), in no other listed class
+            return counts
+
+        monkeypatch.setattr(series, "p_series", bumped)
+        code, out, _ = run(["verify", "--suite", "series"], capsys=capsys)
+        assert code == 1 and out == "FAIL: p(5k+3) is not 0 mod 5 at n = 3\n"
 
     def test_series_checks_the_functional_equation(self, capsys, monkeypatch):
         real = series.count_table

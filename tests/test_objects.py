@@ -62,7 +62,16 @@ from conftest import (
     random_ascent_sequence,
     relations,
 )
-from reference import neighbour_nesting_positions, parse_involution_by_scanning, runs_increasing
+from reference import (
+    modified_entries_by_scanning,
+    neighbour_nesting_positions,
+    parse_involution_by_scanning,
+    partner_by_scanning,
+    permutation_entries_by_scanning,
+    poset_fields_by_scanning,
+    runs_increasing,
+    sequence_entries_by_scanning,
+)
 
 
 def ascent_sequences(max_length=12):
@@ -835,3 +844,126 @@ class TestTextForms:
                 assert parse_poset(format_poset(p)) == p
                 c = bj.poset_to_involution(p)
                 assert parse_involution(format_involution(c.partner)) == c
+
+
+class TestConstructorChecks:
+    """Each public constructor stores what, and raises what (type and message),
+    its element-by-element check in `tests/reference.py` does."""
+
+    CHECKS = {
+        AscentSequence: sequence_entries_by_scanning,
+        ModifiedAscentSequence: modified_entries_by_scanning,
+        Permutation: permutation_entries_by_scanning,
+        Poset: poset_fields_by_scanning,
+        ChordInvolution: partner_by_scanning,
+    }
+    # members that are not exact ints: bools, floats, numeric strings, junk
+    ODD_MEMBERS = [True, False, 1.0, 1.5, "1", "a", None, 2 ** 70, -1]
+    CORPUS = {
+        AscentSequence: [
+            (), (0,), (0, 1, 0, 1, 3, 1, 1, 2), [0, 1], range(1), (1,), (0, 2), (0, -1),
+            (0, 1, 3), (0, True, True, 2), (False, True),
+        ],
+        ModifiedAscentSequence: [
+            (), (0,), (0, 1, 0, 1, 2), [0, 1, 1], (1,), (0, 0, 2), (0, -1), (0, 2), (0, 1, 0, 0, 2),
+            (False, True),
+        ],
+        Permutation: [(), (1,), (2, 1), [2, 1], range(1, 4), (1, 1), (0, 1), (2,), (1, True),
+                      (True, 2)],
+        Poset: [
+            (0, (), ()), (1, (0,), (1,)), (3, (0, 0, 1), (1, 2, 2)), (2, [0, 1], [1, 2]),
+            # wrong lengths and sizes
+            (2, (0,), (1, 1)), (2, (0, 0), (1,)), (1, (), ()), (-1, (), ()), (1.5, (0,), (1,)),
+            (True, (0,), (1,)),
+            # negative and out-of-range levels and entries
+            (2, (-1, 0), (0, 1)), (1, (-1,), (0,)), (2, (0, 1), (1, 3)), (2, (0, 1), (2, 1)),
+            (1, (0,), (0,)), (1, (0,), (5,)), (2, (0, 0), (-1, 1)),
+            # unoccupied levels, missing entries, both
+            (2, (0, 2), (3, 3)), (3, (0, 2, 1), (3, 3, 3)), (2, (0, 1), (2, 2)),
+            (1, (10 ** 6,), (10 ** 6 + 1,)),
+        ],
+        ChordInvolution: [
+            (), (2, 1), (3, 4, 1, 2), [2, 1], range(2, 0, -1),
+            (1,), (2, 1, 3),  # odd lengths
+            (2, 2), (0, 1), (1, 5), (3, 1), (-1, 0), (0, 0), (2, 10 ** 30), (-5, 1),  # no permutation
+            (1, 2), (2, 1, 3, 4), (True, 2),  # fixed points
+            (2, 3, 4, 1), (3, 1, 2, 4),  # no involution
+        ],
+    }
+
+    @staticmethod
+    def outcome(build):
+        try:
+            return "stores", build()
+        except (ValueError, TypeError) as exc:
+            return "raises", type(exc), str(exc)
+
+    def assert_same(self, cls, *args):
+        def stored():
+            obj = cls(*args)
+            fields = tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
+            if cls is Poset:
+                return fields[1:]
+            assert all(type(v) is int for v in fields[0]) and type(fields[0]) is tuple
+            return fields[0]
+
+        expected = self.outcome(lambda: self.CHECKS[cls](*args))
+        assert self.outcome(stored) == expected, (cls.__name__, args)
+
+    @pytest.mark.parametrize("cls", list(CHECKS), ids=lambda cls: cls.__name__)
+    def test_the_corpus(self, cls):
+        for args in self.CORPUS[cls]:
+            self.assert_same(cls, *(args if cls is Poset else (args,)))
+
+    @pytest.mark.parametrize("cls", list(CHECKS), ids=lambda cls: cls.__name__)
+    def test_odd_members_in_every_place(self, cls):
+        valid = {AscentSequence: [(0, 1, 0, 2)], ModifiedAscentSequence: [(0, 1, 0, 2)],
+                 Permutation: [(2, 3, 1, 4)], ChordInvolution: [(2, 1, 4, 3)]}
+        if cls is Poset:
+            # no 2 ** 70: the reference keeps a flag per level
+            odd_members = [v for v in self.ODD_MEMBERS if v != 2 ** 70]
+            for levels, entry in [((0, 0, 1), (1, 2, 2))]:
+                for i, odd in itertools.product(range(6), odd_members):
+                    fields = [list(levels), list(entry)]
+                    fields[i // 3][i % 3] = odd
+                    self.assert_same(Poset, 3, *map(tuple, fields))
+            return
+        for base in valid[cls]:
+            for i, odd in itertools.product(range(len(base)), self.ODD_MEMBERS):
+                self.assert_same(cls, base[:i] + (odd,) + base[i + 1:])
+
+    def test_a_huge_level_is_rejected_without_a_flag_per_level(self):
+        with pytest.raises(ValueError, match="every level 0..k must be occupied"):
+            Poset(1, (2 ** 70,), (2 ** 70 + 1,))
+
+    def test_perturbed_posets(self, sequences_by_length):
+        for n in range(1, 6):
+            for x in sequences_by_length[n]:
+                p = fb.sequence_to_poset(x)
+                for i, delta in itertools.product(range(2 * n), (-2, -1, 1, 2)):
+                    fields = [list(p.levels), list(p.entry)]
+                    fields[i // n][i % n] += delta
+                    self.assert_same(Poset, n, *map(tuple, fields))
+
+    def test_perturbed_involutions(self):
+        for points in range(0, 9, 2):
+            for c in enumerate_fixed_point_free_involutions(points):
+                partner = c.partner
+                self.assert_same(ChordInvolution, partner)
+                for i, delta in itertools.product(range(points), (-points, -1, 1, 2)):
+                    self.assert_same(ChordInvolution,
+                                     partner[:i] + (partner[i] + delta,) + partner[i + 1:])
+                for i, j in itertools.combinations(range(points), 2):
+                    swapped = list(partner)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    self.assert_same(ChordInvolution, tuple(swapped))
+
+    def test_perturbed_sequences_and_permutations(self, sequences_by_length):
+        for n in range(1, 6):
+            for x in sequences_by_length[n]:
+                m = fb.to_modified(x).entries
+                pi = fb.sequence_to_perm(x).entries
+                for i, delta in itertools.product(range(n), (-1, 1, 2)):
+                    for cls, base in [(AscentSequence, x.entries), (ModifiedAscentSequence, m),
+                                      (Permutation, pi)]:
+                        self.assert_same(cls, base[:i] + (base[i] + delta,) + base[i + 1:])

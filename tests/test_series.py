@@ -22,6 +22,7 @@ from fishburn.series import (
     verify_kernel_solution,
     verify_S_identity,
 )
+from fishburn.verify import CONGRUENCES
 
 from conftest import BARRED_COUNTS, FISHBURN_COUNTS
 from reference import (
@@ -160,12 +161,6 @@ class TestProductFormula:
         ps = p_series(20)
         assert [table.total(n) for n in range(21)] == ps
         assert ps[20] > 10**14  # far beyond word size, still exact
-
-
-# p(mk + r) = 0 (mod m) for these residues r: Andrews and Sellers,
-# J. Number Theory 2016, and Garvan
-CONGRUENCES = {5: (3, 4), 7: (6,), 11: (8, 9, 10), 17: (16,), 19: (17, 18),
-               23: (18, 19, 20, 21, 22)}
 
 
 def congruence_failures(ps: list[int]) -> list[tuple[int, int]]:
