@@ -55,6 +55,7 @@ from .bijections import (
     sequence_to_perm,
     sequence_to_perm_by_insertion,
     sequence_to_poset,
+    swap_endpoints,
     to_modified,
 )
 from .patterns import (

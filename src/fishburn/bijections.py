@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import NotInRError
 from .objects import (
@@ -45,8 +44,8 @@ from .objects import (
     ModifiedAscentSequence,
     Permutation,
     Poset,
-    _first_neighbour_nesting,
     _trusted,
+    _Value,
     enumerate_ascent_sequences,
     r_violation,
 )
@@ -76,15 +75,17 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
     return gaps
 
 
-@dataclass(frozen=True)
-class ActiveSiteProfile:
+class ActiveSiteProfile(_Value):
     """Active sites of a permutation, as gap indices labelled 0..s-1.
 
     `b` is the label of the site immediately left of the maximal entry.
     """
 
-    sites: tuple[int, ...]
-    b: int
+    __slots__ = ("sites", "b")
+
+    def __init__(self, sites: tuple[int, ...], b: int):
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "b", b)
 
     @property
     def s(self) -> int:
@@ -394,19 +395,28 @@ def swap_endpoints(c: ChordInvolution, i: int) -> ChordInvolution:
 
 
 def remove_neighbour_nestings(c: ChordInvolution) -> ChordInvolution:
-    """Swap away neighbour nestings, leftmost first, until none remain.
+    """Swap away neighbour nestings until none remain.
 
     Each swap preserves the interval order and strictly increases the
     crossing number, so the loop terminates; the result is the
     nesting-free diagram of the same poset regardless of the order in
-    which nestings are picked.
+    which nestings are picked.  A swap at i leaves an ascent at i;
+    elsewhere it only trades the values i and i+1 between the other
+    endpoints of the two chords, which flips no comparison that decides a
+    nesting at a pair away from i and i+1.  So only the pairs at i-1 and
+    i+1 are checked again.
     """
-    current = c
-    while True:
-        i = _first_neighbour_nesting(current.partner)
-        if i is None:
-            return current
-        current = swap_endpoints(current, i)
+    m = len(c.partner)
+    # 1-based, with sentinels that make positions 0 and m never a nesting
+    p = [0, *c.partner, m + 1]
+    todo = list(range(m - 1, 0, -1))
+    while todo:
+        i = todo.pop()
+        a, b = p[i], p[i + 1]
+        if a > b and not a > i >= b:  # a neighbour nesting; a, b are not i, i+1
+            p[i], p[i + 1], p[a], p[b] = b, a, i + 1, i
+            todo += (i - 1, i + 1)
+    return _trusted(ChordInvolution, tuple(p[1:-1]))
 
 
 # ---------------------------------------------------------------------------

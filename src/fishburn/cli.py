@@ -19,8 +19,8 @@ import functools
 import json
 import os
 import sys
+import types
 from collections.abc import Callable
-from typing import Any, NamedTuple
 
 from . import bijections, patterns, series, statistics, verify
 from .errors import BruteForceCapError, EmptyObjectError, FishburnError, ParseError, SettingError
@@ -46,18 +46,15 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-class Codec(NamedTuple):
+class Codec(types.SimpleNamespace):
     """One text format, linked to the others through the ascent sequences (the hub).
 
-    The entries look package functions up by name at call time, so that a
-    wrapper put on a module attribute sees every call.
+    `parse` reads a line into an object and `format` writes one back;
+    `to_hub` and `from_hub` map to and from the ascent sequences, and
+    `stats` gives the object's `StatRecord`.  The entries look package
+    functions up by name at call time, so that a wrapper put on a module
+    attribute sees every call.
     """
-
-    parse: Callable[[str], Any]
-    format: Callable[[Any], str]
-    to_hub: Callable[[Any], AscentSequence]
-    from_hub: Callable[[AscentSequence], Any]
-    stats: Callable[[Any], statistics.StatRecord]
 
 
 CODECS = {

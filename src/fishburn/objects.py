@@ -16,10 +16,13 @@ Four families, all counted by the Fishburn numbers (OEIS A022493):
   at neighbouring endpoints (equivalently: every descent p_i > p_{i+1}
   crosses the diagonal, p_i > i >= p_{i+1}).
 
-All values are immutable and hashable.  The families are enumerated
-through the ascent sequences: `bijections.enumerate_family` decodes
-`enumerate_ascent_sequences(n)`, so the four streams line up index by
-index and none is capped.
+All values are immutable and hashable: each value class declares its
+fields in `__slots__` on the private base `_Value`, which gives it
+equality, hashing and a repr over those fields and refuses assignment.
+
+The families are enumerated through the ascent sequences:
+`bijections.enumerate_family` decodes `enumerate_ascent_sequences(n)`,
+so the four streams line up index by index and none is capped.
 
 `enumerate_r_permutations` and `enumerate_nesting_free_involutions` are
 the brute-force oracles: they filter all of S_n (resp. all
@@ -39,7 +42,6 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 from .errors import (
@@ -71,8 +73,55 @@ def _exact_ints(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+class _Value:
+    """Immutable value behaviour over the fields named in `__slots__`.
+
+    Two values are equal when they are of the same class with equal field
+    tuples; the hash is that of the field tuple, and the repr names each
+    field, as in `Poset(n=4, levels=(0, 1, 0, 2), entry=(1, 2, 2, 3))`.
+    Assigning or deleting an attribute raises AttributeError, so each
+    class's `__init__` sets its fields with `object.__setattr__` and then
+    runs its checks.  Copies and pickles go back through the public
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = cls.__slots__
+        if cls._fields:
+            # the value of the one field, or the tuple of the values of several
+            cls._key = operator.attrgetter(*cls._fields)
+
+    def _values(self) -> tuple:
+        key = self._key(self)
+        return key if len(self._fields) > 1 else (key,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 def _trusted(cls, *fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, built without checks.
+    """An instance of the value class `cls` holding `fields`, built without checks.
 
     Only for values the library builds from data that is valid by
     construction: bijection outputs, enumerations and symmetries.  The
@@ -82,8 +131,8 @@ def _trusted(cls, *fields):
     public constructors.
     """
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(obj, name, value)  # as the frozen dataclass __init__ does
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(obj, name, value)  # as the class's own __init__ does
     return obj
 
 
@@ -91,12 +140,14 @@ def _trusted(cls, *fields):
 # Sequences
 
 
-class _EntriesSequence:
+class _EntriesSequence(_Value):
     """Read-only sequence behaviour over an `entries` tuple; holds no fields.
 
-    Each sequence class stays its own dataclass with its own validation,
-    and neither is an instance of the other.
+    Each sequence class declares its own field and validation, and neither
+    is an instance of the other.
     """
+
+    __slots__ = ()
 
     @property
     def asc(self) -> int:
@@ -115,11 +166,14 @@ class _EntriesSequence:
         return format_sequence(self.entries)
 
 
-@dataclass(frozen=True)
 class AscentSequence(_EntriesSequence):
     """A sequence (x_1,..,x_n) with x_1 = 0 and x_i <= 1 + asc(prefix)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = _exact_ints(self.entries)
@@ -155,7 +209,6 @@ def _is_modified(entries: tuple[int, ...]) -> bool:
     return len(seen) == max(entries) + 1
 
 
-@dataclass(frozen=True)
 class ModifiedAscentSequence(_EntriesSequence):
     """Image of an ascent sequence under the ascent-driven increment sweep.
 
@@ -163,7 +216,11 @@ class ModifiedAscentSequence(_EntriesSequence):
     maximum equals the number of ascents.
     """
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = _exact_ints(self.entries)
@@ -207,11 +264,14 @@ def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
 # Permutations
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """A permutation of [n] in one-line notation."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = _exact_ints(self.entries)
@@ -290,8 +350,7 @@ def enumerate_permutations(n: int) -> Iterator[Permutation]:
 # Posets
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_Value):
     """A (2+2)-free poset on labels 1..n in interval form.
 
     The strict downsets form a chain D_0 = {} < D_1 < ... < D_k, where k
@@ -303,9 +362,13 @@ class Poset:
     Irreflexivity and transitivity follow from level(x) < entry(x).
     """
 
-    n: int
-    levels: tuple[int, ...]
-    entry: tuple[int, ...]
+    __slots__ = ("n", "levels", "entry")
+
+    def __init__(self, n: int, levels: tuple[int, ...], entry: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "entry", entry)
+        self.__post_init__()
 
     def __post_init__(self):
         levels = _exact_ints(self.levels)
@@ -385,8 +448,7 @@ def _sorted_pairs_in_range(n: int, pairs: list | tuple) -> tuple[tuple[int, int]
     return pairs
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(_Value):
     """Raw strict relation on labels 1..n, used as interchange form.
 
     `pairs` may be given as any iterable of pairs; it is stored as the
@@ -394,8 +456,12 @@ class RelationMatrix:
     order axioms are enforced here; `poset_from_relations` checks them.
     """
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "pairs")
+
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         pairs = self.pairs
@@ -422,14 +488,17 @@ def _relation_of_int_pairs(n: int, pairs: list) -> RelationMatrix:
 # Chord involutions
 
 
-@dataclass(frozen=True)
-class ChordInvolution:
+class ChordInvolution(_Value):
     """A fixed-point-free involution of [2n] as a partner array.
 
     `partner[i-1]` is the other endpoint of the chord attached to i.
     """
 
-    partner: tuple[int, ...]
+    __slots__ = ("partner",)
+
+    def __init__(self, partner: tuple[int, ...]):
+        object.__setattr__(self, "partner", partner)
+        self.__post_init__()
 
     def __post_init__(self):
         partner = _exact_ints(self.partner)

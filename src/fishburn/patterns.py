@@ -30,19 +30,21 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation, r_occurrences
+from .objects import AscentSequence, Permutation, _Value, r_occurrences
 
 
-@dataclass(frozen=True)
-class BivincularPattern:
+class BivincularPattern(_Value):
     """Pattern triple (sigma, X, Y); X constrains positions, Y values."""
 
-    sigma: Permutation
-    X: frozenset[int]
-    Y: frozenset[int]
+    __slots__ = ("sigma", "X", "Y")
+
+    def __init__(self, sigma: Permutation, X: frozenset[int], Y: frozenset[int]):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "X", frozenset(int(x) for x in self.X))

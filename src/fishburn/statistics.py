@@ -13,7 +13,6 @@ agree coefficientwise.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 from . import bijections
 from .errors import EmptyObjectError
@@ -23,6 +22,7 @@ from .objects import (
     Permutation,
     Poset,
     _trusted,
+    _Value,
     ascents,
 )
 
@@ -55,8 +55,7 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(_Value):
     """The shared statistics of corresponding objects.
 
     `level_counts[i]` counts elements at level i (for a sequence: entries
@@ -66,14 +65,20 @@ class StatRecord:
     stored lowest degree first with trailing zeros stripped.
     """
 
-    size: int
-    minimals: int
-    srank: int
-    rank: int
-    maximals: int
-    components: int
-    level_counts: tuple[int, ...]
-    max_level_counts: tuple[int, ...]
+    __slots__ = ("size", "minimals", "srank", "rank", "maximals", "components",
+                 "level_counts", "max_level_counts")
+
+    def __init__(self, size: int, minimals: int, srank: int, rank: int, maximals: int,
+                 components: int, level_counts: tuple[int, ...],
+                 max_level_counts: tuple[int, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "minimals", minimals)
+        object.__setattr__(self, "srank", srank)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "maximals", maximals)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "level_counts", level_counts)
+        object.__setattr__(self, "max_level_counts", max_level_counts)
 
     def as_dict(self) -> dict:
         return {

@@ -13,7 +13,14 @@ from collections.abc import Iterable, Iterator
 from math import comb
 from operator import mul
 
-from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation, TruncatedSeries
+from fishburn import (
+    BivincularPattern,
+    ChordInvolution,
+    CountTable,
+    Permutation,
+    TruncatedSeries,
+    swap_endpoints,
+)
 from fishburn.errors import (
     FixedPointError,
     NotAscentSequenceError,
@@ -22,6 +29,7 @@ from fishburn.errors import (
     NotPermutationError,
     ParseError,
 )
+from fishburn.objects import _first_neighbour_nesting
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -74,6 +82,17 @@ def neighbour_nesting_positions(c: ChordInvolution) -> list[int]:
         if a1 < a2 <= b2 < b1 or a2 < a1 <= b1 < b2:
             out.append(i)
     return out
+
+
+def remove_neighbour_nestings_by_rescanning(c: ChordInvolution) -> ChordInvolution:
+    """Swap the leftmost neighbour nesting, rescanning from the left, until none remains.
+
+    A new tuple per swap and a rescan after each: cubic on a diagram with
+    many nestings.
+    """
+    while (i := _first_neighbour_nesting(c.partner)) is not None:
+        c = swap_endpoints(c, i)
+    return c
 
 
 # ---------------------------------------------------------------------------

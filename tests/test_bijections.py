@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import time
 import tracemalloc
 
@@ -18,7 +19,6 @@ from fishburn import (
 )
 from fishburn.bijections import (
     _active_gaps,
-    _first_neighbour_nesting,
     active_sites,
     canonical_labelling,
     dual,
@@ -37,6 +37,7 @@ from fishburn.bijections import (
 )
 from fishburn.errors import NotInRError, NotModifiedSequenceError
 from fishburn.objects import (
+    _first_neighbour_nesting,
     enumerate_fixed_point_free_involutions,
     format_poset,
     in_I2n,
@@ -52,7 +53,7 @@ from conftest import (
     POSET8C_SEQUENCE,
     random_ascent_sequence,
 )
-from reference import neighbour_nesting_positions
+from reference import neighbour_nesting_positions, remove_neighbour_nestings_by_rescanning
 from test_objects import ascent_sequences
 
 
@@ -426,6 +427,32 @@ class TestNestingRemoval:
                 if not spots:
                     assert cur == expected
                 stack.extend(swap_endpoints(cur, i) for i in spots)
+
+    def test_matches_the_rescanning_loop(self):
+        for points in range(0, 11, 2):
+            for c in enumerate_fixed_point_free_involutions(points):
+                assert remove_neighbour_nestings(c) == remove_neighbour_nestings_by_rescanning(c)
+
+    def test_random_diagrams_up_to_forty_chords(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            points = list(range(1, 2 * rng.randint(0, 40) + 1))
+            partner = [0] * len(points)
+            while points:
+                a = points.pop(0)
+                b = points.pop(rng.randrange(len(points)))
+                partner[a - 1], partner[b - 1] = b, a
+            c = ChordInvolution(tuple(partner))
+            assert remove_neighbour_nestings(c) == poset_to_involution(involution_to_poset(c))
+
+    def test_fully_nested_thousand_chords(self):
+        # about n^2/2 swaps: each must cost O(1), not a new tuple and a rescan
+        c = ChordInvolution(tuple(range(2000, 0, -1)))
+        start = time.perf_counter()
+        cleaned = remove_neighbour_nestings(c)
+        elapsed = time.perf_counter() - start
+        assert cleaned == poset_to_involution(involution_to_poset(c))
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 def chord_involutions(max_chords=8):

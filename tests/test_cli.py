@@ -442,8 +442,10 @@ class TestVerify:
         assert code == 1 and out == "FAIL: reconstruction leaves a nesting for [0,0,0]\n"
 
     def test_series_checks_p_series_against_the_counting_dp(self, capsys, monkeypatch):
+        # p_6 + 7 keeps p(7k+6) = 0 mod 7 and stays within the asymptotic bound,
+        # so only the comparison with the DP can catch it
         real = series.p_series
-        monkeypatch.setattr(series, "p_series", lambda order: [*real(order)[:-1], 0])
+        monkeypatch.setattr(series, "p_series", lambda order: [*real(order)[:-1], real(order)[-1] + 7])
         code, out, _ = run(["verify", "--suite", "series", "--max-n", "6"], capsys=capsys)
         assert code == 1
         assert out == "FAIL: p_series disagrees with the counting DP at order 6\n"
@@ -459,6 +461,21 @@ class TestVerify:
         monkeypatch.setattr(series, "p_series", bumped)
         code, out, _ = run(["verify", "--suite", "series"], capsys=capsys)
         assert code == 1 and out == "FAIL: p(5k+3) is not 0 mod 5 at n = 3\n"
+
+    @pytest.mark.parametrize("n, spoil", [(12, lambda p: 2 * p), (6, lambda p: 0)])
+    def test_series_checks_the_asymptotic(self, capsys, monkeypatch, n, spoil):
+        # 12 lies in no listed residue class; doubling p_12 puts 12 |ratio - 1| near 10.9
+        real = series.p_series
+
+        def spoiled(order):
+            counts = real(order)
+            counts[n] = spoil(counts[n])
+            return counts
+
+        monkeypatch.setattr(series, "p_series", spoiled)
+        code, out, _ = run(["verify", "--suite", "series", "--max-n", str(n)], capsys=capsys)
+        assert code == 1
+        assert out == f"FAIL: p_n is not within 1/n of Zagier's asymptotic at n = {n}\n"
 
     def test_series_checks_the_functional_equation(self, capsys, monkeypatch):
         real = series.count_table

@@ -37,7 +37,7 @@ class Images:
 
 def rebuild(obj):
     """`obj` again, through its public constructor."""
-    return type(obj)(*(getattr(obj, f) for f in obj.__dataclass_fields__))
+    return type(obj)(*(getattr(obj, f) for f in obj._fields))
 
 
 CALLS = {
@@ -75,6 +75,7 @@ CALLS = {
     "sequence_to_perm": lambda i: fb.sequence_to_perm(i.x),
     "sequence_to_perm_by_insertion": lambda i: fb.sequence_to_perm_by_insertion(i.x),
     "sequence_to_poset": lambda i: fb.sequence_to_poset(i.x),
+    "swap_endpoints": lambda i: fb.swap_endpoints(i.c, N),
     "to_modified": lambda i: fb.to_modified(i.x),
     # patterns: the image permutation as a pattern, and the family pattern in it
     "BivincularPattern": lambda i: rebuild(i.pattern),

@@ -901,7 +901,7 @@ class TestConstructorChecks:
     def assert_same(self, cls, *args):
         def stored():
             obj = cls(*args)
-            fields = tuple(getattr(obj, f) for f in obj.__dataclass_fields__)
+            fields = tuple(getattr(obj, f) for f in obj._fields)
             if cls is Poset:
                 return fields[1:]
             assert all(type(v) is int for v in fields[0]) and type(fields[0]) is tuple

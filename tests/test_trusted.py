@@ -26,7 +26,7 @@ def _is_int_tuple(value) -> bool:
 
 def assert_rebuilds(obj) -> None:
     """The fields of `obj` are exact-int tuples, and the constructor gives back `obj`."""
-    fields = [getattr(obj, name) for name in obj.__dataclass_fields__]
+    fields = [getattr(obj, name) for name in obj._fields]
     if isinstance(obj, Poset):
         assert type(obj.n) is int
         fields_to_type = fields[1:]
