@@ -55,7 +55,6 @@ from .bijections import (
     sequence_to_perm,
     sequence_to_perm_by_insertion,
     sequence_to_poset,
-    swap_endpoints,
     to_modified,
 )
 from .patterns import (
@@ -74,7 +73,6 @@ from .statistics import StatRecord, components, direct_sum, stats_of_perm, stats
 from .series import (
     CountTable,
     F_n_polynomial,
-    TruncatedSeries,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
     count_table,

@@ -385,15 +385,6 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
     return _trusted(ChordInvolution, tuple(partner))
 
 
-def swap_endpoints(c: ChordInvolution, i: int) -> ChordInvolution:
-    """Conjugate by the transposition (i, i+1): swap two adjacent endpoints."""
-    p = c.partner
-    if not 1 <= i < len(p):
-        raise ValueError(f"no endpoints {i} and {i + 1} among 1..{len(p)}")
-    t = lambda x: i + 1 if x == i else i if x == i + 1 else x
-    return _trusted(ChordInvolution, tuple(t(p[t(x) - 1]) for x in range(1, len(p) + 1)))
-
-
 def remove_neighbour_nestings(c: ChordInvolution) -> ChordInvolution:
     """Swap away neighbour nestings until none remain.
 

@@ -22,25 +22,27 @@ Everything here is integer arithmetic.  The central objects are
   with rational t-coefficients, and for the polynomial identity that
   converts that solution into a t-convergent form.
 
-`TruncatedSeries` is the exchange type of the checks: a series stored
-sparsely by exponent triple (t, u, v), truncated in t and optionally in
-u, that adds, subtracts, compares and substitutes v = 1 but does not
-multiply.  Its public constructor is the one place that drops
-out-of-range terms and rejects negative exponents and negative orders;
-sums keep in range by construction.
+A series in t and u is held as u-rows of t-coefficient lists:
+`rows[u][t]` is the coefficient of t^t u^u, and every row has the same
+length, so the shape is the truncation.  `F_n_polynomial`,
+`S_closed_form`, `kernel_terms` and `kernel_solution_series` return
+rows.  Each residual check returns the sorted list of its nonzero
+residual cells, `(t, u, v, c)` for the functional equation and
+`(t, u, c)` for the two checks in t and u alone, so `[]` means that the
+identity holds.  Every entry rejects a negative order, which would
+check nothing and pass.
 
 No check multiplies two series.  The functional-equation residual is
-read off two consecutive rows of the counting table at a time.  The
-kernel checks hold a series as u-rows of t-coefficient lists, where
-multiplying by (1-t) is one first difference and dividing by it one
-prefix sum.  Dividing by a kernel factor u - (u-1)(1-t)^k = p + u(1-p),
+read off two consecutive rows of the counting table at a time.  On
+rows, multiplying by (1-t) is one first difference and dividing by it
+one prefix sum.  Dividing by a kernel factor u - (u-1)(1-t)^k = p + u(1-p),
 p = (1-t)^k, goes one u-row at a time: p (X_j - X_{j-1}) = Y_j - X_{j-1}.
 `verify_S_identity` sums its k-terms in Horner form in P = (1-t)^m
 before the common factor (u-1)^m, and `F_n_polynomial` builds its
 t-only factors as lists and expands the (u-1)^{n-l} u^l part once.
-`tests/reference.py` keeps the ring products, powers and inverses and
-the product forms built on them, and the tests require equal
-coefficients.
+`tests/reference.py` keeps a sparse series ring with products, powers
+and inverses, and the product forms built on it; the tests require
+equal coefficients.
 """
 
 from __future__ import annotations
@@ -48,124 +50,14 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from math import comb
 
-_KEY = tuple[int, int, int]
-
-
-class TruncatedSeries:
-    """Sparse exact series in t, u, v; truncated at t_order (and u_order if set)."""
-
-    __slots__ = ("t_order", "u_order", "coeffs")
-
-    def __init__(self, t_order: int, coeffs: dict[_KEY, int] | None = None,
-                 u_order: int | None = None):
-        self.t_order = int(t_order)
-        self.u_order = u_order
-        if self.t_order < 0 or (u_order is not None and u_order < 0):
-            raise ValueError(f"truncation orders must be >= 0, got t {t_order}, u {u_order}")
-        data: dict[_KEY, int] = {}
-        if coeffs:
-            for (dt, du, dv), c in coeffs.items():
-                if dt < 0 or du < 0 or dv < 0:
-                    raise ValueError(f"negative exponent in {(dt, du, dv)}")
-                if c and dt <= self.t_order and (u_order is None or du <= u_order):
-                    data[dt, du, dv] = c
-        self.coeffs = data
-
-    # -- construction helpers
-
-    @classmethod
-    def zero(cls, t_order: int, u_order: int | None = None) -> TruncatedSeries:
-        return cls(t_order, {}, u_order)
-
-    @classmethod
-    def one(cls, t_order: int, u_order: int | None = None) -> TruncatedSeries:
-        return cls(t_order, {(0, 0, 0): 1}, u_order)
-
-    @classmethod
-    def monomial(cls, c: int, dt: int = 0, du: int = 0, dv: int = 0, *,
-                 t_order: int, u_order: int | None = None) -> TruncatedSeries:
-        return cls(t_order, {(dt, du, dv): c}, u_order)
-
-    def _like(self, coeffs: dict[_KEY, int]) -> TruncatedSeries:
-        """A series with this one's orders; `coeffs` must already be in range."""
-        out = object.__new__(TruncatedSeries)
-        out.t_order, out.u_order = self.t_order, self.u_order
-        out.coeffs = {k: c for k, c in coeffs.items() if c}
-        return out
-
-    def _check_compatible(self, other: TruncatedSeries) -> None:
-        if self.t_order != other.t_order or self.u_order != other.u_order:
-            raise ValueError("mixed truncation orders")
-
-    # -- additive operations
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.monomial(other, t_order=self.t_order,
-                                             u_order=self.u_order)
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return self._like(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.monomial(other, t_order=self.t_order,
-                                             u_order=self.u_order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.t_order == other.t_order
-                and self.u_order == other.u_order
-                and self.coeffs == other.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    # -- substitutions and views
-
-    def subs_v_one(self) -> TruncatedSeries:
-        out: dict[_KEY, int] = {}
-        for (dt, du, _dv), c in self.coeffs.items():
-            key = (dt, du, 0)
-            out[key] = out.get(key, 0) + c
-        return self._like(out)
-
-    def truncate_t(self, t_order: int) -> TruncatedSeries:
-        return TruncatedSeries(t_order, self.coeffs, self.u_order)
-
-    def with_u_order(self, u_order: int | None) -> TruncatedSeries:
-        return TruncatedSeries(self.t_order, self.coeffs, u_order)
-
-    def coefficient(self, dt: int, du: int, dv: int = 0) -> int:
-        return self.coeffs.get((dt, du, dv), 0)
-
-    def divisible_by_t(self, k: int) -> bool:
-        return all(dt >= k for (dt, _, _) in self.coeffs)
-
-    def __repr__(self):
-        terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
-        return f"TruncatedSeries(t<= {self.t_order}, u<= {self.u_order}, {{{terms}}})"
-
-
-def _from_rows(rows: list[list[int]], t_order: int, u_order: int | None) -> TruncatedSeries:
-    """sum_du u^du rows[du](t); rows[du][dt] must be in range of both orders."""
-    return TruncatedSeries.zero(t_order, u_order)._like(
-        {(dt, du, 0): c for du, row in enumerate(rows) for dt, c in enumerate(row)})
-
-
 # ---------------------------------------------------------------------------
 # Polynomial building blocks
+
+
+def _check_orders(*orders: int) -> None:
+    """A negative truncation order would leave nothing to check."""
+    if min(orders) < 0:
+        raise ValueError(f"truncation orders must be >= 0, got {min(orders)}")
 
 
 def _times_one_minus_t(row: list[int], k: int) -> list[int]:
@@ -330,24 +222,16 @@ class CountTable:
             return [1]
         return [sum(row) for row in self.counts[n]]
 
-    def series(self, t_order: int | None = None) -> TruncatedSeries:
-        """F(t; u, v) = sum t^len u^ascents v^last, including the empty sequence."""
-        if t_order is None:
-            t_order = self.max_length
+    def u_rows(self, t_order: int, u_order: int) -> list[list[int]]:
+        """F(t; u, 1) as u-rows: rows[a][n] counts length-n sequences with a ascents."""
+        _check_orders(t_order, u_order)
         if t_order > self.max_length:
             raise ValueError("table too short for requested order")
-        coeffs: dict[_KEY, int] = {(0, 0, 0): 1}
-        for n in range(1, t_order + 1):
-            for a, row in enumerate(self.counts[n]):
-                for last, c in enumerate(row):
-                    if c:
-                        coeffs[n, a, last] = c
-        return TruncatedSeries.zero(t_order)._like(coeffs)  # in range by construction
-
-    def series_u(self, t_order: int | None = None,
-                 u_order: int | None = None) -> TruncatedSeries:
-        """F(t; u, 1): length and ascent count only."""
-        return self.series(t_order).subs_v_one().with_u_order(u_order)
+        rows = [[0] * (t_order + 1) for _ in range(u_order + 1)]
+        for n in range(t_order + 1):
+            for a, c in enumerate(self.by_ascents(n)[:u_order + 1]):
+                rows[a][n] = c
+        return rows
 
 
 def count_table(max_length: int) -> CountTable:
@@ -355,10 +239,18 @@ def count_table(max_length: int) -> CountTable:
 
 
 # ---------------------------------------------------------------------------
-# Identity checks (each returns a residual series that must be zero)
+# Identity checks (each returns its nonzero residual cells; [] means zero)
 
 
-def verify_functional_equation(order: int, table: CountTable | None = None) -> TruncatedSeries:
+def _residual(rows: list[list[int]], other: list[list[int]]) -> list[tuple[int, int, int]]:
+    """The nonzero cells of rows - other as sorted (t, u, c); a missing row or coefficient is 0."""
+    return sorted((t, u, a - b)
+                  for u, pair in enumerate(zip_longest(rows, other, fillvalue=()))
+                  for t, (a, b) in enumerate(zip_longest(*pair, fillvalue=0)) if a != b)
+
+
+def verify_functional_equation(order: int,
+                               table: CountTable | None = None) -> list[tuple[int, int, int, int]]:
     """Residual of (v-1-tv(1-u)) G = t(v-1) - t G(u,1) + t u v^2 G(uv,1).
 
     G = F - 1, so g[n][a][l] = `table.counts[n][a][l]` for n >= 1 and G
@@ -369,13 +261,15 @@ def verify_functional_equation(order: int, table: CountTable | None = None) -> T
         g[n][a][l-1] - g[n][a][l] - g[n-1][a][l-1] + g[n-1][a-1][l-1]
         - [n=1, a=0]([l=1] - [l=0]) + [l=0] G1[n-1][a] - [l=a+1] G1[n-1][a-1],
 
-    with out-of-range indices counting as 0.
+    with out-of-range indices counting as 0.  Returns the nonzero
+    coefficients as (n, a, l, c), sorted.
     """
+    _check_orders(order)
     if table is None:
         table = CountTable(order)
     if order > table.max_length:
         raise ValueError("table too short for requested order")
-    residual: dict[_KEY, int] = {}
+    residual = []
     prev: list[list[int]] = []
     for n in range(1, order + 1):
         cur = table.counts[n]
@@ -393,21 +287,24 @@ def verify_functional_equation(order: int, table: CountTable | None = None) -> T
                 cells[0] += 1
                 cells[1] -= 1
             if any(cells):
-                residual.update(((n, a, last), c) for last, c in enumerate(cells) if c)
+                residual += [(n, a, last, c) for last, c in enumerate(cells) if c]
         prev = cur
-    return TruncatedSeries(order, residual)
+    return residual
 
 
-def F_n_polynomial(n: int) -> TruncatedSeries:
-    """The n-th polynomial summand of the t-convergent form of F(t;u,1).
+def F_n_polynomial(n: int) -> list[list[int]]:
+    """The n-th polynomial summand of the t-convergent form of F(t;u,1), as u-rows.
 
     F_n = sum_{l=0..n} (u-1)^{n-l} u^l sum_{m=l..n} (-1)^{n-m} C(n,m)
           (1-t)^{m-l} prod_{i=m-l+1..m} (1 - (1-t)^i).
 
-    Exact: the t truncation order is the actual degree bound n(n+3)/2,
-    so nothing is cut.  Divisible by t^n, and at u = 1 it collapses to
-    prod_{i=1..n}(1 - (1-t)^i), the summand of the product formula.
+    Exact: n + 1 rows of n(n+3)/2 + 1 coefficients, the actual degree
+    bounds, so nothing is cut.  Divisible by t^n, and at u = 1 (the sum
+    of the rows) it collapses to prod_{i=1..n}(1 - (1-t)^i), the summand
+    of the product formula.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     t_order = n * (n + 3) // 2
     # inner[ell] is the m-sum for ell.  With d = m - ell, the product over
     # i = d+1..d+ell grows by one factor from each ell to the next.
@@ -422,16 +319,18 @@ def F_n_polynomial(n: int) -> TruncatedSeries:
     rows = [[0] * (t_order + 1) for _ in range(n + 1)]
     for ell, poly in enumerate(inner):
         _add_times_u_minus_one(rows, poly, n - ell, ell)
-    return _from_rows(rows, t_order, None)
+    return rows
 
 
-def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> list[list[int]]:
     """-sum_{j=0..m-1} (u-1)^j u^{m-1-j} (1-t)^j prod_{i=j+1..m-1}(1-(1-t)^i).
 
-    For m = 1 the sum is the single empty-product term, so the value is -1.
+    The u-rows up to u^min(m-1, u_order), each up to t^t_order.  For
+    m = 1 the sum is the single empty-product term, so the value is -1.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_orders(t_order, u_order or 0)
     top = m - 1 if u_order is None else min(m - 1, u_order)
     rows = [[0] * (t_order + 1) for _ in range(top + 1)]
     for j in range(m):
@@ -439,61 +338,60 @@ def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> Truncated
         for i in range(j + 1, m):
             poly = _times_level_factor(poly, i)
         _add_times_u_minus_one(rows, poly, j, m - 1 - j, -1)
-    return _from_rows(rows, t_order, u_order)
+    return rows
 
 
-def kernel_terms(order: int) -> list[TruncatedSeries]:
+def kernel_terms(order: int) -> list[list[list[int]]]:
     """u^(k-1) / prod_{i=1..k}(u - (u-1)(1-t)^i) for k = 1..order+1.
 
-    The m-independent part of each term of `verify_S_identity`, with t
-    and u both truncated at `order`.
+    The m-independent part of each term of `verify_S_identity`: each
+    term is order + 1 u-rows of order + 1 t-coefficients, with rows of
+    its own (the division shares unchanged rows).
     """
-    return [_from_rows(rows, order, order) for rows in _kernel_rows(order, order)]
+    _check_orders(order)
+    return [[row[:] for row in rows] for rows in _kernel_rows(order, order)]
 
 
 def verify_S_identity(m: int, order: int,
-                      terms: list[TruncatedSeries] | None = None) -> TruncatedSeries:
+                      terms: list[list[list[int]]] | None = None) -> list[tuple[int, int, int]]:
     """Residual of the polynomial identity behind the t-convergent form.
 
     The u-series sum_{k>=1} (u-1)^m u^{k-1} (1-t)^{mk} /
     prod_{i=1..k}(u - (u-1)(1-t)^i) equals `S_closed_form(m)`; terms with
     k > order+1 only touch u-powers above the truncation.  `terms` are
-    the shared factors from `kernel_terms(order)`, built here if absent;
-    they have no v terms.
+    the shared factors from `kernel_terms(order)`, built here if absent:
+    order + 1 terms of order + 1 u-rows of order + 1 t-coefficients.
+    Returns the nonzero residual coefficients as (t, u, c), sorted.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    nt = nu = order
+    _check_orders(order)
+    width = order + 1
     if terms is None:
         terms = kernel_terms(order)
-    elif len(terms) != order + 1:
-        raise ValueError(f"need {order + 1} kernel terms, got {len(terms)}")
-    elif any(term.t_order != nt or term.u_order != nu for term in terms):
-        raise ValueError("mixed truncation orders")
-    elif any(dv for term in terms for (_, _, dv) in term.coeffs):
-        raise ValueError("kernel terms must not have v terms")
+    elif len(terms) != width or any(
+            len(rows) != width or any(len(row) != width for row in rows) for rows in terms):
+        raise ValueError(f"need {width} kernel terms of {width} u-rows of {width} t-coefficients")
     # (u-1)^m is common to every term, and (1-t)^(mk) = P^k with
     # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first
-    acc = [[0] * (nt + 1) for _ in range(nu + 1)]
+    acc = [[0] * width for _ in range(width)]
     for term in reversed(terms):
-        rows = [_times_one_minus_t(row, m) for row in acc]
-        for (dt, du, _dv), c in term.coeffs.items():
-            rows[du][dt] += c
-        acc = rows
-    acc = [_times_one_minus_t(row, m) for row in acc]
-    lhs = [[0] * (nt + 1) for _ in range(nu + 1)]
+        acc = [[a + b for a, b in zip(_times_one_minus_t(row, m), own)]
+               for row, own in zip(acc, term)]
+    lhs = [[0] * width for _ in range(width)]
     for du, row in enumerate(acc):
-        _add_times_u_minus_one(lhs, row, m, du)
-    return _from_rows(lhs, nt, nu) - S_closed_form(m, nt, nu)
+        _add_times_u_minus_one(lhs, _times_one_minus_t(row, m), m, du)
+    return _residual(lhs, S_closed_form(m, order, order))
 
 
-def kernel_solution_series(u_order: int, t_order: int) -> TruncatedSeries:
-    """F(t;u,1) from the kernel-method solution, expanded as a u-series.
+def kernel_solution_series(u_order: int, t_order: int) -> list[list[int]]:
+    """F(t;u,1) from the kernel-method solution, as u_order + 1 u-rows up to t^t_order.
 
     sum_{k>=1} (1-u) u^{k-1} (1-t)^k / ((u-(u-1)(1-t)^k)
     prod_{i=1..k}(u-(u-1)(1-t)^i)); the u^{k-1} factor means terms with
     k > u_order+1 contribute nothing below u^{u_order+1}.
     """
+    _check_orders(u_order, t_order)
     nt, nu = t_order, u_order
     total = [[0] * (nt + 1) for _ in range(nu + 1)]
     for k, rows in enumerate(_kernel_rows(nt, nu), start=1):
@@ -503,17 +401,17 @@ def kernel_solution_series(u_order: int, t_order: int) -> TruncatedSeries:
         for j, (row, x) in enumerate(zip(rows, _divide_by_kernel_factor(rows, k))):
             total[j] = [a + y - b for a, y, b in zip(total[j], row, below)]
             below = x
-    return _from_rows(total, nt, nu)
+    return total
 
 
 def verify_kernel_solution(u_order: int, t_order: int,
-                           table: CountTable | None = None) -> TruncatedSeries:
-    """Residual between the kernel-method solution and the counting DP."""
+                           table: CountTable | None = None) -> list[tuple[int, int, int]]:
+    """Residual between the kernel-method solution and the counting DP, as sorted (t, u, c)."""
+    _check_orders(u_order, t_order)
     if table is None:
         table = CountTable(t_order)
-    closed = kernel_solution_series(u_order, t_order)
-    reference = table.series_u(t_order, u_order)
-    return closed - reference
+    reference = table.u_rows(t_order, u_order)
+    return _residual(kernel_solution_series(u_order, t_order), reference)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,8 @@ def _series(order: int) -> tuple[str, int]:
     comparison with the counting DP, so each has a failure of its own.
     """
     table = series.count_table(order)
-    residual = series.verify_functional_equation(order, table)
-    _check(residual.is_zero(), f"functional equation residual nonzero at order {order}")
+    _check(not series.verify_functional_equation(order, table),
+           f"functional equation residual nonzero at order {order}")
     counts = series.p_series(order)
     for n, p in enumerate(counts):
         for m, residues in CONGRUENCES.items():
@@ -160,13 +160,15 @@ def _series(order: int) -> tuple[str, int]:
                f"p_n is not within 1/n of Zagier's asymptotic at n = {n}")
     _check(counts == [table.total(n) for n in range(order + 1)],
            f"p_series disagrees with the counting DP at order {order}")
-    reference = series.count_table(10).series_u(10)
-    total = series.TruncatedSeries.zero(10)
+    total = [[0] * 11 for _ in range(11)]
     for n in range(11):
         f_n = series.F_n_polynomial(n)
-        _check(f_n.divisible_by_t(n), f"summand {n} is not divisible by t^{n}")
-        total = total + f_n.truncate_t(10).subs_v_one()
-    _check(total == reference, "summands do not add up to the counting series")
+        _check(not any(any(row[:n]) for row in f_n), f"summand {n} is not divisible by t^{n}")
+        for u, row in enumerate(f_n):
+            for t, c in enumerate(row[:11]):
+                total[u][t] += c
+    _check(total == series.count_table(10).u_rows(10, 10),
+           "summands do not add up to the counting series")
     return "series identities hold", order + 1
 
 
@@ -178,12 +180,11 @@ def _zagier_ratio(n: int, p: int) -> float:
 
 def _kernel(order: int) -> tuple[str, int]:
     """Checks the t-coefficients 0..order of the kernel solution and identities."""
-    residual = series.verify_kernel_solution(4, order)
-    _check(residual.is_zero(), "kernel solution disagrees with the counting series")
+    _check(not series.verify_kernel_solution(4, order),
+           "kernel solution disagrees with the counting series")
     terms = series.kernel_terms(order)
     for m in range(1, 6):
-        _check(series.verify_S_identity(m, order, terms).is_zero(),
-               f"polynomial identity fails for m={m}")
+        _check(not series.verify_S_identity(m, order, terms), f"polynomial identity fails for m={m}")
     return "kernel checks pass", order + 1
 
 

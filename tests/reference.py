@@ -13,14 +13,7 @@ from collections.abc import Iterable, Iterator
 from math import comb
 from operator import mul
 
-from fishburn import (
-    BivincularPattern,
-    ChordInvolution,
-    CountTable,
-    Permutation,
-    TruncatedSeries,
-    swap_endpoints,
-)
+from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation
 from fishburn.errors import (
     FixedPointError,
     NotAscentSequenceError,
@@ -82,6 +75,15 @@ def neighbour_nesting_positions(c: ChordInvolution) -> list[int]:
         if a1 < a2 <= b2 < b1 or a2 < a1 <= b1 < b2:
             out.append(i)
     return out
+
+
+def swap_endpoints(c: ChordInvolution, i: int) -> ChordInvolution:
+    """Conjugate by the transposition (i, i+1): swap two adjacent endpoints."""
+    p = c.partner
+    if not 1 <= i < len(p):
+        raise ValueError(f"no endpoints {i} and {i + 1} among 1..{len(p)}")
+    t = lambda x: i + 1 if x == i else i if x == i + 1 else x
+    return ChordInvolution(tuple(t(p[t(x) - 1]) for x in range(1, len(p) + 1)))
 
 
 def remove_neighbour_nestings_by_rescanning(c: ChordInvolution) -> ChordInvolution:
@@ -292,11 +294,115 @@ def product_polynomial(n: int, t_order: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The multiplicative half of the series ring
+# A sparse series ring
 #
-# `TruncatedSeries` only adds and subtracts; these products, powers and
-# inverses are the oracle forms the row-by-row library code is checked
-# against.
+# The library holds its series as u-rows of t-coefficient lists and
+# never multiplies two of them.  `TruncatedSeries` and the products,
+# powers and inverses below are the oracle forms that the row-by-row
+# library code is checked against.
+
+
+class TruncatedSeries:
+    """Sparse exact series in t, u, v; truncated at t_order (and u_order if set)."""
+
+    __slots__ = ("t_order", "u_order", "coeffs")
+
+    def __init__(self, t_order: int, coeffs: dict[tuple[int, int, int], int] | None = None,
+                 u_order: int | None = None):
+        self.t_order = int(t_order)
+        self.u_order = u_order
+        if self.t_order < 0 or (u_order is not None and u_order < 0):
+            raise ValueError(f"truncation orders must be >= 0, got t {t_order}, u {u_order}")
+        data = {}
+        for (dt, du, dv), c in (coeffs or {}).items():
+            if dt < 0 or du < 0 or dv < 0:
+                raise ValueError(f"negative exponent in {(dt, du, dv)}")
+            if c and dt <= self.t_order and (u_order is None or du <= u_order):
+                data[dt, du, dv] = c
+        self.coeffs = data
+
+    @classmethod
+    def zero(cls, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+        return cls(t_order, {}, u_order)
+
+    @classmethod
+    def one(cls, t_order: int, u_order: int | None = None) -> TruncatedSeries:
+        return cls(t_order, {(0, 0, 0): 1}, u_order)
+
+    @classmethod
+    def monomial(cls, c: int, dt: int = 0, du: int = 0, dv: int = 0, *,
+                 t_order: int, u_order: int | None = None) -> TruncatedSeries:
+        return cls(t_order, {(dt, du, dv): c}, u_order)
+
+    def _check_compatible(self, other: TruncatedSeries) -> None:
+        if self.t_order != other.t_order or self.u_order != other.u_order:
+            raise ValueError("mixed truncation orders")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = TruncatedSeries.monomial(other, t_order=self.t_order, u_order=self.u_order)
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0) + c
+        return TruncatedSeries(self.t_order, out, self.u_order)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncatedSeries(self.t_order, {k: -c for k, c in self.coeffs.items()}, self.u_order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        return (isinstance(other, TruncatedSeries)
+                and self.t_order == other.t_order
+                and self.u_order == other.u_order
+                and self.coeffs == other.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def subs_v_one(self) -> TruncatedSeries:
+        out: dict[tuple[int, int, int], int] = {}
+        for (dt, du, _dv), c in self.coeffs.items():
+            out[dt, du, 0] = out.get((dt, du, 0), 0) + c
+        return TruncatedSeries(self.t_order, out, self.u_order)
+
+    def __repr__(self):
+        terms = ", ".join(f"{k}: {c}" for k, c in sorted(self.coeffs.items()))
+        return f"TruncatedSeries(t<= {self.t_order}, u<= {self.u_order}, {{{terms}}})"
+
+
+def from_rows(rows: list[list[int]], u_order: int | None = None) -> TruncatedSeries:
+    """sum_u u^u rows[u](t), truncated at t^(len(row) - 1) and at u^u_order.
+
+    Every row must have the same length and, with a u order, there must
+    be at most u_order + 1 rows, so that no coefficient is dropped.
+    """
+    t_order = len(rows[0]) - 1
+    if any(len(row) != t_order + 1 for row in rows):
+        raise ValueError("rows of different lengths")
+    if u_order is not None and len(rows) > u_order + 1:
+        raise ValueError(f"{len(rows)} rows past u^{u_order}")
+    return TruncatedSeries(t_order, {(dt, du, 0): c for du, row in enumerate(rows)
+                                     for dt, c in enumerate(row)}, u_order)
+
+
+def cells(s: TruncatedSeries) -> list[tuple[int, int, int, int]]:
+    """The nonzero coefficients as sorted (t, u, v, c): `verify_functional_equation`'s form."""
+    return sorted((*key, c) for key, c in s.coeffs.items())
+
+
+def tu_cells(s: TruncatedSeries) -> list[tuple[int, int, int]]:
+    """The nonzero coefficients as sorted (t, u, c): the form of the checks in t and u alone."""
+    if any(dv for _, _, dv in s.coeffs):
+        raise ValueError("series has v terms")
+    return [(t, u, c) for t, u, _, c in cells(s)]
 
 
 def times(a: TruncatedSeries, *factors: TruncatedSeries | int) -> TruncatedSeries:
@@ -522,7 +628,9 @@ def F_n_polynomial_by_products(n: int) -> TruncatedSeries:
 
 def functional_equation_residual_by_products(order: int, table: CountTable) -> TruncatedSeries:
     """`verify_functional_equation` with the kernel and both sides as ring products."""
-    G = table.series(order) - TruncatedSeries.one(order)
+    G = TruncatedSeries(order, {(n, a, last): c for n in range(1, order + 1)
+                                for a, row in enumerate(table.counts[n])
+                                for last, c in enumerate(row)})
     mono = lambda c, dt=0, du=0, dv=0: TruncatedSeries.monomial(c, dt, du, dv, t_order=order)
     kernel = mono(1, dv=1) - mono(1) - mono(1, dt=1, dv=1) + mono(1, dt=1, du=1, dv=1)
     lhs = times(kernel, G)

@@ -32,7 +32,6 @@ from fishburn.bijections import (
     sequence_to_perm,
     sequence_to_perm_by_insertion,
     sequence_to_poset,
-    swap_endpoints,
     to_modified,
 )
 from fishburn.errors import NotInRError, NotModifiedSequenceError
@@ -53,7 +52,11 @@ from conftest import (
     POSET8C_SEQUENCE,
     random_ascent_sequence,
 )
-from reference import neighbour_nesting_positions, remove_neighbour_nestings_by_rescanning
+from reference import (
+    neighbour_nesting_positions,
+    remove_neighbour_nestings_by_rescanning,
+    swap_endpoints,
+)
 from test_objects import ascent_sequences
 
 

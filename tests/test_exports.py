@@ -75,7 +75,6 @@ CALLS = {
     "sequence_to_perm": lambda i: fb.sequence_to_perm(i.x),
     "sequence_to_perm_by_insertion": lambda i: fb.sequence_to_perm_by_insertion(i.x),
     "sequence_to_poset": lambda i: fb.sequence_to_poset(i.x),
-    "swap_endpoints": lambda i: fb.swap_endpoints(i.c, N),
     "to_modified": lambda i: fb.to_modified(i.x),
     # patterns: the image permutation as a pattern, and the family pattern in it
     "BivincularPattern": lambda i: rebuild(i.pattern),
@@ -93,8 +92,7 @@ CALLS = {
     "stats_of_perm": lambda i: fb.stats_of_perm(i.pi),
     "stats_of_poset": lambda i: fb.stats_of_poset(i.p),
     "stats_of_sequence": lambda i: fb.stats_of_sequence(i.x),
-    # closed forms and a series of the size
-    "TruncatedSeries": lambda i: fb.TruncatedSeries.one(N),
+    # closed forms
     "barred_avoiders_by_rlmin": lambda i: fb.barred_avoiders_by_rlmin(N, N // 2),
     "count_barred_avoiders": lambda i: fb.count_barred_avoiders(N),
 }

@@ -10,7 +10,6 @@ from fishburn.series import (
     CountTable,
     F_n_polynomial,
     S_closed_form,
-    TruncatedSeries,
     _ascent_counts,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
@@ -29,6 +28,9 @@ from reference import (
     F_n_polynomial_by_products,
     S_closed_form_by_products,
     S_identity_term_by_term,
+    TruncatedSeries,
+    cells,
+    from_rows,
     functional_equation_residual_by_products,
     invert,
     kernel_solution_series_by_products,
@@ -40,6 +42,7 @@ from reference import (
     subs_u_one,
     t_coefficients,
     times,
+    tu_cells,
     u_to_uv,
 )
 
@@ -93,7 +96,7 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             invert(2 + t)
         with pytest.raises(ValueError):
-            invert((1 + t).with_u_order(None))
+            invert(TruncatedSeries(nt, (1 + t).coeffs))
 
     def test_substitutions(self):
         s = TruncatedSeries(3, {(1, 2, 0): 5, (2, 1, 1): 7})
@@ -121,26 +124,37 @@ class TestTruncatedSeries:
         lambda: verify_kernel_solution(-1, 5),
         lambda: verify_kernel_solution(2, -1, CountTable(3)),
         lambda: verify_S_identity(2, -1),
-        lambda: CountTable(3).series(-2),
-        lambda: CountTable(3).series_u(2, -1),
+        lambda: verify_S_identity(2, -1, []),
+        lambda: CountTable(3).u_rows(-2, 2),
+        lambda: CountTable(3).u_rows(2, -1),
         lambda: TruncatedSeries(-1),
         lambda: TruncatedSeries.zero(2, -1),
-    ], ids=["functional-equation", "kernel-u", "kernel-t", "S-identity", "series",
-            "series-u", "constructor", "zero"])
+        lambda: F_n_polynomial(-1),
+        lambda: F_n_polynomial(-2),
+        lambda: F_n_polynomial(-3),
+        lambda: kernel_terms(-1),
+        lambda: S_closed_form(2, -1),
+        lambda: S_closed_form(2, 4, -1),
+        lambda: kernel_solution_series(-1, 5),
+        lambda: kernel_solution_series(2, -1),
+    ], ids=["functional-equation", "kernel-u", "kernel-t", "S-identity", "S-identity-terms",
+            "series", "series-u", "constructor", "zero", "summand-1", "summand-2", "summand-3",
+            "kernel-terms", "closed-form-t", "closed-form-u", "kernel-series-u",
+            "kernel-series-t"])
     def test_negative_orders_are_rejected(self, call):
-        # a negative order would truncate everything away and pass vacuously
+        # a negative order would leave no row to check, and the check would pass
         with pytest.raises(ValueError):
             call()
 
     def test_order_zero_still_checks(self):
-        assert verify_functional_equation(0, CountTable(3)).is_zero()
-        assert verify_kernel_solution(0, 0).is_zero()
-        assert verify_S_identity(2, 0).is_zero()
-        assert CountTable(3).series(0).coeffs == {(0, 0, 0): 1}
+        assert verify_functional_equation(0, CountTable(3)) == []
+        assert verify_kernel_solution(0, 0) == []
+        assert verify_S_identity(2, 0) == []
+        assert CountTable(3).u_rows(0, 0) == [[1]]
 
     def test_all_coefficients_are_ints(self):
         f = kernel_solution_series(3, 6)
-        assert all(isinstance(c, int) for c in f.coeffs.values())
+        assert all(isinstance(c, int) for row in f for c in row)
 
 
 class TestProductFormula:
@@ -212,38 +226,47 @@ class TestKernelOracles:
         terms = kernel_terms(order)
         for m in range(1, 6):
             shared = verify_S_identity(m, order, terms)
-            assert shared == verify_S_identity(m, order)
-            assert shared.is_zero()
+            assert shared == verify_S_identity(m, order) == []
 
     def test_kernel_terms_must_match_the_order(self):
         with pytest.raises(ValueError):
             verify_S_identity(2, 8, kernel_terms(6))
-        wider = [term.truncate_t(9) for term in kernel_terms(8)]
+        wider = [[row + [0] for row in rows] for rows in kernel_terms(8)]
         with pytest.raises(ValueError):
             verify_S_identity(2, 8, wider)
 
-    def test_kernel_terms_with_v_terms_are_rejected(self):
-        # moving one coefficient onto v^1 changes the term-by-term residual,
-        # so the row form, which has no v-rows, must refuse such terms
+    def test_kernel_terms_of_the_wrong_shape_are_rejected(self):
+        # moving one coefficient onto v^1 changes the term-by-term residual;
+        # u-rows have no v index to move it to, so only a wrong shape can
+        # reach the row form, and it must refuse one
         order = 8
         terms = kernel_terms(order)
-        coeffs = dict(terms[2].coeffs)
+        series_terms = [from_rows(rows, order) for rows in terms]
+        coeffs = dict(series_terms[2].coeffs)
         coeffs[3, 2, 1] = coeffs.pop((3, 2, 0))
-        terms[2] = TruncatedSeries(order, coeffs, order)
-        assert not S_identity_term_by_term(2, order, terms).is_zero()
-        with pytest.raises(ValueError):
-            verify_S_identity(2, order, terms)
+        series_terms[2] = TruncatedSeries(order, coeffs, order)
+        assert not S_identity_term_by_term(2, order, series_terms).is_zero()
+        extra_row = [*terms[:2], terms[2] + [[0] * (order + 1)], *terms[3:]]
+        short_row = [*terms[:2], [*terms[2][:3], terms[2][3][:-1], *terms[2][4:]], *terms[3:]]
+        for bad in (extra_row, short_row):
+            with pytest.raises(ValueError):
+                verify_S_identity(2, order, bad)
+        assert verify_S_identity(2, order, terms) == []
 
 
 class TestCountTable:
     def test_low_order_series(self):
-        F = count_table(3).series(3)
-        assert F.coeffs == {
-            (0, 0, 0): 1,
-            (1, 0, 0): 1,
-            (2, 0, 0): 1, (2, 1, 1): 1,
-            (3, 0, 0): 1, (3, 1, 0): 1, (3, 1, 1): 2, (3, 2, 2): 1,
-        }
+        table = count_table(3)
+        assert table.counts[1:] == [[[1]], [[1, 0], [0, 1]], [[1, 0, 0], [1, 2, 0], [0, 0, 1]]]
+        assert table.total(0) == 1
+        assert table.u_rows(3, 3) == [[1, 1, 1, 1], [0, 0, 1, 3], [0, 0, 0, 1], [0, 0, 0, 0]]
+        assert table.u_rows(2, 0) == [[1, 1, 1]]
+
+    def test_u_rows_need_a_long_enough_table(self):
+        with pytest.raises(ValueError, match="table too short for requested order"):
+            count_table(3).u_rows(4, 2)
+        with pytest.raises(ValueError, match="table too short for requested order"):
+            verify_kernel_solution(2, 5, CountTable(3))
 
     def test_single_sequence_row(self):
         table = count_table(1)
@@ -302,16 +325,16 @@ def bumped(table: CountTable, n: int, a: int, last: int) -> CountTable:
 
 class TestFunctionalEquation:
     def test_zero_residual(self):
-        assert verify_functional_equation(12).is_zero()
+        assert verify_functional_equation(12) == []
 
     def test_zero_order(self):
-        assert verify_functional_equation(0).is_zero()
+        assert verify_functional_equation(0) == []
 
     def test_corrupted_table_is_detected(self):
         table = count_table(6)
         counts = [None if r is None else [row[:] for row in r] for r in table.counts]
         counts[5][2][1] += 1
-        assert not verify_functional_equation(6, CountTable(6, counts)).is_zero()
+        assert verify_functional_equation(6, CountTable(6, counts)) != []
 
     def test_table_too_short_is_rejected(self):
         with pytest.raises(ValueError, match="table too short for requested order"):
@@ -332,7 +355,8 @@ class TestFunctionalEquation:
 
     def test_a_bumped_cell_shows_in_its_own_row_and_the_next(self):
         residual = verify_functional_equation(10, bumped(count_table(10), 7, 3, 2))
-        assert {(n, a) for n, a, _ in residual.coeffs} == {(7, 3), (8, 3), (8, 4)}
+        assert residual == sorted(residual)
+        assert {(n, a) for n, a, _, _ in residual} == {(7, 3), (8, 3), (8, 4)}
 
 
 class TestFunctionalEquationAgainstProducts:
@@ -342,41 +366,48 @@ class TestFunctionalEquationAgainstProducts:
     def test_real_table(self, order):
         table = count_table(order)
         fast = verify_functional_equation(order, table)
-        assert fast.coeffs == functional_equation_residual_by_products(order, table).coeffs == {}
+        assert fast == cells(functional_equation_residual_by_products(order, table)) == []
 
     def test_every_single_cell_bump(self):
         table = count_table(8)
-        cells = [(n, a, last) for n in range(1, 9) for a in range(n) for last in range(n)]
-        for cell in cells:
+        every_cell = [(n, a, last) for n in range(1, 9) for a in range(n) for last in range(n)]
+        for cell in every_cell:
             bad = bumped(table, *cell)
             fast = verify_functional_equation(8, bad)
-            assert not fast.is_zero(), cell
-            assert fast.coeffs == functional_equation_residual_by_products(8, bad).coeffs, cell
+            assert fast != [], cell
+            assert fast == cells(functional_equation_residual_by_products(8, bad)), cell
+
+
+def at_u_one(rows: list[list[int]]) -> list[int]:
+    """The t-coefficients of a series given by u-rows, at u = 1."""
+    return [sum(column) for column in zip(*rows)]
 
 
 class TestSummandPolynomials:
     def test_empty_case(self):
-        f0 = F_n_polynomial(0)
-        assert f0.coeffs == {(0, 0, 0): 1}
+        assert F_n_polynomial(0) == [[1]]
 
     @pytest.mark.parametrize("n", range(11))
     def test_divisible_by_t_power(self, n):
-        assert F_n_polynomial(n).divisible_by_t(n)
+        rows = F_n_polynomial(n)
+        assert len(rows) == n + 1
+        assert not any(any(row[:n]) for row in rows)
 
     @pytest.mark.parametrize("n", range(9))
     def test_u_one_specialization_is_the_product(self, n):
-        f_n = F_n_polynomial(n)
-        assert t_coefficients(subs_u_one(f_n)) == product_polynomial(n, f_n.t_order)
+        f_n = at_u_one(F_n_polynomial(n))
+        assert f_n == product_polynomial(n, len(f_n) - 1)
 
     def test_sum_matches_counting_series(self):
-        reference = count_table(10).series_u(10)
-        total = TruncatedSeries.zero(10)
+        total = [[0] * 11 for _ in range(11)]
         for n in range(11):
-            total = total + F_n_polynomial(n).truncate_t(10).subs_v_one()
-        assert total == reference
+            for u, row in enumerate(F_n_polynomial(n)):
+                for t, c in enumerate(row[:11]):
+                    total[u][t] += c
+        assert total == count_table(10).u_rows(10, 10)
 
     def test_fifth_summand_feeds_the_product_formula(self):
-        f5 = t_coefficients(subs_u_one(F_n_polynomial(5)))
+        f5 = at_u_one(F_n_polynomial(5))
         ps = p_series(8)
         partial = [0] * 9
         for n in range(9):
@@ -393,86 +424,98 @@ class TestAgainstRingProducts:
     def test_kernel_terms(self, order):
         fast, slow = kernel_terms(order), kernel_terms_by_products(order)
         assert len(fast) == len(slow) == order + 1
-        for a, b in zip(fast, slow):
-            assert (a.t_order, a.u_order, a.coeffs) == (b.t_order, b.u_order, b.coeffs)
+        for rows, b in zip(fast, slow):
+            assert len(rows) == order + 1
+            assert from_rows(rows, order) == b
 
     @pytest.mark.parametrize("order", range(17))
     def test_kernel_solution_series(self, order):
         fast = kernel_solution_series(4, order)
-        slow = kernel_solution_series_by_products(4, order)
-        assert (fast.t_order, fast.u_order, fast.coeffs) == (slow.t_order, slow.u_order, slow.coeffs)
+        assert len(fast) == 5
+        assert from_rows(fast, 4) == kernel_solution_series_by_products(4, order)
 
     def test_kernel_solution_series_at_other_u_orders(self):
         for nu, nt in [(0, 5), (1, 7), (6, 3), (9, 9)]:
-            assert kernel_solution_series(nu, nt) == kernel_solution_series_by_products(nu, nt)
+            fast = kernel_solution_series(nu, nt)
+            assert len(fast) == nu + 1
+            assert from_rows(fast, nu) == kernel_solution_series_by_products(nu, nt)
 
     @pytest.mark.parametrize("n", range(11))
     def test_F_n_polynomial(self, n):
-        fast, slow = F_n_polynomial(n), F_n_polynomial_by_products(n)
-        assert (fast.t_order, fast.u_order, fast.coeffs) == (slow.t_order, slow.u_order, slow.coeffs)
+        assert from_rows(F_n_polynomial(n)) == F_n_polynomial_by_products(n)
 
     def test_S_closed_form(self):
         for m in range(1, 8):
             for t_order, u_order in [(0, 0), (6, None), (6, 2), (10, 10), (3, 12)]:
                 fast = S_closed_form(m, t_order, u_order)
-                slow = S_closed_form_by_products(m, t_order, u_order)
-                assert (fast.t_order, fast.u_order, fast.coeffs) == (
-                    slow.t_order, slow.u_order, slow.coeffs)
+                assert from_rows(fast, u_order) == S_closed_form_by_products(m, t_order, u_order)
 
     @pytest.mark.parametrize("order", [0, 1, 5, 10])
     def test_S_identity(self, order):
         terms = kernel_terms(order)
+        series_terms = [from_rows(rows, order) for rows in terms]
         for m in range(1, 6):
-            assert verify_S_identity(m, order, terms) == S_identity_term_by_term(m, order, terms)
+            assert verify_S_identity(m, order, terms) == tu_cells(
+                S_identity_term_by_term(m, order, series_terms))
 
     def test_corrupted_kernel_term_is_detected(self):
         order = 8
         terms = kernel_terms(order)
-        key = (3, 2, 0)
-        bad = TruncatedSeries(order, {**terms[2].coeffs, key: terms[2].coefficient(3, 2) + 1}, order)
-        terms[2] = bad
+        terms[2][2][3] += 1  # t^3 u^2 of the third term
+        series_terms = [from_rows(rows, order) for rows in terms]
         for m in range(1, 6):
             residual = verify_S_identity(m, order, terms)
-            assert not residual.is_zero()
-            assert residual == S_identity_term_by_term(m, order, terms)
+            assert residual != []
+            assert residual == tu_cells(S_identity_term_by_term(m, order, series_terms))
 
     def test_wrong_closed_form_is_detected(self, monkeypatch):
         right = series.S_closed_form
 
         def wrong(m, t_order, u_order=None):
-            return right(m, t_order, u_order) + TruncatedSeries.monomial(
-                1, dt=2, du=1, t_order=t_order, u_order=u_order)
+            rows = right(m, t_order, u_order)
+            if len(rows) == 1:
+                rows.append([0] * (t_order + 1))
+            rows[1][2] += 1  # a t^2 u term too many
+            return rows
 
         monkeypatch.setattr(series, "S_closed_form", wrong)
         for m in range(1, 6):
-            assert not verify_S_identity(m, 8).is_zero()
+            assert verify_S_identity(m, 8) == [(2, 1, -1)]
 
 
 class TestKernelChecks:
     def test_polynomial_identity(self):
         for m in range(1, 6):
-            assert verify_S_identity(m, 8).is_zero()
+            assert verify_S_identity(m, 8) == []
 
     def test_closed_form_base_case(self):
         # at m = 1 the closed side collapses to the constant -1
-        closed = S_closed_form(1, 6, 6)
-        assert closed.coeffs == {(0, 0, 0): -1}
-        assert verify_S_identity(1, 6).is_zero()
+        assert S_closed_form(1, 6, 6) == [[-1, 0, 0, 0, 0, 0, 0]]
+        assert verify_S_identity(1, 6) == []
 
     def test_kernel_solution(self):
-        assert verify_kernel_solution(4, 8).is_zero()
+        assert verify_kernel_solution(4, 8) == []
 
     def test_kernel_solution_detects_a_corrupted_table(self):
         table = count_table(6)
         counts = [None if r is None else [row[:] for row in r] for r in table.counts]
         counts[5][2][1] += 1
-        assert not verify_kernel_solution(4, 6, CountTable(6, counts)).is_zero()
+        assert verify_kernel_solution(4, 6, CountTable(6, counts)) != []
+
+    def test_a_bumped_cell_shows_in_its_own_length_and_ascents_only(self):
+        # the u-rows sum over the last entry, so a cell bumped at (n, a, l)
+        # moves exactly one coefficient: t^n u^a, by -1 on the closed side
+        n = 6
+        table = count_table(n)
+        for m in range(1, n + 1):
+            for a in range(min(m, 5)):
+                for last in range(m):
+                    residual = verify_kernel_solution(4, n, bumped(table, m, a, last))
+                    assert residual == [(m, a, -1)], (m, a, last)
 
     def test_zero_ascents_row(self):
-        f = kernel_solution_series(0, 8)
         # the u^0 coefficient counts the all-zero sequence: one per length
-        for dt in range(9):
-            assert f.coefficient(dt, 0) == 1
+        assert kernel_solution_series(0, 8) == [[1] * 9]
 
     def test_kernel_root_annuls_kernel(self):
         nt, nu = 8, 4

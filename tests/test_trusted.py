@@ -12,12 +12,13 @@ import pytest
 
 import fishburn as fb
 from fishburn import ChordInvolution, Poset, RelationMatrix
-from fishburn.bijections import swap_endpoints
 from fishburn.objects import (
     enumerate_fixed_point_free_involutions,
     enumerate_permutations,
     poset_to_relations,
 )
+
+from reference import swap_endpoints
 
 
 def _is_int_tuple(value) -> bool:
