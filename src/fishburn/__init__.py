@@ -12,6 +12,7 @@ from .errors import (
     FishburnError,
     FixedPointError,
     LengthMismatchError,
+    NeighbourNestingError,
     NotAscentSequenceError,
     NotInRError,
     NotInvolutionError,

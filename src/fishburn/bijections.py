@@ -7,6 +7,8 @@
   the pairs (modified entry, index) by entry ascending, index
   descending, and reads off the indices; encoding reads the modified
   sequence off the permutation, whose active sites cut it into levels.
+  The active-site scan is also the membership check: an occurrence of
+  (231,{1},{1}) is an ascent right after an inactive site.
 * posets <-> ascent sequences: the paper inserts the elements one by
   one; under the canonical labelling element i ends at level m_i of the
   modified sequence m, so `sequence_to_poset` reads the levels off m and
@@ -47,7 +49,6 @@ from .objects import (
     _trusted,
     _Value,
     enumerate_ascent_sequences,
-    r_violation,
 )
 
 
@@ -60,7 +61,9 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
 
     Gap g sits between word[g-1] and word[g]; both ends are always active,
     and an interior gap is active iff the entry before it is 1 or has its
-    predecessor value somewhere to the left.
+    predecessor value somewhere to the left.  An inactive gap followed by
+    an ascent is an occurrence (g, g+1, k) of (231,{1},{1}), so the scan
+    raises NotInRError at the leftmost one, the witness of `r_violation`.
     """
     m = len(word)
     if m == 0:
@@ -71,6 +74,8 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
         a = word[g - 1]
         if a == 1 or pos[a - 1] < g - 1:
             gaps.append(g)
+        elif a < word[g]:
+            raise NotInRError((g, g + 1, pos[a - 1] + 1))
     gaps.append(m)
     return gaps
 
@@ -94,9 +99,6 @@ class ActiveSiteProfile(_Value):
 
 def active_sites(pi: Permutation) -> ActiveSiteProfile:
     """Active-site profile; raises NotInRError off the family."""
-    witness = r_violation(pi)
-    if witness is not None:
-        raise NotInRError(witness)
     if len(pi) == 0:
         raise ValueError("active sites of the empty permutation are undefined")
     gaps = _active_gaps(pi.entries)
@@ -110,11 +112,8 @@ def perm_to_sequence(pi: Permutation) -> AscentSequence:
     The permutation reads the canonical labels level by level, and its
     active sites are exactly the level boundaries (see `poset_to_perm`),
     so the entries between active sites i and i+1 are the labels whose
-    modified-sequence entry is i.
+    modified-sequence entry is i.  Raises NotInRError off the family.
     """
-    witness = r_violation(pi)
-    if witness is not None:
-        raise NotInRError(witness)
     sites = _active_gaps(pi.entries)
     m = [0] * len(pi)
     for level, (lo, hi) in enumerate(zip(sites, sites[1:])):

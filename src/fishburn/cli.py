@@ -23,10 +23,19 @@ import types
 from collections.abc import Callable
 
 from . import bijections, patterns, series, statistics, verify
-from .errors import BruteForceCapError, EmptyObjectError, FishburnError, ParseError, SettingError
+from .errors import (
+    BruteForceCapError,
+    EmptyObjectError,
+    FishburnError,
+    NeighbourNestingError,
+    ParseError,
+    SettingError,
+)
 from .objects import (
     AscentSequence,
+    ChordInvolution,
     ModifiedAscentSequence,
+    _first_neighbour_nesting,
     check_brute_force_cap,
     enumerate_ascent_sequences,
     enumerate_permutations,
@@ -55,6 +64,21 @@ class Codec(types.SimpleNamespace):
     functions up by name at call time, so that a wrapper put on a module
     attribute sees every call.
     """
+
+
+def nesting_free(c: ChordInvolution) -> ChordInvolution:
+    """`c` itself, or NeighbourNestingError naming its leftmost neighbour nesting.
+
+    Only a diagram without one is a member of the family, so the
+    `involution` lines of `convert` and `stats` are checked as `perm`
+    lines are; `involution_to_poset` itself is defined on every diagram.
+    """
+    p = c.partner
+    i = _first_neighbour_nesting(p)
+    if i is not None:
+        # both endpoints open, or both close, a chord: the outer chord opens first
+        raise NeighbourNestingError(sorted((min(j, p[j - 1]), max(j, p[j - 1])) for j in (i, i + 1)))
+    return c
 
 
 CODECS = {
@@ -87,7 +111,7 @@ CODECS = {
         stats=lambda p: statistics.stats_of_poset(p),
     ),
     "involution": Codec(
-        parse=lambda text: parse_involution(text),
+        parse=lambda text: nesting_free(parse_involution(text)),
         format=lambda c: format_involution(c.partner),
         to_hub=lambda c: bijections.poset_to_sequence(bijections.involution_to_poset(c)),
         from_hub=lambda x: bijections.poset_to_involution(bijections.sequence_to_poset(x)),

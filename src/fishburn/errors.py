@@ -12,9 +12,9 @@ class NotAscentSequenceError(FishburnError):
     sequence does not start with 0.
     """
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"not an ascent sequence (entry {index})")
+        super().__init__(f"not an ascent sequence (entry {index})")
 
 
 class EmptyObjectError(FishburnError):
@@ -48,9 +48,9 @@ class NotTwoPlusTwoFreeError(FishburnError):
     y' < y and no other relations among them.
     """
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = tuple(sorted(witness))
-        super().__init__(message or f"contains an induced 2+2 on {self.witness}")
+        super().__init__(f"contains an induced 2+2 on {self.witness}")
 
 
 class NotInRError(FishburnError):
@@ -60,9 +60,22 @@ class NotInRError(FishburnError):
     occurrence: p_i < p_{i+1} and p_k = p_i - 1 with k > i.
     """
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = tuple(witness)
-        super().__init__(message or f"forbidden pattern at positions {self.witness}")
+        super().__init__(f"forbidden pattern at positions {self.witness}")
+
+
+class NeighbourNestingError(FishburnError):
+    """The chord diagram has a nesting at neighbouring endpoints.
+
+    `witness` holds the two chords (opener, closer) at the leftmost pair
+    of endpoints i, i+1 that nest, the outer chord first.
+    """
+
+    def __init__(self, witness):
+        self.witness = tuple(witness)
+        (a, b), (c, d) = self.witness
+        super().__init__(f"nested chords ({a},{b}) and ({c},{d})")
 
 
 class LengthMismatchError(FishburnError):

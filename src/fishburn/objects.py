@@ -65,12 +65,27 @@ def ascents(entries) -> int:
     return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
 
 
+def _exact_int(v, error: str = "not an integer: {!r}") -> int:
+    """`int(v)` when that keeps the value of `v` (bools, 3.0 and "2" do), else ValueError.
+
+    A non-integral float, Fraction or Decimal, infinities included, raises
+    `error` formatted with it; a string is read as `int` reads it.
+    """
+    try:
+        i = int(v)
+    except OverflowError:  # an infinity
+        raise ValueError(error.format(v)) from None
+    if i != v and not isinstance(v, (str, bytes, bytearray)):
+        raise ValueError(error.format(v))
+    return i
+
+
 def _exact_ints(values) -> tuple[int, ...]:
-    """`values` as a tuple of exact ints: a tuple of them as it is, anything else as
-    `tuple(int(v) for v in values)` reads it (bools and other int-likes included)."""
+    """`values` as a tuple of exact ints: a tuple of them as it is, anything else
+    read member by member by `_exact_int`."""
     if type(values) is tuple and {int}.issuperset(map(type, values)):
         return values
-    return tuple(int(v) for v in values)
+    return tuple(map(_exact_int, values))
 
 
 class _Value:
@@ -373,9 +388,11 @@ class Poset(_Value):
     def __post_init__(self):
         levels = _exact_ints(self.levels)
         entry = _exact_ints(self.entry)
+        # a size that int() would change matches no number of elements
+        n = _exact_int(self.n, "levels and entry must assign one value to each of 1..n")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "entry", entry)
-        n = self.n
         if n < 0 or len(levels) != n or len(entry) != n:
             raise ValueError("levels and entry must assign one value to each of 1..n")
         if not n:
@@ -464,12 +481,14 @@ class RelationMatrix(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        n = _exact_int(self.n)
         pairs = self.pairs
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
         if not _are_int_pairs(pairs):
-            pairs = [(int(a), int(b)) for a, b in pairs]
-        object.__setattr__(self, "pairs", _sorted_pairs_in_range(self.n, pairs))
+            pairs = [(_exact_int(a), _exact_int(b)) for a, b in pairs]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", _sorted_pairs_in_range(n, pairs))
 
     def less(self, a: int, b: int) -> bool:
         i = bisect.bisect_left(self.pairs, (a, b))

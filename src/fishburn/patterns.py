@@ -32,7 +32,7 @@ import itertools
 from collections.abc import Callable
 
 from .errors import LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation, _Value, r_occurrences
+from .objects import AscentSequence, Permutation, _exact_int, _Value, r_occurrences
 
 
 class BivincularPattern(_Value):
@@ -47,8 +47,8 @@ class BivincularPattern(_Value):
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "X", frozenset(int(x) for x in self.X))
-        object.__setattr__(self, "Y", frozenset(int(y) for y in self.Y))
+        object.__setattr__(self, "X", frozenset(map(_exact_int, self.X)))
+        object.__setattr__(self, "Y", frozenset(map(_exact_int, self.Y)))
         k = len(self.sigma)
         if not all(0 <= x <= k for x in self.X) or not all(0 <= y <= k for y in self.Y):
             raise ValueError(f"adjacency sets must lie in 0..{k}")

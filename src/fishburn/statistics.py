@@ -122,7 +122,7 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
         raise EmptyObjectError("statistics of the empty permutation are undefined")
     profile = bijections.active_sites(pi)  # raises NotInRError off the family
     sites = profile.sites
-    rank = ascents(pi.inverse().entries)
+    rank = len(sites) - 2  # the levels 0..rank lie between consecutive sites
     gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
     rl_max = right_to_left_maxima(pi.entries)
     max_gap_counts = [0] * len(gap_counts)

@@ -138,9 +138,23 @@ def contains_by_subsequences(pi: Permutation, p: BivincularPattern) -> bool:
 # stores, or raises the error it raises, with the same message.
 
 
+def exact_int(v) -> int:
+    """The integer rule of every constructor field: a string is read as `int`
+    reads it, and any other value must keep its value under `int`."""
+    if isinstance(v, (str, bytes, bytearray)):
+        return int(v)
+    if v in (float("inf"), float("-inf")) or int(v) != v:
+        raise ValueError(f"not an integer: {v!r}")
+    return int(v)
+
+
+def exact_ints(values) -> tuple[int, ...]:
+    return tuple(exact_int(v) for v in values)
+
+
 def sequence_entries_by_scanning(entries) -> tuple[int, ...]:
     """AscentSequence: x_1 = 0 and 0 <= x_i <= 1 + asc(x_1..x_{i-1})."""
-    entries = tuple(int(e) for e in entries)
+    entries = exact_ints(entries)
     if entries and entries[0] != 0:
         raise NotAscentSequenceError(1)
     asc = 0
@@ -155,7 +169,7 @@ def sequence_entries_by_scanning(entries) -> tuple[int, ...]:
 def modified_entries_by_scanning(entries) -> tuple[int, ...]:
     """ModifiedAscentSequence: y_1 = 0, the values are 0..max, and y_i is
     the first of its value exactly when y_{i-1} < y_i."""
-    entries = tuple(int(e) for e in entries)
+    entries = exact_ints(entries)
     ok = not entries or (entries[0] == 0 and min(entries) >= 0
                          and len(set(entries)) == max(entries) + 1)
     for i in range(1, len(entries)):
@@ -166,7 +180,7 @@ def modified_entries_by_scanning(entries) -> tuple[int, ...]:
 
 
 def permutation_entries_by_scanning(entries) -> tuple[int, ...]:
-    entries = tuple(int(e) for e in entries)
+    entries = exact_ints(entries)
     if sorted(entries) != list(range(1, len(entries) + 1)):
         raise NotPermutationError(f"not a permutation of 1..n: {entries}")
     return entries
@@ -178,8 +192,16 @@ def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[i
 
     It keeps a flag per level, so a huge level costs memory here.
     """
-    levels = tuple(int(v) for v in levels)
-    entry = tuple(int(v) for v in entry)
+    levels = exact_ints(levels)
+    entry = exact_ints(entry)
+    if type(n) is not int:
+        # a size that is no integer matches no number of elements
+        try:
+            n = exact_int(n)
+        except ValueError:
+            if isinstance(n, (str, bytes, bytearray)):
+                raise
+            raise ValueError("levels and entry must assign one value to each of 1..n") from None
     if n < 0 or len(levels) != n or len(entry) != n:
         raise ValueError("levels and entry must assign one value to each of 1..n")
     k = max(levels, default=0)
@@ -198,7 +220,7 @@ def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[i
 
 def partner_by_scanning(partner) -> tuple[int, ...]:
     """ChordInvolution: a fixed-point-free involution of 1..m."""
-    partner = tuple(int(v) for v in partner)
+    partner = exact_ints(partner)
     m = len(partner)
     if m % 2:
         raise NotInvolutionError("odd number of endpoints")

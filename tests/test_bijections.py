@@ -117,6 +117,32 @@ class TestPermutationEncoding:
             perm_to_sequence(Permutation((2, 3, 1)))
         assert info.value.witness == (1, 2, 3)
 
+    def test_the_site_scan_is_the_family_check(self):
+        # every permutation with n <= 7: the active-site scan raises exactly
+        # off the family, with the leftmost witness of `r_violation`
+        rejected = 0
+        for n in range(8):
+            for pi in fb.enumerate_permutations(n):
+                witness = fb.objects.r_violation(pi)
+                for scan in (perm_to_sequence, active_sites) if n else (perm_to_sequence,):
+                    try:
+                        scan(pi)
+                    except NotInRError as exc:
+                        assert exc.witness == witness, (pi, scan.__name__)
+                        assert str(exc) == f"forbidden pattern at positions {witness}"
+                        rejected += 1
+                    else:
+                        assert witness is None, (pi, scan.__name__)
+        # S_n less the Fishburn numbers 1, 1, 2, 5, 15, 53, 217, 1014, twice
+        assert rejected == 2 * sum(f - p for f, p in zip(
+            (1, 1, 2, 6, 24, 120, 720, 5040), (1, 1, 2, 5, 15, 53, 217, 1014)))
+
+    def test_the_rank_is_read_off_the_sites(self):
+        # every family member with n <= 8: the rank is asc(pi^-1)
+        for n in range(1, 9):
+            for pi in fb.enumerate_family("perms", n):
+                assert stats_of_perm(pi).rank == fb.objects.ascents(pi.inverse().entries), pi
+
     def test_decode_worked_example(self):
         expect = (3, 1, 7, 6, 4, 8, 2, 5)
         x = AscentSequence((0, 1, 0, 1, 3, 1, 1, 2))

@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fishburn as fb
 from fishburn import (AscentSequence, ChordInvolution, Poset, avoids_barred, bijections, cli,
                       enumerate_ascent_sequences, enumerate_permutations, patterns, series,
                       verify)
-from fishburn.objects import _trusted
+from fishburn.errors import NeighbourNestingError
+from fishburn.objects import _first_neighbour_nesting, _trusted
 
 from conftest import random_ascent_sequence
 
@@ -173,6 +175,23 @@ class TestConvert:
             "line 3: bad involution literal: '[,(1,2),,]'",
         ]
 
+    def test_nested_chord_diagrams_keep_going(self, capsys, monkeypatch):
+        # a neighbour nesting is reported as a perm line off the family is
+        code, out, err = run(["convert", "--from", "involution", "--to", "involution"],
+                             "[(1,4),(2,3)]\n[(1,3),(2,4)]\n[(1,2),(3,6),(4,5)]\n"
+                             "[(1,5),(2,3),(4,6)]\n[(1,4),(2,5),(3,7),(6,8),(9,10)]\n",
+                             monkeypatch, capsys)
+        assert code == 1
+        assert out == "[(1,3),(2,4)]\n[(1,4),(2,5),(3,7),(6,8),(9,10)]\n"
+        assert err.splitlines() == [
+            "line 1: nested chords (1,4) and (2,3)",
+            "line 3: nested chords (3,6) and (4,5)",
+            "line 4: nested chords (1,5) and (2,3)",
+        ]
+        code, out, err = run(["convert", "--from", "perm", "--to", "ascseq"],
+                             "2 3 1\n1\n", monkeypatch, capsys)
+        assert (code, out, err) == (1, "[0]\n", "line 1: forbidden pattern at positions (1, 2, 3)\n")
+
     def test_empty_object_rejected(self, capsys, monkeypatch):
         code, _, err = run(["convert", "--from", "ascseq", "--to", "perm"],
                            "[]\n", monkeypatch, capsys)
@@ -272,6 +291,33 @@ class TestStats:
         assert code == 1
         assert [line.split(":")[0] for line in err.splitlines()] == ["line 1", "line 2"]
         assert "Traceback" not in err and json.loads(out)["n"] == 1
+
+    def test_nested_chord_diagram_reported_and_stream_continues(self, capsys, monkeypatch):
+        code, out, err = run(["stats", "--format", "involution"],
+                             "[(1,4),(2,3)]\n[(1,6),(2,5),(3,4)]\n[(1,3),(2,4)]\n",
+                             monkeypatch, capsys)
+        assert code == 1
+        assert err.splitlines() == ["line 1: nested chords (1,4) and (2,3)",
+                                    "line 2: nested chords (1,6) and (2,5)"]
+        assert json.loads(out) == {
+            "n": 2, "minimals": 2, "srank": 0, "rank": 0, "maximals": 2,
+            "components": 1, "level_counts": [2], "max_level_counts": [2],
+        }
+
+    def test_the_involution_check_is_the_membership_test(self):
+        # every fixed-point-free involution on at most 8 points
+        for points in range(2, 9, 2):
+            for c in fb.enumerate_fixed_point_free_involutions(points):
+                if fb.in_I2n(c):
+                    assert cli.nesting_free(c) is c
+                    continue
+                with pytest.raises(NeighbourNestingError) as info:
+                    cli.nesting_free(c)
+                i = _first_neighbour_nesting(c.partner)
+                outer, inner = info.value.witness
+                assert {outer[0], inner[0]} == {i, i + 1} or {outer[1], inner[1]} == {i, i + 1}
+                assert outer[0] < inner[0] < inner[1] < outer[1]
+                assert set(c.chords()) >= {outer, inner}
 
     def test_empty_object_reported_and_stream_continues(self, capsys, monkeypatch):
         code, out, err = run(["stats", "--format", "ascseq"], "[]\n[0,1]\n",

@@ -8,6 +8,8 @@ import json
 import random
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -516,6 +518,21 @@ class TestRelationMatrix:
         assert {type(v) for pair in rel.pairs for v in pair} == {int}
         assert fb.RelationMatrix(3, [(True, 2)]) == fb.RelationMatrix(3, [(1, 2)])
 
+    def test_a_non_integral_member_or_size_is_rejected(self):
+        for n, pairs in [(3, [(1, 2.9)]), (3, [(Fraction(3, 2), 2)]), (3, [(1, Decimal("2.5"))]),
+                         (2.5, [(1, 2)]), (Fraction(5, 2), [])]:
+            with pytest.raises(ValueError, match="not an integer"):
+                fb.RelationMatrix(n, pairs)
+
+    def test_the_size_is_an_exact_int(self):
+        for n in (3, 3.0, "3", Decimal(3), Fraction(6, 2)):
+            rel = fb.RelationMatrix(n, [(1, 2)])
+            assert type(rel.n) is int and rel == fb.RelationMatrix(3, [(1, 2)])
+        rel = fb.RelationMatrix(True, [])
+        assert type(rel.n) is int and rel.n == 1
+        with pytest.raises(ValueError, match="invalid literal"):
+            fb.RelationMatrix("x", [])
+
     def test_less_matches_the_pair_set(self, sequences_by_length):
         # every poset with n <= 4, and every relation on 1..3
         rels = [poset_to_relations(fb.sequence_to_poset(x))
@@ -858,7 +875,9 @@ class TestConstructorChecks:
         ChordInvolution: partner_by_scanning,
     }
     # members that are not exact ints: bools, floats, numeric strings, junk
-    ODD_MEMBERS = [True, False, 1.0, 1.5, "1", "a", None, 2 ** 70, -1]
+    ODD_MEMBERS = [True, False, 1.0, 1.5, "1", "a", None, 2 ** 70, -1,
+                   Fraction(3, 2), Fraction(4, 2), Decimal("0.5"), Decimal(2), float("inf"),
+                   Decimal("-Infinity"), float("nan")]
     CORPUS = {
         AscentSequence: [
             (), (0,), (0, 1, 0, 1, 3, 1, 1, 2), [0, 1], range(1), (1,), (0, 2), (0, -1),
@@ -874,7 +893,9 @@ class TestConstructorChecks:
             (0, (), ()), (1, (0,), (1,)), (3, (0, 0, 1), (1, 2, 2)), (2, [0, 1], [1, 2]),
             # wrong lengths and sizes
             (2, (0,), (1, 1)), (2, (0, 0), (1,)), (1, (), ()), (-1, (), ()), (1.5, (0,), (1,)),
-            (True, (0,), (1,)),
+            (True, (0,), (1,)), (2.0, (0, 1), (1, 2)), ("2", (0, 1), (1, 2)),
+            (Fraction(3, 2), (0,), (1,)), ("x", (0,), (1,)), (None, (0,), (1,)),
+            (float("inf"), (0,), (1,)),
             # negative and out-of-range levels and entries
             (2, (-1, 0), (0, 1)), (1, (-1,), (0,)), (2, (0, 1), (1, 3)), (2, (0, 1), (2, 1)),
             (1, (0,), (0,)), (1, (0,), (5,)), (2, (0, 0), (-1, 1)),
@@ -931,6 +952,35 @@ class TestConstructorChecks:
         for base in valid[cls]:
             for i, odd in itertools.product(range(len(base)), self.ODD_MEMBERS):
                 self.assert_same(cls, base[:i] + (odd,) + base[i + 1:])
+
+    def test_a_value_that_int_would_change_is_rejected(self):
+        for build in (lambda: AscentSequence((0, 1.9, 0.5)),
+                      lambda: ModifiedAscentSequence((0, Fraction(1, 2))),
+                      lambda: Permutation((1, Decimal("2.5"))),
+                      lambda: ChordInvolution((2.4, 1.0)),
+                      lambda: Poset(2, (0, 0.9), (1.5, 1)),
+                      lambda: AscentSequence((0, float("inf")))):
+            with pytest.raises(ValueError, match="not an integer"):
+                build()
+
+    def test_integral_values_are_still_read(self):
+        assert AscentSequence((0, True, 2.0, "1", Fraction(4, 2), Decimal(0))).entries == \
+            (0, 1, 2, 1, 2, 0)
+        assert ChordInvolution((2.0, True)).partner == (2, 1)
+
+    def test_the_poset_size_is_an_exact_int(self):
+        for n in (2, 2.0, "2", Decimal(2)):
+            p = Poset(n, (0, 1), (1, 2))
+            assert type(p.n) is int and p == Poset.chain(2)
+            assert format_poset(p) == '{"n":2,"relations":[[1,2]]}'
+            assert fb.poset_to_sequence(p).entries == (0, 1)
+        p = Poset(True, (0,), (1,))
+        assert type(p.n) is int
+        assert json.loads(format_poset(p)) == {"n": 1, "relations": []}
+        # a size that int() would change matches no number of elements
+        for n in (1.5, Fraction(3, 2)):
+            with pytest.raises(ValueError, match=r"must assign one value to each of 1\.\.n"):
+                Poset(n, (0,), (1,))
 
     def test_a_huge_level_is_rejected_without_a_flag_per_level(self):
         with pytest.raises(ValueError, match="every level 0..k must be occupied"):

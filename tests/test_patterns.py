@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -258,6 +259,13 @@ class TestSerialization:
     def test_roundtrip_all_length_three(self):
         for p in enumerate_patterns(3):
             assert parse_pattern(format_pattern(p)) == p
+
+    def test_adjacency_sets_follow_the_integer_rule(self):
+        sigma = Permutation((2, 3, 1))
+        for X, Y in [({1.5}, {1}), ({1}, {1.9}), ({Fraction(1, 2)}, set())]:
+            with pytest.raises(ValueError, match="not an integer"):
+                BivincularPattern(sigma, X, Y)
+        assert BivincularPattern(sigma, {1.0}, {True, "2"}) == pattern("231", {1}, {1, 2})
 
     def test_parse_errors(self):
         for bad in ("231", "231|X={1}", "2x1|X={}|Y={}", "231|X=1|Y={}",
