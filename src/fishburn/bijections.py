@@ -358,8 +358,6 @@ def poset_to_involution(p: Poset) -> ChordInvolution:
     opener of their level and the next free closer of their entry.
     """
     n = p.n
-    if n == 0:
-        return _trusted(ChordInvolution, ())
     k = p.rank
     opening = [0] * (k + 1)
     closing = [0] * (k + 2)

@@ -158,11 +158,16 @@ def _trusted(cls, *fields):
 class _EntriesSequence(_Value):
     """Read-only sequence behaviour over an `entries` tuple; holds no fields.
 
-    Each sequence class declares its own field and validation, and neither
-    is an instance of the other.
+    Each sequence class declares its own `entries` slot and validation in
+    `__post_init__`, which the shared `__init__` runs; none is an instance
+    of another.
     """
 
     __slots__ = ()
+
+    def __init__(self, entries: tuple[int, ...]):
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     @property
     def asc(self) -> int:
@@ -185,10 +190,6 @@ class AscentSequence(_EntriesSequence):
     """A sequence (x_1,..,x_n) with x_1 = 0 and x_i <= 1 + asc(prefix)."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self):
         entries = _exact_ints(self.entries)
@@ -233,10 +234,6 @@ class ModifiedAscentSequence(_EntriesSequence):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
-
     def __post_init__(self):
         entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
@@ -279,29 +276,16 @@ def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
 # Permutations
 
 
-class Permutation(_Value):
+class Permutation(_EntriesSequence):
     """A permutation of [n] in one-line notation."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self):
         entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise NotPermutationError(f"not a permutation of 1..n: {entries}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
     def __str__(self):
         return format_permutation(self.entries)
@@ -449,8 +433,10 @@ def _are_int_pairs(pairs: list | tuple) -> bool:
 def _sorted_pairs_in_range(n: int, pairs: list | tuple) -> tuple[tuple[int, int], ...]:
     """Exact-int pairs as the sorted tuple of distinct pairs, each member in 1..n.
 
-    Raises ValueError naming the first pair, in sorted order, out of range.
+    Raises ValueError on a negative n, or naming the first pair, in sorted order, out of range.
     """
+    if n < 0:
+        raise ValueError(f"poset size must be >= 0, got {n}")
     # via a list: a tuple grown from an iterator is resized, and freeing it
     # stocks the tuple free list of its final size, which raised peak
     # memory on streams of small posets
@@ -715,8 +701,6 @@ def parse_poset(text: str) -> Poset:
         raise ParseError(f"bad poset literal: {text!r}") from exc
     if type(n) is not int or type(pairs) is not list or not _are_int_pairs(pairs):
         raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
-    if n < 0:
-        raise ParseError(f"poset size must be >= 0, got {n}")
     # strictly increasing pairs in 1..n are counted as decoded; other lines take the relation route
     if pairs and all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
         seconds = list(map(operator.itemgetter(1), pairs))
@@ -732,7 +716,6 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_involution(partner: Iterable[int]) -> str:
-    partner = tuple(partner)
     chords = [(i, v) for i, v in enumerate(partner, start=1) if v > i]
     return "[" + ",".join(f"({a},{b})" for a, b in chords) + "]"
 

@@ -47,6 +47,8 @@ class BivincularPattern(_Value):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.sigma, Permutation):
+            object.__setattr__(self, "sigma", Permutation(tuple(self.sigma)))
         object.__setattr__(self, "X", frozenset(map(_exact_int, self.X)))
         object.__setattr__(self, "Y", frozenset(map(_exact_int, self.Y)))
         k = len(self.sigma)

@@ -7,7 +7,8 @@ components, and two q-polynomials counting all elements (resp. only the
 maximal ones) by level.  On sequences the level data lives on the
 modified sequence; on permutations it lives in the gaps between active
 sites.  The records of an ascent sequence, its permutation and its poset
-agree coefficientwise.
+agree coefficientwise; `stats_of_sequence`, `stats_of_perm` and
+`stats_of_poset` compute them by independent routes.
 """
 
 from __future__ import annotations
@@ -39,30 +40,15 @@ def right_to_left_maxima(entries) -> list[int]:
     return out
 
 
-def left_to_right_minima(entries) -> list[int]:
-    out = []
-    best = None
-    for i, e in enumerate(entries):
-        if best is None or e < best:
-            out.append(i)
-            best = e
-    return out
-
-
-def _strip(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class StatRecord(_Value):
     """The shared statistics of corresponding objects.
 
     `level_counts[i]` counts elements at level i (for a sequence: entries
     of the modified sequence equal to i; for a permutation: entries
     between active sites i and i+1).  `max_level_counts` restricts the
-    count to maximal elements / right-to-left maxima.  Polynomials are
-    stored lowest degree first with trailing zeros stripped.
+    count to maximal elements / right-to-left maxima.  Both hold one count
+    per level 0..rank; neither ends in 0, since every level is occupied and
+    the elements of the top level are maximal.
     """
 
     __slots__ = ("size", "minimals", "srank", "rank", "maximals", "components",
@@ -111,9 +97,9 @@ def stats_of_sequence(x: AscentSequence) -> StatRecord:
         srank=x.entries[-1],
         rank=rank,
         maximals=len(rl_max),
-        components=len(components(m)),
-        level_counts=_strip(level_counts),
-        max_level_counts=_strip(max_level_counts),
+        components=len(_sequence_cuts(m.entries)),
+        level_counts=tuple(level_counts),
+        max_level_counts=tuple(max_level_counts),
     )
 
 
@@ -129,15 +115,19 @@ def stats_of_perm(pi: Permutation) -> StatRecord:
     for pos in rl_max:
         # entry at 0-based pos lies between gap `sites[i]` and `sites[i+1]`
         max_gap_counts[bisect.bisect_right(sites, pos) - 1] += 1
+    minimals, least = 0, len(pi) + 1
+    for e in pi.entries:  # a running count of the left-to-right minima
+        if e < least:
+            minimals, least = minimals + 1, e
     return StatRecord(
         size=len(pi),
-        minimals=len(left_to_right_minima(pi.entries)),
+        minimals=minimals,
         srank=profile.b,
         rank=rank,
         maximals=len(rl_max),
-        components=len(components(pi)),
-        level_counts=_strip(gap_counts),
-        max_level_counts=_strip(max_gap_counts),
+        components=len(_perm_cuts(pi.entries)),
+        level_counts=tuple(gap_counts),
+        max_level_counts=tuple(max_gap_counts),
     )
 
 
@@ -157,9 +147,9 @@ def stats_of_poset(p: Poset) -> StatRecord:
         srank=next(lvl for lvl, count in enumerate(max_level_counts) if count),
         rank=top - 1,
         maximals=sum(max_level_counts),
-        components=len(components(p)),
-        level_counts=_strip(level_counts),
-        max_level_counts=_strip(max_level_counts),
+        components=len(_poset_cuts(p)),
+        level_counts=tuple(level_counts),
+        max_level_counts=tuple(max_level_counts),
     )
 
 
@@ -223,7 +213,7 @@ def _poset_cuts(p: Poset) -> list[int]:
 def components(obj) -> list[int]:
     """Sizes of the maximal direct-sum decomposition, left to right."""
     if isinstance(obj, ModifiedAscentSequence):
-        cuts = _sequence_cuts(obj.entries) if len(obj) else []
+        cuts = _sequence_cuts(obj.entries)
     elif isinstance(obj, Permutation):
         cuts = _perm_cuts(obj.entries)
     elif isinstance(obj, Poset):

@@ -44,6 +44,11 @@ def right_to_left_minima(entries) -> list[int]:
     return out
 
 
+def left_to_right_minima(entries) -> int:
+    """Number of entries smaller than every entry to their left."""
+    return sum(1 for i, e in enumerate(entries) if all(e < f for f in entries[:i]))
+
+
 # ---------------------------------------------------------------------------
 # Chord involutions: two more routes to the descent condition of `in_I2n`
 

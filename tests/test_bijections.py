@@ -190,6 +190,12 @@ class TestActiveSites:
         with pytest.raises(NotInRError):
             active_sites(Permutation((2, 3, 1)))
 
+    def test_rejects_the_empty_permutation(self):
+        with pytest.raises(ValueError) as info:
+            active_sites(Permutation(()))
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "active sites of the empty permutation are undefined")
+
     def test_site_count_matches_ascents(self):
         pi = Permutation((6, 1, 8, 3, 2, 5, 4, 7))
         assert active_sites(pi).s == 2 + perm_to_sequence(pi).asc

@@ -462,6 +462,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify.run_suite("roundtrips", -2)
 
+    def test_unknown_suite_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            verify.run_suite("nope")
+        assert (type(info.value), str(info.value)) == (ValueError, "unknown suite 'nope'")
+
     def test_a_suite_that_checks_nothing_fails(self, capsys):
         code, out, _ = run(["verify", "--suite", "stats", "--max-n", "0"], capsys=capsys)
         assert code == 1 and out == "FAIL: stats checked no object at max-n 0\n"

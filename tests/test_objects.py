@@ -237,6 +237,22 @@ class TestPermutations:
         assert pi.reverse().entries == (2, 1, 3)
         assert pi.complement().entries == (1, 3, 2)
 
+    def test_sequence_behaviour(self):
+        pi = Permutation((3, 1, 4, 2))
+        assert (len(pi), list(pi), pi[0], pi[-1], pi[1:3], str(pi), pi.asc) == (
+            4, [3, 1, 4, 2], 3, 2, (1, 4), "3 1 4 2", 1)
+        assert Permutation(()).asc == 0 and list(Permutation(())) == []
+        with pytest.raises(AttributeError):
+            pi.asc = 2
+        x = AscentSequence((0, 1, 0, 2))
+        assert not isinstance(pi, (AscentSequence, ModifiedAscentSequence))
+        assert not isinstance(x, Permutation)
+
+    def test_compose_length_mismatch(self):
+        with pytest.raises(ValueError) as info:
+            Permutation((1, 2)).compose(Permutation((1,)))
+        assert (type(info.value), str(info.value)) == (ValueError, "length mismatch")
+
     def test_membership_witness(self):
         assert fb.is_r_permutation(Permutation((3, 1, 5, 2, 4)))
         assert not fb.is_r_permutation(Permutation((3, 2, 5, 4, 1)))
@@ -249,6 +265,12 @@ class TestPosets:
         assert poset8a.rank == 3
         assert poset8a.srank == 1
         assert sum(e <= poset8a.levels[0] for e in poset8a.entry) == 6  # the downset of 1
+
+    def test_srank_of_the_empty_poset(self):
+        with pytest.raises(ValueError) as info:
+            Poset.empty().srank
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "srank of the empty poset is undefined")
 
     def test_antichain_from_relations(self):
         p = relations(4, [])
@@ -487,8 +509,6 @@ def _first_two_plus_two(pairs):
 
 def _parse_by_relation(n, pairs):
     """The poset of a typed poset line by the public relation route, with `parse_poset`'s errors."""
-    if n < 0:
-        raise ParseError(f"poset size must be >= 0, got {n}")
     try:
         relation = fb.RelationMatrix(n, pairs)
     except ValueError as exc:
@@ -546,6 +566,20 @@ class TestRelationMatrix:
             for a in range(rel.n + 2):
                 for b in range(rel.n + 2):
                     assert rel.less(a, b) == ((a, b) in pairs)
+
+    def test_a_negative_size_is_rejected_before_the_pairs(self):
+        for n, pairs in [(-1, []), (-1, [(1, 2)]), (-1, [(0, 5), (2, 1)]), (-2, frozenset({(1, 1)}))]:
+            with pytest.raises(ValueError) as info:
+                fb.RelationMatrix(n, pairs)
+            assert (type(info.value), str(info.value)) == (
+                ValueError, f"poset size must be >= 0, got {n}")
+        # a poset line reports it in the same words, with or without pairs
+        for text in ('{"n":-1,"relations":[]}', '{"n":-1,"relations":[[1,2]]}',
+                     '{"n":-4,"relations":[[2,1],[0,9]]}'):
+            with pytest.raises(ParseError) as info:
+                parse_poset(text)
+            n = json.loads(text)["n"]
+            assert str(info.value) == f"poset size must be >= 0, got {n}"
 
     def test_out_of_range_names_the_first_pair(self):
         with pytest.raises(ValueError, match=r"relation \(0,2\) out of range 1\.\.3"):
@@ -700,12 +734,18 @@ class TestTextForms:
         assert format_sequence(()) == "[]"
         with pytest.raises(ParseError):
             parse_sequence("0,1")
+        with pytest.raises(ParseError) as info:
+            parse_sequence("[0,x]")
+        assert str(info.value) == "bad sequence literal: '[0,x]'"
 
     def test_permutation_forms(self):
         assert str(Permutation((3, 1, 2))) == "3 1 2"
         assert parse_permutation("3 1 2").entries == (3, 1, 2)
         with pytest.raises(ParseError):
             parse_permutation("a b")
+        with pytest.raises(ParseError) as info:
+            parse_permutation("   ")
+        assert str(info.value) == "empty permutation literal"
 
     def test_poset_form_is_sorted_json(self, poset8a):
         text = format_poset(poset8a)

@@ -11,7 +11,7 @@ import pytest
 
 import fishburn as fb
 from fishburn import AscentSequence, Permutation, patterns
-from fishburn.errors import LengthMismatchError, ParseError
+from fishburn.errors import LengthMismatchError, NotPermutationError, ParseError
 from fishburn.patterns import (
     BivincularPattern,
     R_PATTERN,
@@ -51,6 +51,13 @@ class TestContainment:
         assert not contains(Permutation(()), single)
         for n in (1, 2, 5):
             assert contains(Permutation(tuple(range(1, n + 1))), single)
+
+    def test_empty_pattern(self):
+        # i_0 = 0 and i_1 = n+1 are adjacent only when n = 0, and so are the values
+        empty = Permutation(())
+        for X, Y, pi, expected in [((), (), (1, 2), ()), ((0,), (), (1, 2), None),
+                                   ((), (0,), (1,), None), ((0,), (0,), (), ())]:
+            assert find_occurrence(Permutation(pi), BivincularPattern(empty, X, Y)) == expected
 
     def test_avoider_count_at_length_five(self):
         count = sum(1 for pi in fb.enumerate_permutations(5)
@@ -266,6 +273,22 @@ class TestSerialization:
             with pytest.raises(ValueError, match="not an integer"):
                 BivincularPattern(sigma, X, Y)
         assert BivincularPattern(sigma, {1.0}, {True, "2"}) == pattern("231", {1}, {1, 2})
+
+    def test_sigma_is_read_as_a_permutation(self):
+        for sigma in [(2, 3, 1), [2, 3, 1], range(2, 0, -1)]:
+            p = BivincularPattern(sigma, {1}, {1})
+            assert type(p.sigma) is Permutation and p.sigma.entries == tuple(sigma)
+        assert BivincularPattern((2, 3, 1), {1}, {1}) == R_PATTERN
+        assert contains(Permutation((3, 2, 5, 4, 1)), BivincularPattern((2, 3, 1), {1}, {1}))
+        with pytest.raises(NotPermutationError) as info:
+            BivincularPattern((2, 2, 1), {1}, {1})
+        assert str(info.value) == "not a permutation of 1..n: (2, 2, 1)"
+
+    def test_compact_form_needs_length_at_most_nine(self):
+        with pytest.raises(ValueError) as info:
+            format_pattern(BivincularPattern(Permutation(tuple(range(1, 11))), (), ()))
+        assert (type(info.value), str(info.value)) == (
+            ValueError, "compact pattern form needs length <= 9")
 
     def test_parse_errors(self):
         for bad in ("231", "231|X={1}", "2x1|X={}|Y={}", "231|X=1|Y={}",

@@ -146,6 +146,18 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: p_series(-1), "order must be >= 0"),
+        (lambda: CountTable(-1), "max_length must be >= 0"),
+        (lambda: S_closed_form(0, 3), "m must be >= 1"),
+        (lambda: verify_S_identity(0, 3), "m must be >= 1"),
+        (lambda: count_barred_avoiders(-1), "n must be >= 0"),
+    ], ids=["series", "table", "closed-form-m", "S-identity-m", "barred"])
+    def test_out_of_range_arguments_name_their_bound(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
     def test_order_zero_still_checks(self):
         assert verify_functional_equation(0, CountTable(3)) == []
         assert verify_kernel_solution(0, 0) == []

@@ -16,6 +16,8 @@ from fishburn.statistics import (
     stats_of_sequence,
 )
 
+from reference import left_to_right_minima
+
 
 EXAMPLE_RECORD = StatRecord(
     size=8,
@@ -89,6 +91,21 @@ class TestDictionary:
                 assert sum(rec.max_level_counts) == rec.maximals
                 assert len(rec.level_counts) == rec.rank + 1
 
+    def test_records_need_no_normalization(self):
+        # every level 0..rank is occupied and the top level's elements are
+        # maximal, so no count tuple ends in 0; the minimals of a
+        # permutation are its left-to-right minima, and each record's
+        # component count is that of `components`
+        for n in range(1, 9):
+            for x in fb.enumerate_ascent_sequences(n):
+                m, pi, p = fb.to_modified(x), fb.sequence_to_perm(x), fb.sequence_to_poset(x)
+                records = [stats_of_sequence(x), stats_of_perm(pi), stats_of_poset(p)]
+                for rec, obj in zip(records, (m, pi, p)):
+                    assert 0 not in rec.level_counts, x
+                    assert rec.max_level_counts[-1] != 0, x
+                    assert rec.components == len(components(obj)), x
+                assert records[1].minimals == left_to_right_minima(pi.entries), x
+
     def test_record_serialization(self):
         d = EXAMPLE_RECORD.as_dict()
         assert d["n"] == 8 and d["level_counts"] == [2, 3, 1, 1, 1]
@@ -111,6 +128,11 @@ class TestComponents:
     def test_trivial(self):
         assert components(Permutation(())) == []
         assert components(ModifiedAscentSequence(())) == []
+
+    def test_other_types_are_rejected(self):
+        with pytest.raises(TypeError) as info:
+            components(object())
+        assert (type(info.value), str(info.value)) == (TypeError, "no component structure for object")
 
     def test_poset_cuts_match_the_definition(self, sequences_by_length):
         # D_j splits off when every element lies in D_j or sits at level >= j
