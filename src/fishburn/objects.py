@@ -441,13 +441,26 @@ def _sorted_pairs_in_range(n: int, pairs: list | tuple) -> tuple[tuple[int, int]
     # stocks the tuple free list of its final size, which raised peak
     # memory on streams of small posets
     pairs = tuple(list(map(tuple, pairs)))
-    if not all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
-        pairs = tuple(sorted(set(pairs)))
-    if pairs:
-        seconds = list(map(operator.itemgetter(1), pairs))
-        if pairs[0][0] < 1 or pairs[-1][0] > n or min(seconds) < 1 or max(seconds) > n:
-            a, b = next((a, b) for a, b in pairs if not (1 <= a <= n and 1 <= b <= n))
-            raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+    if not pairs:
+        return pairs
+    in_order = all(map(operator.lt, pairs, itertools.islice(pairs, 1, None)))
+    firsts = (pairs[0][0], pairs[-1][0]) if in_order else list(map(operator.itemgetter(0), pairs))
+    seconds = list(map(operator.itemgetter(1), pairs))
+    if min(firsts) < 1 or max(firsts) > n or min(seconds) < 1 or max(seconds) > n:
+        a, b = next((a, b) for a, b in sorted(set(pairs)) if not (1 <= a <= n and 1 <= b <= n))
+        raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+    if not in_order:
+        # Pairs in 1..n sort as the ints a (n+1) + b, much faster than as
+        # tuples.  The tuples are let go before the sort, and the pairs are
+        # rebuilt from one int per label, so memory peaks no higher.
+        width = n + 1
+        keys = list(map(operator.add, map(operator.mul, firsts, itertools.repeat(width)), seconds))
+        del pairs, firsts, seconds
+        keys = sorted(set(keys))
+        # a list of the labels only when it is no longer than the pairs
+        label = (list(range(width)) if width <= len(keys) else range(width)).__getitem__
+        pairs = tuple(zip(map(label, map(operator.floordiv, keys, itertools.repeat(width))),
+                          map(label, map(operator.mod, keys, itertools.repeat(width)))))
     return pairs
 
 

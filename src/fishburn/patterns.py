@@ -106,7 +106,11 @@ def find_occurrence(pi: Permutation, p: BivincularPattern) -> tuple[int, ...] | 
     of `_image_occurrence`; every other pattern is searched by
     backtracking.
     """
-    flips = _FAMILY_IMAGES.get(p)
+    global _last_route
+    route = _last_route
+    if route[0] is not p:
+        route = _last_route = (p, _FAMILY_IMAGES.get(p))
+    flips = route[1]
     if flips is not None:
         return _image_occurrence(pi, *flips)
     return _backtrack(pi, p)
@@ -220,6 +224,10 @@ def _family_images() -> dict[BivincularPattern, tuple[bool, bool, bool]]:
 
 
 _FAMILY_IMAGES = _family_images()
+# the last pattern `find_occurrence` looked up, with its flags or None: a
+# command searches one pattern object on every line, so it is hashed once.
+# The memo holds the pattern, so no other object can take its identity.
+_last_route: tuple[BivincularPattern | None, tuple[bool, bool, bool] | None] = (None, None)
 
 
 def family_symmetry(p: BivincularPattern) -> Callable[[Permutation], Permutation] | None:

@@ -14,9 +14,12 @@ Everything here is integer arithmetic.  The central objects are
 * `CountTable`: the dynamic program counting ascent sequences by length,
   number of ascents and last entry (appending i <= last keeps the ascent
   count, appending last < i <= asc+1 raises it by one); each row feeds
-  the next through one prefix-sum pass, so N rows take O(N^3) time.
-  `_ascent_counts(N)` runs the same rows but keeps only the last two, so
-  it stores O(N^2) counts where the table stores O(N^3);
+  the next through one prefix-sum pass, so N rows take O(N^3) time.  The
+  last entry of a sequence with a ascents is at most a, so the DP keeps
+  row a to the a + 2 cells its sums give, and `CountTable` pads each row
+  to n cells when it stores the table.  `_ascent_counts(N)` sums the
+  short rows and keeps only the last two, so it stores O(N^2) counts
+  where the table stores O(N^3);
 * residual checks for the recurrence written as a functional equation in
   two catalytic variables, for its kernel-method solution as a u-series
   with rational t-coefficients, and for the polynomial identity that
@@ -33,7 +36,9 @@ identity holds.  Every entry rejects a negative order, which would
 check nothing and pass.
 
 No check multiplies two series.  The functional-equation residual is
-read off two consecutive rows of the counting table at a time.  On
+read off two consecutive rows of the counting table at a time, over
+the live cells (last entry <= ascents) only when every cell past them
+is 0, and over the full rows otherwise.  On
 rows, multiplying by (1-t) is one first difference and dividing by it
 one prefix sum.  Dividing by a kernel factor u - (u-1)(1-t)^k = p + u(1-p),
 p = (1-t)^k, goes one u-row at a time: p (X_j - X_{j-1}) = Y_j - X_{j-1}.
@@ -145,7 +150,11 @@ def p_series(order: int) -> list[int]:
 
 
 def _count_rows(max_length: int):
-    """Yields rows n = 1..max_length of the counting DP, each indexed [a][last]."""
+    """Yields rows n = 1..max_length of the counting DP, each indexed [a][last].
+
+    Short rows: row a ends at last = a + 1, a cell that is always 0, and
+    the top row a = n - 1 at last = a.
+    """
     if max_length < 1:
         return
     prev = [[1]]
@@ -162,7 +171,7 @@ def _count_rows(max_length: int):
             sums = list(accumulate(row[:a + 1], initial=0))
             total = sums[-1]
             carry.append(0)
-            cur.append([total - s + c for s, c in zip(sums, carry)] + [0] * (n - a - 2))
+            cur.append([total - s + c for s, c in zip(sums, carry)])
             carry = sums
         cur.append(carry)
         yield cur
@@ -192,6 +201,10 @@ class CountTable:
             raise ValueError("max_length must be >= 0")
         if counts is None:
             counts = [None, *_count_rows(max_length)]
+            # the DP's rows are short; the table's are n cells long
+            for n in range(1, max_length + 1):
+                for row in counts[n]:
+                    row += [0] * (n - len(row))
         elif len(counts) != max_length + 1 or not all(
                 len(counts[n]) == n and all(len(row) == n for row in counts[n])
                 for n in range(1, max_length + 1)):
@@ -277,6 +290,10 @@ def verify_functional_equation(order: int,
             row = cur[a] if a < len(cur) else []
             same = prev[a] if a < len(prev) else []
             below = prev[a - 1] if 0 < a <= len(prev) else []
+            if not (any(row[a + 1:]) or any(same[a + 1:]) or any(below[a:])):
+                # every cell past the diagonal is 0, as the last entry is at
+                # most the ascent count, so the residual past v^(a+1) is 0 too
+                row, same, below = row[:a + 1], same[:a + 1], below[:a]
             # the three terms at v^(l-1), then the one at v^l
             up = [r - s + b for r, s, b in zip_longest(row, same, below, fillvalue=0)]
             cells = [x - r for x, r in zip_longest([0, *up], row, fillvalue=0)]
@@ -292,33 +309,41 @@ def verify_functional_equation(order: int,
     return residual
 
 
-def F_n_polynomial(n: int) -> list[list[int]]:
+def F_n_polynomial(n: int, t_order: int | None = None) -> list[list[int]]:
     """The n-th polynomial summand of the t-convergent form of F(t;u,1), as u-rows.
 
     F_n = sum_{l=0..n} (u-1)^{n-l} u^l sum_{m=l..n} (-1)^{n-m} C(n,m)
           (1-t)^{m-l} prod_{i=m-l+1..m} (1 - (1-t)^i).
 
-    Exact: n + 1 rows of n(n+3)/2 + 1 coefficients, the actual degree
-    bounds, so nothing is cut.  Divisible by t^n, and at u = 1 (the sum
-    of the rows) it collapses to prod_{i=1..n}(1 - (1-t)^i), the summand
-    of the product formula.
+    Exact by default: n + 1 rows of n(n+3)/2 + 1 coefficients, the actual
+    degree bounds, so nothing is cut.  With `t_order`, each row holds the
+    coefficients of t^0..t^t_order, zero-padded past the degree: every
+    step multiplies by a polynomial in t, so each can be truncated there.
+    Divisible by t^n, and at u = 1 (the sum of the rows) it collapses to
+    prod_{i=1..n}(1 - (1-t)^i), the summand of the product formula.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    t_order = n * (n + 3) // 2
+    degree = n * (n + 3) // 2
+    if t_order is None:
+        t_order = degree
+    _check_orders(t_order)
+    width = min(t_order, degree) + 1
     # inner[ell] is the m-sum for ell.  With d = m - ell, the product over
     # i = d+1..d+ell grows by one factor from each ell to the next.
-    inner = [[0] * (t_order + 1) for _ in range(n + 1)]
+    inner = [[0] * width for _ in range(n + 1)]
     for d in range(n + 1):
-        prod = _times_one_minus_t([1] + [0] * t_order, d)
+        prod = _times_one_minus_t([1] + [0] * (width - 1), d)
         for ell in range(n - d + 1):
             if ell:
                 prod = _times_level_factor(prod, d + ell)
             c = -comb(n, d + ell) if (n - d - ell) & 1 else comb(n, d + ell)
             inner[ell] = [a + c * b for a, b in zip(inner[ell], prod)]
-    rows = [[0] * (t_order + 1) for _ in range(n + 1)]
+    rows = [[0] * width for _ in range(n + 1)]
     for ell, poly in enumerate(inner):
         _add_times_u_minus_one(rows, poly, n - ell, ell)
+    for row in rows:
+        row += [0] * (t_order + 1 - width)
     return rows
 
 
@@ -361,7 +386,10 @@ def verify_S_identity(m: int, order: int,
     k > order+1 only touch u-powers above the truncation.  `terms` are
     the shared factors from `kernel_terms(order)`, built here if absent:
     order + 1 terms of order + 1 u-rows of order + 1 t-coefficients.
-    Returns the nonzero residual coefficients as (t, u, c), sorted.
+    They are read, never changed.  Term k has no u-power below k - 1, and
+    a u-row that is all 0 is passed over; any nonzero cell is counted,
+    wherever it sits.  Returns the nonzero residual coefficients as
+    (t, u, c), sorted.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -373,14 +401,17 @@ def verify_S_identity(m: int, order: int,
             len(rows) != width or any(len(row) != width for row in rows) for rows in terms):
         raise ValueError(f"need {width} kernel terms of {width} u-rows of {width} t-coefficients")
     # (u-1)^m is common to every term, and (1-t)^(mk) = P^k with
-    # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first
-    acc = [[0] * width for _ in range(width)]
+    # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first.
+    # No row is changed in place, so the accumulator may share a row
+    # with a term.
+    acc = [[0] * width] * width
     for term in reversed(terms):
-        acc = [[a + b for a, b in zip(_times_one_minus_t(row, m), own)]
+        acc = [[a + b for a, b in zip(_times_one_minus_t(row, m), own)] if any(row) else own
                for row, own in zip(acc, term)]
     lhs = [[0] * width for _ in range(width)]
     for du, row in enumerate(acc):
-        _add_times_u_minus_one(lhs, _times_one_minus_t(row, m), m, du)
+        if any(row):
+            _add_times_u_minus_one(lhs, _times_one_minus_t(row, m), m, du)
     return _residual(lhs, S_closed_form(m, order, order))
 
 

@@ -162,7 +162,7 @@ def _series(order: int) -> tuple[str, int]:
            f"p_series disagrees with the counting DP at order {order}")
     total = [[0] * 11 for _ in range(11)]
     for n in range(11):
-        f_n = series.F_n_polynomial(n)
+        f_n = series.F_n_polynomial(n, 10)
         _check(not any(any(row[:n]) for row in f_n), f"summand {n} is not divisible by t^{n}")
         for u, row in enumerate(f_n):
             for t, c in enumerate(row[:11]):

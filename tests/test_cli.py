@@ -352,6 +352,21 @@ class TestPatternsCommands:
                            "3 2 5 4 1\n3 1 5 2 4\n", monkeypatch, capsys)
         assert code == 0 and out.splitlines() == ["true 2 3 5", "false"]
 
+    @pytest.mark.parametrize("pattern", [*sorted(map(str, patterns._FAMILY_IMAGES)),
+                                         CAPPED_PATTERN])
+    def test_contains_witnesses_are_the_backtracking_search(self, pattern, capsys, monkeypatch):
+        # the family's images take the O(n) route, resolved once per command
+        p = patterns.parse_pattern(pattern)
+        perms = [pi for n in range(1, 6) for pi in enumerate_permutations(n)]
+        expected = []
+        for pi in perms:
+            occurrence = patterns._backtrack(pi, p)
+            expected.append("false" if occurrence is None
+                            else "true " + " ".join(map(str, occurrence)))
+        code, out, err = run(["contains", "--pattern", pattern, "--witness"],
+                             "".join(f"{pi}\n" for pi in perms), monkeypatch, capsys)
+        assert code == 0 and not err and out.splitlines() == expected
+
     def test_avoiders_count_and_listing(self, capsys, monkeypatch):
         code, out, _ = run(["avoiders", "--n", "4", "--barred", "--count"], capsys=capsys,
                            monkeypatch=monkeypatch)

@@ -532,6 +532,19 @@ class TestRelationMatrix:
             assert fb.RelationMatrix(3, given).pairs == expected
         assert fb.RelationMatrix(0, []).pairs == ()
 
+    def test_unsorted_pairs_are_sorted_as_tuples(self):
+        # the unsorted route sorts packed int keys; the result must be the
+        # tuple sort's, with fewer labels than pairs and with more
+        rng = random.Random(7)
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            pairs = [[rng.randint(1, n), rng.randint(1, n)] for _ in range(rng.randint(2, 40))]
+            rng.shuffle(pairs)
+            rel = fb.RelationMatrix(n, pairs)
+            assert rel.pairs == tuple(sorted(set(map(tuple, pairs))))
+            assert {type(pair) for pair in rel.pairs} == {tuple}
+            assert {type(v) for pair in rel.pairs for v in pair} == {int}
+
     def test_members_are_coerced_to_int(self):
         rel = fb.RelationMatrix(3, [("2", 3.0), (True, 2), (1, 2)])
         assert rel.pairs == ((1, 2), (2, 3))

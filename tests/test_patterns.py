@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -185,6 +187,44 @@ class TestFamilyImages:
                     occurrence = find_occurrence(pi, p)
                     assert (occurrence is not None) == contains_by_subsequences(pi, p), (pi, text)
                     assert occurrence == next(occurrences_by_subsequences(pi, p), None), (pi, text)
+
+    def test_alternating_patterns_keep_their_routes(self):
+        # find_occurrence remembers the route of the last pattern object:
+        # alternating patterns, and equal copies of one, each keep their own
+        texts = [*FAMILY_IMAGES, "123|X={}|Y={}", "231|X={}|Y={}"]
+        patterns_twice = [parse_pattern(text) for text in texts * 2]
+        for pi in fb.enumerate_permutations(5):
+            for p in patterns_twice:
+                assert find_occurrence(pi, p) == patterns._backtrack(pi, p), (pi, p)
+
+    def test_threads_with_different_patterns_keep_their_routes(self):
+        # a memo whose pattern and route could be read from two different
+        # calls gives some thread the wrong route within this many calls
+        texts = ["231|X={1}|Y={1}", "132|X={2}|Y={1}", "231|X={}|Y={}", "312|X={2}|Y={2}"]
+        perms = list(fb.enumerate_permutations(6))
+        jobs = []
+        for text in texts:
+            p = parse_pattern(text)
+            jobs.append((p, [patterns._backtrack(pi, p) for pi in perms]))
+        wrong = []
+
+        def search(p, expected):
+            for _ in range(30):
+                wrong.extend(pi for pi, want in zip(perms, expected)
+                             if find_occurrence(pi, p) != want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=job) for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("text", FAMILY_IMAGES)
     def test_an_avoider_of_length_5000_in_linear_time(self, text):

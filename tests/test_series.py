@@ -132,6 +132,7 @@ class TestTruncatedSeries:
         lambda: F_n_polynomial(-1),
         lambda: F_n_polynomial(-2),
         lambda: F_n_polynomial(-3),
+        lambda: F_n_polynomial(3, -1),
         lambda: kernel_terms(-1),
         lambda: S_closed_form(2, -1),
         lambda: S_closed_form(2, 4, -1),
@@ -139,6 +140,7 @@ class TestTruncatedSeries:
         lambda: kernel_solution_series(2, -1),
     ], ids=["functional-equation", "kernel-u", "kernel-t", "S-identity", "S-identity-terms",
             "series", "series-u", "constructor", "zero", "summand-1", "summand-2", "summand-3",
+            "summand-t",
             "kernel-terms", "closed-form-t", "closed-form-u", "kernel-series-u",
             "kernel-series-t"])
     def test_negative_orders_are_rejected(self, call):
@@ -207,7 +209,8 @@ class TestCongruences:
 
 class TestKernelOracles:
     def test_count_table_matches_quartic_loop(self):
-        for n in range(31):
+        # the DP keeps short rows; the table pads each to n cells
+        for n in range(41):
             assert CountTable(n).counts == quartic_counts(n)
 
     def test_p_series_matches_products_and_table(self):
@@ -314,7 +317,7 @@ class TestCountTable:
         assert table.count(5, 2, -3) == 0
         assert table.count(5, 5, 0) == table.count(5, 0, 5) == 0
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+    @pytest.mark.parametrize("n", range(61))
     def test_ascent_counts_match_the_table(self, n):
         assert _ascent_counts(n) == count_table(max(n, 1)).by_ascents(n)
 
@@ -381,13 +384,15 @@ class TestFunctionalEquationAgainstProducts:
         assert fast == cells(functional_equation_residual_by_products(order, table)) == []
 
     def test_every_single_cell_bump(self):
-        table = count_table(8)
-        every_cell = [(n, a, last) for n in range(1, 9) for a in range(n) for last in range(n)]
+        # cells with last > a are zero by construction; a bump there must
+        # take the full rows, not the live prefixes
+        table = count_table(10)
+        every_cell = [(n, a, last) for n in range(1, 11) for a in range(n) for last in range(n)]
         for cell in every_cell:
             bad = bumped(table, *cell)
-            fast = verify_functional_equation(8, bad)
+            fast = verify_functional_equation(10, bad)
             assert fast != [], cell
-            assert fast == cells(functional_equation_residual_by_products(8, bad)), cell
+            assert fast == cells(functional_equation_residual_by_products(10, bad)), cell
 
 
 def at_u_one(rows: list[list[int]]) -> list[int]:
@@ -409,6 +414,14 @@ class TestSummandPolynomials:
     def test_u_one_specialization_is_the_product(self, n):
         f_n = at_u_one(F_n_polynomial(n))
         assert f_n == product_polynomial(n, len(f_n) - 1)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_truncated_rows_are_the_padded_prefix(self, n):
+        exact = F_n_polynomial(n)
+        degree = n * (n + 3) // 2
+        for t in sorted({0, 1, max(n - 1, 0), n, 10, degree, degree + 3}):
+            expected = [(row + [0] * (t + 1))[:t + 1] for row in exact]
+            assert F_n_polynomial(n, t) == expected, t
 
     def test_sum_matches_counting_series(self):
         total = [[0] * 11 for _ in range(11)]
@@ -471,14 +484,19 @@ class TestAgainstRingProducts:
                 S_identity_term_by_term(m, order, series_terms))
 
     def test_corrupted_kernel_term_is_detected(self):
+        # term k has no u-power below k-1, and those rows are passed over
+        # while they are 0: a cell planted there must still count
         order = 8
-        terms = kernel_terms(order)
-        terms[2][2][3] += 1  # t^3 u^2 of the third term
-        series_terms = [from_rows(rows, order) for rows in terms]
-        for m in range(1, 6):
-            residual = verify_S_identity(m, order, terms)
-            assert residual != []
-            assert residual == tu_cells(S_identity_term_by_term(m, order, series_terms))
+        for k, u, t in [(3, 2, 3), (5, 1, 3), (9, 0, 0), (9, 7, 8)]:
+            terms = kernel_terms(order)
+            terms[k - 1][u][t] += 1
+            planted = [[row[:] for row in rows] for rows in terms]
+            series_terms = [from_rows(rows, order) for rows in terms]
+            for m in range(1, 6):
+                residual = verify_S_identity(m, order, terms)
+                assert residual != [], (k, u, t, m)
+                assert residual == tu_cells(S_identity_term_by_term(m, order, series_terms))
+            assert terms == planted
 
     def test_wrong_closed_form_is_detected(self, monkeypatch):
         right = series.S_closed_form
