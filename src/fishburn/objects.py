@@ -46,6 +46,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import (
     BruteForceCapError,
+    FishburnError,
     FixedPointError,
     NotAscentSequenceError,
     NotInvolutionError,
@@ -430,7 +431,7 @@ def _are_int_pairs(pairs: list | tuple) -> bool:
         return False
 
 
-def _sorted_pairs_in_range(n: int, pairs: list | tuple) -> tuple[tuple[int, int], ...]:
+def _sorted_pairs_in_range(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     """Exact-int pairs as the sorted tuple of distinct pairs, each member in 1..n.
 
     Raises ValueError on a negative n, or naming the first pair, in sorted order, out of range.
@@ -494,8 +495,8 @@ class RelationMatrix(_Value):
         return i < len(self.pairs) and self.pairs[i] == (a, b)
 
 
-def _relation_of_int_pairs(n: int, pairs: list) -> RelationMatrix:
-    """The relation of pairs already typed by `_are_int_pairs`, not typed again.
+def _relation_of_int_pairs(n: int, pairs: Iterable) -> RelationMatrix:
+    """The relation of pairs already known to be exact ints, not typed again.
 
     The pairs are sorted and range-checked as by the public constructor.
     """
@@ -693,36 +694,58 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(entries)
 
 
-def format_poset(p: Poset) -> str:
-    """The JSON form, `{"n":..,"relations":[[a,b],..]}`, written without an encoder.
+_NO_DIGITS = str.maketrans("", "", "-0123456789")
 
-    The pairs of x are contiguous in the sorted relation, so each row is
-    one join over the label strings of their seconds.
+
+def format_poset(p: Poset) -> str:
+    """The JSON form, `{"n":..,"relations":[[a,b],..]}`, written from the interval form.
+
+    The pairs of x are x with each label of level >= entry(x), so each row
+    is one join over the label strings of `_upper_labels(p.levels)[entry(x)]`.
     """
     labels = list(map(str, range(p.n + 1)))
-    second = operator.itemgetter(1)
-    rows = [f"[{x},{f'],[{x},'.join(map(labels.__getitem__, map(second, row)))}]"
-            for x, row in itertools.groupby(poset_to_relations(p).pairs, operator.itemgetter(0))]
+    upper = [list(map(labels.__getitem__, row)) for row in _upper_labels(p.levels)]
+    rows = [f"[{x},{f'],[{x},'.join(upper[e])}]"
+            for x, e in zip(itertools.islice(labels, 1, None), p.entry) if upper[e]]
     return f'{{"n":{p.n},"relations":[{",".join(rows)}]}}'
 
 
 def parse_poset(text: str) -> Poset:
+    """The poset of a JSON line `{"n":..,"relations":[[a,b],..]}`.
+
+    A line in the canonical syntax (digits and minus signs aside, exactly
+    `{"n":,"relations":[[,],..,[,]]}` with one pair or more) is decoded
+    with each `],[` read as `,`, so that its pairs come back as one flat
+    list; any other line is decoded as it is.  The poset counted from the
+    pairs (`_counted_poset`) is returned when they are its own pairs in
+    order.  It gives each element as many pairs as the line has with it
+    first, so that holds when the firsts run in order from 1 up and the
+    seconds are its rows in turn.  Other pairs, and the empty relation, go
+    through `RelationMatrix` and `poset_from_relations`.
+    """
+    canonical = text.translate(_NO_DIGITS) == '{"n":,"relations":[[,]%s]}' % (
+        ",[,]" * (text.count("[") - 2))
     try:
-        data = json.loads(text)
+        # in the canonical syntax every `],[` lies between two pairs
+        data = json.loads(text.replace("],[", ",") if canonical else text)
         n, pairs = data["n"], data["relations"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad poset literal: {text!r}") from exc
-    if type(n) is not int or type(pairs) is not list or not _are_int_pairs(pairs):
-        raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
-    # strictly increasing pairs in 1..n are counted as decoded; other lines take the relation route
-    if pairs and all(map(operator.lt, pairs, itertools.islice(pairs, 1, None))):
-        seconds = list(map(operator.itemgetter(1), pairs))
-        if 1 <= pairs[0][0] and pairs[-1][0] <= n and 1 <= min(seconds) and max(seconds) <= n:
-            poset = _counted_poset(n, pairs)
-            if poset is not None:
-                return poset
+    if canonical:  # pairs is [[a, b, a', b', ...]]
+        firsts, seconds = pairs[0][::2], pairs[0][1::2]
+    else:
+        if type(n) is not int or type(pairs) is not list or not _are_int_pairs(pairs):
+            raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
+        firsts, seconds = (list(map(operator.itemgetter(i), pairs)) for i in (0, 1))
+    del data, pairs  # frees the decoded lists before the pairs are counted
+    rising = firsts and 0 < firsts[0] and all(map(operator.le, firsts, firsts[1:]))
+    counted = _counted_poset(n, firsts, seconds) if rising else None
+    if counted:
+        poset, upper = counted
+        if seconds == list(itertools.chain.from_iterable(map(upper.__getitem__, poset.entry))):
+            return poset
     try:
-        relation = _relation_of_int_pairs(n, pairs)
+        relation = _relation_of_int_pairs(n, zip(firsts, seconds))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return poset_from_relations(relation)
@@ -760,76 +783,80 @@ def parse_involution(text: str) -> ChordInvolution:
     return ChordInvolution(tuple(partner))
 
 
-def poset_to_relations(p: Poset) -> RelationMatrix:
-    """The strict relation x < y iff entry(x) <= level(y), in sorted order.
+def _upper_labels(levels: list[int] | tuple[int, ...]) -> list[list[int]]:
+    """upper[e], the labels of level >= e in increasing order, for e in 1..k+1.
 
-    upper[e] lists the labels of level >= e in label order, so the pairs
-    of x are (x, y) for y in upper[entry(x)].  Every e in 1..rank is the
-    entry of some element, so building upper costs no more than the pairs.
+    The pairs of x are (x, y) for y in upper[entry(x)].  Every e in 1..k is
+    the entry of some element, so building upper costs no more than the pairs.
     """
-    upper: list[list[int]] = [[] for _ in range(p.rank + 2)]
-    for y, level in enumerate(p.levels, start=1):
+    k = max(levels, default=0)
+    upper: list[list[int]] = [[] for _ in range(k + 2)]
+    for y, level in itertools.compress(enumerate(levels, start=1), levels):  # no entry is 0
         upper[level].append(y)
-    for e in range(p.rank, 0, -1):
+    for e in range(k, 0, -1):
         upper[e] += upper[e + 1]
         upper[e].sort()
-    pairs: list[tuple[int, int]] = []
-    for x, e in enumerate(p.entry, start=1):
-        pairs += zip(itertools.repeat(x), upper[e])
+    return upper
+
+
+def poset_to_relations(p: Poset) -> RelationMatrix:
+    """The strict relation x < y iff entry(x) <= level(y), in sorted order."""
+    rows = list(map(_upper_labels(p.levels).__getitem__, p.entry))
+    shown = itertools.compress(range(1, p.n + 1), rows)  # the x whose rows are not empty
+    firsts = map(itertools.repeat, shown, map(len, filter(None, rows)))
+    # via a list, as a tuple grown from an iterator is resized as it grows
+    pairs = list(zip(itertools.chain.from_iterable(firsts), itertools.chain.from_iterable(rows)))
     return _trusted(RelationMatrix, p.n, tuple(pairs))
 
 
-def _counted_poset(n: int, pairs: list | tuple) -> Poset | None:
-    """The interval order whose relation is `pairs`, or None if there is none.
+def _counted_poset(n: int, firsts: list[int],
+                   seconds: list[int]) -> tuple[Poset, list[list[int]]] | None:
+    """The candidate interval form of the pairs zip(firsts, seconds) with its
+    `_upper_labels`, or None.
 
-    The pairs must be distinct and in 1..n.  The levels are read off the
-    downset sizes and each entry is the least level above the element,
-    so every pair (a, b) has entry(a) <= level(b): the pairs lie in the
-    relation of that form.  When there are as many of them as that
-    relation has pairs, they are all of it, and it is an interval order
-    exactly when level < entry for every element, since x < x holds just
-    when entry(x) <= level(x).  An interval order always passes, since
-    its downsets form a chain, whose members have distinct sizes.
+    The levels rank the downset sizes (how often each label is a second)
+    and each entry is the e whose upper[e] holds as many labels as the
+    element has pairs as a first, so an interval order, whose downsets form
+    a chain of distinct sizes, gets its own form back.  The callers accept
+    a candidate only when it re-encodes to their input.
     """
-    sizes = [0] * n
-    for _, b in pairs:
-        sizes[b - 1] += 1
-    level_of_size = {size: level for level, size in enumerate(sorted(set(sizes)))}
-    levels = list(map(level_of_size.__getitem__, sizes))
-    k = len(level_of_size) - 1
-    entry = [k + 1] * n
-    for a, b in pairs:
-        level = levels[b - 1]
-        if level < entry[a - 1]:
-            entry[a - 1] = level
-    # the form's pairs: each y lies above the elements of entry <= level(y)
-    per_level = [0] * (k + 2)
-    per_entry = [0] * (k + 2)
-    for level, e in zip(levels, entry):
-        per_level[level] += 1
-        per_entry[e] += 1
-    implied = entered = 0
-    for j in range(k + 1):
-        entered += per_entry[j]
-        implied += per_level[j] * entered
-    if implied == len(pairs) and all(map(operator.lt, levels, entry)):
-        return Poset(n, tuple(levels), tuple(entry))
-    return None
+    try:
+        down, up = [0] * (n + 1), [0] * (n + 1)
+        for b in seconds:
+            down[b] += 1
+        for a in firsts:
+            up[a] += 1
+    except IndexError:  # a label past n, or any label when n < 0
+        return None
+    except (MemoryError, OverflowError):  # a size too large to allocate fails at once
+        if 1 <= min(firsts + seconds, default=1) and max(firsts + seconds, default=0) <= n:
+            raise FishburnError(f"poset size {n} is too large to build") from None
+        return None
+    del down[0], up[0]
+    level_of_size = {size: level for level, size in enumerate(sorted(set(down)))}
+    levels = tuple(map(level_of_size.__getitem__, down))
+    upper = _upper_labels(levels)
+    entry_of_ups = {len(row): e for e, row in enumerate(upper) if e}
+    try:
+        return Poset(n, levels, tuple(map(entry_of_ups.get, up, itertools.repeat(0)))), upper
+    except ValueError:  # an upset size that no entry has, or level >= entry
+        return None
 
 
 def poset_from_relations(rel: RelationMatrix) -> Poset:
     """Recover the interval form from a strict relation.
 
-    The relation is accepted by counting its pairs (`_counted_poset`).
-    Otherwise it is no interval order and a witness is named:
+    The counted candidate (`_counted_poset`) is accepted when its own relation
+    is `rel`; otherwise `rel` is no interval order and a witness is named:
     NotPartialOrderError if the relation is not irreflexive and
     transitive, and NotTwoPlusTwoFreeError (with a four-element witness)
     if the strict downsets are not linearly ordered by inclusion.
     """
     pairs = rel.pairs
-    poset = _counted_poset(rel.n, pairs)
-    if poset is not None:
-        return poset
+    counted = _counted_poset(rel.n, list(map(operator.itemgetter(0), pairs)),
+                             list(map(operator.itemgetter(1), pairs)))
+    if counted and poset_to_relations(counted[0]) == rel:
+        return counted[0]
     for a, b in pairs:
         if a == b:
             raise NotPartialOrderError(f"reflexive pair ({a},{b})")

@@ -284,13 +284,15 @@ def verify_functional_equation(order: int,
         raise ValueError("table too short for requested order")
     residual = []
     prev: list[list[int]] = []
+    prev_live: list[bool] = []
     for n in range(1, order + 1):
         cur = table.counts[n]
+        live = [any(row[a + 1:]) for a, row in enumerate(cur)]  # read again at n + 1
         for a in range(max(len(cur), len(prev) + 1)):
             row = cur[a] if a < len(cur) else []
             same = prev[a] if a < len(prev) else []
             below = prev[a - 1] if 0 < a <= len(prev) else []
-            if not (any(row[a + 1:]) or any(same[a + 1:]) or any(below[a:])):
+            if not (any(live[a:a + 1]) or any(prev_live[max(a - 1, 0):a + 1])):
                 # every cell past the diagonal is 0, as the last entry is at
                 # most the ascent count, so the residual past v^(a+1) is 0 too
                 row, same, below = row[:a + 1], same[:a + 1], below[:a]
@@ -305,7 +307,7 @@ def verify_functional_equation(order: int,
                 cells[1] -= 1
             if any(cells):
                 residual += [(n, a, last, c) for last, c in enumerate(cells) if c]
-        prev = cur
+        prev, prev_live = cur, live
     return residual
 
 

@@ -7,19 +7,31 @@ library value that only the tests need.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import json
+import operator
 import re
 from collections.abc import Iterable, Iterator
 from math import comb
 from operator import mul
 
-from fishburn import BivincularPattern, ChordInvolution, CountTable, Permutation
+from fishburn import (
+    BivincularPattern,
+    ChordInvolution,
+    CountTable,
+    Permutation,
+    Poset,
+    RelationMatrix,
+)
 from fishburn.errors import (
     FixedPointError,
     NotAscentSequenceError,
     NotInvolutionError,
     NotModifiedSequenceError,
+    NotPartialOrderError,
     NotPermutationError,
+    NotTwoPlusTwoFreeError,
     ParseError,
 )
 from fishburn.objects import _first_neighbour_nesting
@@ -221,6 +233,92 @@ def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[i
     if not all(entered[1:k + 1]):
         raise ValueError("downsets must form a strictly increasing chain")
     return levels, entry
+
+
+# ---------------------------------------------------------------------------
+# Posets: the sorted-pairs counting reader of JSON lines, with its own
+# relation route, kept as the oracle of `parse_poset` and
+# `poset_from_relations`
+
+
+def _counted_poset_by_pair_count(n: int, pairs) -> Poset | None:
+    """The interval order whose relation is `pairs` (distinct, in 1..n), or None.
+
+    The levels are read off the downset sizes and each entry is the least
+    level above the element, so every pair lies in the relation of that
+    form; when the form implies as many pairs as were read, they are all
+    of it, and it is an interval order when level < entry everywhere.
+    """
+    sizes = [0] * n
+    for _, b in pairs:
+        sizes[b - 1] += 1
+    level_of_size = {size: level for level, size in enumerate(sorted(set(sizes)))}
+    levels = list(map(level_of_size.__getitem__, sizes))
+    k = len(level_of_size) - 1
+    entry = [k + 1] * n
+    for a, b in pairs:
+        entry[a - 1] = min(entry[a - 1], levels[b - 1])
+    per_level = collections.Counter(levels)
+    per_entry = collections.Counter(entry)
+    implied = entered = 0
+    for j in range(k + 1):
+        entered += per_entry[j]
+        implied += per_level[j] * entered
+    if implied == len(pairs) and all(map(operator.lt, levels, entry)):
+        return Poset(n, tuple(levels), tuple(entry))
+    return None
+
+
+def poset_from_relations_by_counting(rel: RelationMatrix) -> Poset:
+    """The interval form of `rel` by the pair count, else the first witness:
+    a reflexive pair, a transitivity failure (the first pair in sorted
+    order, with the least third label) or a 2+2 (the first two downsets,
+    by label, that are incomparable)."""
+    pairs = rel.pairs
+    poset = _counted_poset_by_pair_count(rel.n, pairs)
+    if poset is not None:
+        return poset
+    for a, b in pairs:
+        if a == b:
+            raise NotPartialOrderError(f"reflexive pair ({a},{b})")
+    succ, down = collections.defaultdict(set), collections.defaultdict(set)
+    for a, b in pairs:
+        succ[a].add(b)
+        down[b].add(a)
+    for a, b in pairs:
+        missing = succ[b] - succ[a]
+        if missing:
+            raise NotPartialOrderError(f"transitivity fails on {a} < {b} < {min(missing)}")
+    for x, y in itertools.combinations(sorted(down), 2):
+        dx, dy = down[x] - down[y], down[y] - down[x]
+        if dx and dy:
+            raise NotTwoPlusTwoFreeError((x, min(dx), y, min(dy)))
+    raise AssertionError("no interval order, yet no witness found")
+
+
+def parse_poset_by_counting(text: str) -> Poset:
+    """A poset line read by `json.loads`, as the library read it before the
+    canonical route: typed, then counted as decoded when its pairs are
+    strictly increasing and in 1..n, else through `RelationMatrix`."""
+    try:
+        data = json.loads(text)
+        n, pairs = data["n"], data["relations"]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ParseError(f"bad poset literal: {text!r}") from exc
+    if type(n) is not int or type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int
+            for pair in pairs):
+        raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
+    if pairs and all(map(operator.lt, pairs, pairs[1:])) and all(
+            1 <= a <= n and 1 <= b <= n for a, b in pairs):
+        poset = _counted_poset_by_pair_count(n, pairs)
+        if poset is not None:
+            return poset
+    try:
+        relation = RelationMatrix(n, pairs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return poset_from_relations_by_counting(relation)
 
 
 def partner_by_scanning(partner) -> tuple[int, ...]:

@@ -164,6 +164,17 @@ class TestConvert:
         assert [line.split(":")[0] for line in lines] == ["line 1", "line 2", "line 3"]
         assert all("integer" in line for line in lines) and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["convert", "--from", "poset", "--to", "ascseq"],
+                                      ["stats", "--format", "poset"]])
+    def test_an_absurd_poset_size_is_a_line_error(self, argv, capsys, monkeypatch):
+        # n = 10**13 fails to allocate at once; the lines after it are still read
+        big = 10**13
+        code, out, err = run(argv, f'{{"n":{big},"relations":[]}}\n{{"n":{big},"relations":[[1,2]]}}\n'
+                             f'{{"n": {big}, "relations": [[1, 2]]}}\n{{"n":2,"relations":[[1,2]]}}\n',
+                             monkeypatch, capsys)
+        assert code == 1 and len(out.splitlines()) == 1
+        assert err.splitlines() == [f"line {i}: poset size {big} is too large to build" for i in (1, 2, 3)]
+
     def test_chord_lists_need_one_comma_between_chords(self, capsys, monkeypatch):
         code, out, err = run(["convert", "--from", "involution", "--to", "ascseq"],
                              "[(1,2)(3,4)]\n[(1,2) (3,4)]\n[,(1,2),,]\n[ (1,2) , (3,4) ]\n",

@@ -68,9 +68,11 @@ from reference import (
     modified_entries_by_scanning,
     neighbour_nesting_positions,
     parse_involution_by_scanning,
+    parse_poset_by_counting,
     partner_by_scanning,
     permutation_entries_by_scanning,
     poset_fields_by_scanning,
+    poset_from_relations_by_counting,
     runs_increasing,
     sequence_entries_by_scanning,
 )
@@ -516,6 +518,80 @@ def _parse_by_relation(n, pairs):
     return poset_from_relations(relation)
 
 
+def _mutated_poset_line(rng: random.Random) -> tuple[str, str]:
+    """(kind, line): the canonical line of a random poset with n <= 8, mutated once.
+
+    The mutations keep most of the canonical syntax, so that they reach
+    every branch of the canonical reader: each kind names what it changes.
+    """
+    kind = rng.choice(["canonical", "spaces", "spaces", "key order", "extra key", "string ],[",
+                       "swapped", "repeated", "dropped", "added", "one member", "three members",
+                       "regrouped", "leading zero", "true", "1.0", '"1"', "nested", "label 0",
+                       "negative label", "above n", "wrong n", "negative n", "empty n"])
+    pairs = []
+    while not pairs:  # a poset with at least one pair, but for some of the unmutated lines
+        n = rng.randint(0, 8)
+        p = fb.sequence_to_poset(random_ascent_sequence(n, rng.randrange(2**32)))
+        pairs = [[str(a), str(b)] for a, b in poset_to_relations(p).pairs]
+        if kind == "canonical" and rng.random() < 0.2:
+            break
+    n_text, head, tail = str(n), "", ""
+    i = rng.randrange(len(pairs)) if pairs else None
+    j = rng.randrange(2)
+    if kind == "dropped":
+        del pairs[i]
+    elif kind == "added":
+        pairs = sorted(set(map(tuple, pairs)) | {(str(rng.randint(1, n)), str(rng.randint(1, n)))},
+                       key=lambda pair: tuple(map(int, pair)))
+    elif kind == "swapped" and len(pairs) > 1:
+        k = rng.randrange(len(pairs) - 1)
+        pairs[k], pairs[k + 1] = pairs[k + 1], pairs[k]
+    elif kind == "repeated" and pairs:
+        pairs.insert(i, pairs[i])
+    elif kind == "one member" and pairs:
+        pairs[i] = pairs[i][:1]
+    elif kind == "three members" and pairs:
+        pairs[i] = pairs[i] + [str(rng.randint(1, n))]
+    elif kind == "regrouped" and len(pairs) > 1:
+        flat = [v for pair in pairs for v in pair]
+        cut = rng.choice([1, 3, 2 * len(pairs) - 1, rng.randrange(1, len(flat))])
+        pairs = [flat[:cut], flat[cut:]] if rng.random() < 0.5 else [
+            flat[:2 * i] + flat[2 * i:2 * i + 3], flat[2 * i + 3:]]
+        pairs = [pair for pair in pairs if pair]
+    elif kind in ("leading zero", "true", "1.0", '"1"', "nested", "label 0", "negative label",
+                  "above n") and pairs:
+        value = pairs[i][j]
+        pairs[i][j] = {"leading zero": "0" + value, "true": "true", "1.0": value + ".0",
+                       '"1"': f'"{value}"', "nested": f"[{value}]", "label 0": "0",
+                       "negative label": "-" + value,
+                       "above n": str(n + rng.randint(1, 3))}[kind]
+    elif kind == "wrong n":
+        n_text = str(max(0, n + rng.choice([-2, -1, 1, 2])))
+    elif kind == "negative n":
+        n_text = str(-rng.randint(1, 3))
+    elif kind == "empty n":
+        n_text = ""
+        if rng.random() < 0.5:
+            pairs = []
+    elif kind == "extra key":
+        head, tail = rng.choice([('"x":1,', ""), ("", ',"x":[[1,2]]')])
+    elif kind == "string ],[":
+        head, tail = rng.choice([('"s":"],[",', ""), ("", ',"s":"],["')])
+    relations = "[" + ",".join("[" + ",".join(pair) + "]" for pair in pairs) + "]"
+    if kind == "string ],[" and pairs and rng.random() < 0.5:
+        relations = relations.replace(pairs[-1][-1] + "]]", '"],["]]')
+    line = "{" + head + f'"n":{n_text},"relations":{relations}' + tail + "}"
+    if kind == "key order":
+        line = "{" + f'"relations":{relations},"n":{n_text}' + "}"
+    elif kind == "spaces":
+        if rng.random() < 0.5:
+            line = json.dumps(json.loads(line))
+        else:
+            k = rng.randrange(len(line) + 1)
+            line = line[:k] + rng.choice([" ", "\t"]) + line[k:]
+    return kind, line
+
+
 def _outcome(f, *args):
     """("ok", value) or (exception type, message) of f(*args)."""
     try:
@@ -820,6 +896,61 @@ class TestTextForms:
         accepted = ("canonical", "dropped", "added", "duplicated", "shuffled", "empty n")
         assert min(seen[kind, False] for kind in rejected) > 100, seen
         assert min(seen[kind, True] for kind in accepted) > 100, seen
+
+    def test_canonical_reader_matches_the_counting_reader(self, sequences_by_length):
+        # every poset with n <= 7 in canonical form: the same poset as the
+        # sorted-pairs counting reader
+        for n in range(8):
+            for x in sequences_by_length[n]:
+                p = fb.sequence_to_poset(x)
+                text = format_poset(p)
+                assert parse_poset(text) == parse_poset_by_counting(text) == p
+
+    def test_mutated_lines_match_the_counting_reader(self):
+        # the same poset, or the same error type and message, on seeded
+        # mutations of canonical lines
+        rng = random.Random(2008)
+        seen = collections.Counter()
+        for _ in range(20000):
+            kind, line = _mutated_poset_line(rng)
+            got, expected = _outcome(parse_poset, line), _outcome(parse_poset_by_counting, line)
+            assert got == expected, line
+            seen[kind, expected[0]] += 1
+        accepted = {"canonical", "spaces", "key order", "extra key", "string ],[", "swapped",
+                    "repeated"}
+        kinds = {kind for kind, _ in seen}
+        assert len(kinds) == 23 and accepted < kinds, seen
+        assert all(seen[kind, "ok"] > 300 for kind in accepted), seen
+        assert all(seen[kind, ParseError] > 300 for kind in kinds - accepted - {"dropped", "added"}), seen
+        for error in (NotPartialOrderError, NotTwoPlusTwoFreeError):
+            assert seen["dropped", error] + seen["added", error] > 50, seen
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_relations_are_judged_as_by_the_pair_count(self, n):
+        # every relation on 1..n, n <= 4: the same poset, or the same
+        # witness, as the counting route
+        points = range(1, n + 1)
+        grid = [(a, b) for a in points for b in points]
+        for mask in range(1 << len(grid)):
+            rel = fb.RelationMatrix(n, [pair for bit, pair in enumerate(grid) if mask >> bit & 1])
+            assert (_outcome(poset_from_relations, rel)
+                    == _outcome(poset_from_relations_by_counting, rel)), rel
+
+    def test_an_absurd_size_is_a_typed_error(self):
+        # n = 10**13 cannot be allocated, and the allocation fails at once;
+        # a pair out of range is still named first
+        big = 10**13
+        for text in (f'{{"n":{big},"relations":[]}}', f'{{"n":{big},"relations":[[1,2]]}}',
+                     f'{{"n": {big}, "relations": [[2, 1], [1, 3]]}}'):
+            with pytest.raises(fb.FishburnError) as info:
+                parse_poset(text)
+            assert str(info.value) == f"poset size {big} is too large to build"
+        with pytest.raises(fb.FishburnError, match="too large"):
+            poset_from_relations(fb.RelationMatrix(big, [(1, 2)]))
+        for pairs, bad in (("[0,2],[1,2]", "(0,2)"), ("[1,0],[1,2]", "(1,0)")):
+            with pytest.raises(ParseError) as info:
+                parse_poset(f'{{"n":{big},"relations":[{pairs}]}}')
+            assert str(info.value) == f"relation {bad} out of range 1..{big}"
 
     def test_canonical_lines_skip_the_relation_route(self, monkeypatch):
         # a canonical line with pairs is counted as decoded, with no
