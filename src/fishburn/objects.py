@@ -60,10 +60,22 @@ from .errors import (
 
 DEFAULT_BRUTE_CAPS = {"perms": 9, "involutions": 6}
 
+# the most characters of a bad literal that an error message echoes
+SHOWN_CHARS = 200
+
 
 def ascents(entries) -> int:
     """Number of strict ascents of an integer sequence."""
     return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
+
+
+def _shown(literal) -> str:
+    """A bad literal as an error message echoes it: the repr of a string, the str
+    of anything else, cut past SHOWN_CHARS characters to a prefix and its length."""
+    shown = repr(literal) if isinstance(literal, str) else str(literal)
+    if len(shown) <= SHOWN_CHARS:
+        return shown
+    return f"{shown[:SHOWN_CHARS]}... (length {len(literal)})"
 
 
 def _exact_int(v, error: str = "not an integer: {!r}") -> int:
@@ -239,7 +251,7 @@ class ModifiedAscentSequence(_EntriesSequence):
         entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if not _is_modified(entries):
-            raise NotModifiedSequenceError(f"not a modified ascent sequence: {entries}")
+            raise NotModifiedSequenceError(f"not a modified ascent sequence: {_shown(entries)}")
 
 
 def validate_ascent_sequence(entries: Iterable[int]) -> AscentSequence:
@@ -286,7 +298,7 @@ class Permutation(_EntriesSequence):
         entries = _exact_ints(self.entries)
         object.__setattr__(self, "entries", entries)
         if sorted(entries) != list(range(1, len(entries) + 1)):
-            raise NotPermutationError(f"not a permutation of 1..n: {entries}")
+            raise NotPermutationError(f"not a permutation of 1..n: {_shown(entries)}")
 
     def __str__(self):
         return format_permutation(self.entries)
@@ -534,7 +546,7 @@ class ChordInvolution(_Value):
         if m % 2:
             raise NotInvolutionError("odd number of endpoints")
         if sorted(partner) != list(range(1, m + 1)):
-            raise NotInvolutionError(f"not a permutation of 1..{m}: {partner}")
+            raise NotInvolutionError(f"not a permutation of 1..{m}: {_shown(partner)}")
         for i, v in enumerate(partner, start=1):
             if v == i:
                 raise FixedPointError(f"fixed point at {i}")
@@ -669,14 +681,14 @@ def format_sequence(entries: Iterable[int]) -> str:
 def parse_sequence(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"bad sequence literal: {text!r}")
+        raise ParseError(f"bad sequence literal: {_shown(text)}")
     body = text[1:-1].strip()
     if not body:
         return ()
     try:
         return tuple(map(int, body.split(",")))
     except ValueError as exc:
-        raise ParseError(f"bad sequence literal: {text!r}") from exc
+        raise ParseError(f"bad sequence literal: {_shown(text)}") from exc
 
 
 def format_permutation(entries: Iterable[int]) -> str:
@@ -690,11 +702,24 @@ def parse_permutation(text: str) -> Permutation:
     try:
         entries = tuple(map(int, parts))
     except ValueError as exc:
-        raise ParseError(f"bad permutation literal: {text!r}") from exc
+        raise ParseError(f"bad permutation literal: {_shown(text)}") from exc
     return Permutation(entries)
 
 
 _NO_DIGITS = str.maketrans("", "", "-0123456789")
+
+# The most pairs format_poset writes: about 12 bytes of text a pair, and 42 at the
+# peak (the chain on 3,000 labels: 4.5 million pairs, 51 MB, 181 MB more peak memory).
+MAX_POSET_PAIRS = 10**7
+
+
+def _pair_count(p: Poset) -> int:
+    """The number of pairs x < y, read off the level counts in O(n): x is below
+    every label of level >= entry(x)."""
+    per_level = collections.Counter(p.levels)
+    top_down = itertools.accumulate(map(per_level.__getitem__, range(p.rank + 1, -1, -1)))
+    at_least = list(top_down)[::-1]  # at_least[e] labels have level >= e, for e in 0..k+1
+    return sum(map(at_least.__getitem__, p.entry))
 
 
 def format_poset(p: Poset) -> str:
@@ -702,7 +727,13 @@ def format_poset(p: Poset) -> str:
 
     The pairs of x are x with each label of level >= entry(x), so each row
     is one join over the label strings of `_upper_labels(p.levels)[entry(x)]`.
+    A poset of more than MAX_POSET_PAIRS pairs is a FishburnError that names
+    its pair count, raised before any row is built.
     """
+    # n(n-1)/2 bounds the pairs, so only a poset on more than 4,472 labels is counted
+    if p.n * (p.n - 1) > 2 * MAX_POSET_PAIRS and _pair_count(p) > MAX_POSET_PAIRS:
+        raise FishburnError(f"poset has {_pair_count(p)} pairs, more than the "
+                            f"{MAX_POSET_PAIRS} that a JSON line is written with")
     labels = list(map(str, range(p.n + 1)))
     upper = [list(map(labels.__getitem__, row)) for row in _upper_labels(p.levels)]
     rows = [f"[{x},{f'],[{x},'.join(upper[e])}]"
@@ -710,36 +741,42 @@ def format_poset(p: Poset) -> str:
     return f'{{"n":{p.n},"relations":[{",".join(rows)}]}}'
 
 
+def _between_pairs(text: str) -> str | None:
+    """`],[` for a poset line in `format_poset`'s syntax, `], [` for one in `json.dumps`'s
+    default one, else None: digits and minus signs aside, such a line is exactly the
+    syntax with one pair or more, so that string stands only between two pairs."""
+    shape, more = text.translate(_NO_DIGITS), ",[,]" * (text.count("[") - 2)
+    if shape == '{"n":,"relations":[[,]%s]}' % more:
+        return "],["
+    return "], [" if shape == '{"n": , "relations": [[, ]%s]}' % more.replace(",", ", ") else None
+
+
 def parse_poset(text: str) -> Poset:
     """The poset of a JSON line `{"n":..,"relations":[[a,b],..]}`.
 
-    A line in the canonical syntax (digits and minus signs aside, exactly
-    `{"n":,"relations":[[,],..,[,]]}` with one pair or more) is decoded
-    with each `],[` read as `,`, so that its pairs come back as one flat
-    list; any other line is decoded as it is.  The poset counted from the
-    pairs (`_counted_poset`) is returned when they are its own pairs in
-    order.  It gives each element as many pairs as the line has with it
-    first, so that holds when the firsts run in order from 1 up and the
-    seconds are its rows in turn.  Other pairs, and the empty relation, go
+    A line in a canonical syntax (`_between_pairs`) is decoded with the
+    string between its pairs read as `,`, so that its pairs come back as
+    one flat list; any other line is decoded as it is.  The poset counted
+    from the pairs (`_counted_poset`, which needs their firsts sorted) is
+    returned when the seconds are its rows in turn, which makes the pairs
+    its own pairs in order.  Other pairs, and the empty relation, go
     through `RelationMatrix` and `poset_from_relations`.
     """
-    canonical = text.translate(_NO_DIGITS) == '{"n":,"relations":[[,]%s]}' % (
-        ",[,]" * (text.count("[") - 2))
+    between = _between_pairs(text)
     try:
-        # in the canonical syntax every `],[` lies between two pairs
-        data = json.loads(text.replace("],[", ",") if canonical else text)
+        data = json.loads(text.replace(between, ",") if between else text)
         n, pairs = data["n"], data["relations"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(f"bad poset literal: {text!r}") from exc
-    if canonical:  # pairs is [[a, b, a', b', ...]]
+        raise ParseError(f"bad poset literal: {_shown(text)}") from exc
+    if between:  # pairs is [[a, b, a', b', ...]]
         firsts, seconds = pairs[0][::2], pairs[0][1::2]
     else:
         if type(n) is not int or type(pairs) is not list or not _are_int_pairs(pairs):
-            raise ParseError(f"bad poset literal, need an integer n and integer pairs: {text!r}")
+            raise ParseError("bad poset literal, need an integer n and integer pairs: "
+                             + _shown(text))
         firsts, seconds = (list(map(operator.itemgetter(i), pairs)) for i in (0, 1))
     del data, pairs  # frees the decoded lists before the pairs are counted
-    rising = firsts and 0 < firsts[0] and all(map(operator.le, firsts, firsts[1:]))
-    counted = _counted_poset(n, firsts, seconds) if rising else None
+    counted = _counted_poset(n, firsts, seconds) if firsts else None
     if counted:
         poset, upper = counted
         if seconds == list(itertools.chain.from_iterable(map(upper.__getitem__, poset.entry))):
@@ -748,6 +785,7 @@ def parse_poset(text: str) -> Poset:
         relation = _relation_of_int_pairs(n, zip(firsts, seconds))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    del firsts, seconds  # the relation holds the pairs
     return poset_from_relations(relation)
 
 
@@ -764,21 +802,21 @@ _CHORD_LIST = re.compile(rf"{_CHORD.pattern}(?:\s*,\s*{_CHORD.pattern})*")
 def parse_involution(text: str) -> ChordInvolution:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"bad involution literal: {text!r}")
+        raise ParseError(f"bad involution literal: {_shown(text)}")
     body = text[1:-1].strip()
     chords = []
     if body:
         if not _CHORD_LIST.fullmatch(body):
-            raise ParseError(f"bad involution literal: {text!r}")
+            raise ParseError(f"bad involution literal: {_shown(text)}")
         try:
             chords = [(int(a), int(b)) for a, b in _CHORD.findall(body)]
         except ValueError as exc:  # an endpoint with more digits than int() reads
-            raise ParseError(f"bad involution literal: {text!r}") from exc
+            raise ParseError(f"bad involution literal: {_shown(text)}") from exc
     m = 2 * len(chords)
     partner = [0] * m
     for a, b in chords:
         if not (1 <= a <= m and 1 <= b <= m) or partner[a - 1] or partner[b - 1]:
-            raise NotInvolutionError(f"bad chord list: {text!r}")
+            raise NotInvolutionError(f"bad chord list: {_shown(text)}")
         partner[a - 1], partner[b - 1] = b, a
     return ChordInvolution(tuple(partner))
 
@@ -812,27 +850,40 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
 def _counted_poset(n: int, firsts: list[int],
                    seconds: list[int]) -> tuple[Poset, list[list[int]]] | None:
     """The candidate interval form of the pairs zip(firsts, seconds) with its
-    `_upper_labels`, or None.
+    `_upper_labels`, or None when the firsts are not sorted labels of 1..n.
 
-    The levels rank the downset sizes (how often each label is a second)
-    and each entry is the e whose upper[e] holds as many labels as the
-    element has pairs as a first, so an interval order, whose downsets form
-    a chain of distinct sizes, gets its own form back.  The callers accept
-    a candidate only when it re-encodes to their input.
+    The pairs of label a (its row) start at bisect_left(firsts, a) when the
+    firsts are sorted, so each row length is a difference of row starts,
+    found for the labels from the first first to the last.  Before any
+    second is counted, one C-level comparison with their sorted copy proves
+    the firsts sorted, and so in 1..n when the two ends are; a shuffled
+    line almost never has its outer row starts at the list's ends, and
+    leaves before the copy.  The levels rank the downset sizes (how often
+    each label is a second) and each entry is the e whose upper[e] holds as
+    many labels as the element has pairs, so an interval order, whose
+    downsets form a chain of distinct sizes, gets its own form back.  The
+    callers accept a candidate only when it re-encodes to their input.
     """
     try:
-        down, up = [0] * (n + 1), [0] * (n + 1)
-        for b in seconds:
-            down[b] += 1
-        for a in firsts:
-            up[a] += 1
-    except IndexError:  # a label past n, or any label when n < 0
-        return None
+        down = [0] * (n + 1)
     except (MemoryError, OverflowError):  # a size too large to allocate fails at once
         if 1 <= min(firsts + seconds, default=1) and max(firsts + seconds, default=0) <= n:
             raise FishburnError(f"poset size {n} is too large to build") from None
         return None
-    del down[0], up[0]
+    low, high = (firsts[0], firsts[-1]) if firsts else (1, 0)  # the empty relation spans no label
+    if not (1 <= low <= high + 1 and high <= n):
+        return None
+    starts = list(map(bisect.bisect_left, itertools.repeat(firsts), range(low, high + 2)))
+    if starts[0] or starts[-1] != len(firsts) or firsts != sorted(firsts):
+        return None
+    up = [0] * n  # the row lengths, differences of row starts
+    up[low - 1:high] = map(operator.sub, starts[1:], starts)
+    try:
+        for b in seconds:
+            down[b] += 1
+    except IndexError:  # a label past n
+        return None
+    del down[0]
     level_of_size = {size: level for level, size in enumerate(sorted(set(down)))}
     levels = tuple(map(level_of_size.__getitem__, down))
     upper = _upper_labels(levels)

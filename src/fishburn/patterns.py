@@ -32,7 +32,7 @@ import itertools
 from collections.abc import Callable
 
 from .errors import LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation, _exact_int, _Value, r_occurrences
+from .objects import AscentSequence, Permutation, _exact_int, _shown, _Value, r_occurrences
 
 
 class BivincularPattern(_Value):
@@ -77,7 +77,7 @@ def parse_pattern(text: str) -> BivincularPattern:
     """Read the compact form `word|X={..}|Y={..}`; any malformed part is a ParseError."""
     parts = text.strip().split("|")
     if len(parts) != 3 or not parts[1].startswith("X=") or not parts[2].startswith("Y="):
-        raise ParseError(f"bad pattern literal: {text!r}")
+        raise ParseError(f"bad pattern literal: {_shown(text)}")
     word = parts[0].strip()
     if not word.isdigit():
         raise ParseError(f"bad pattern word: {word!r}")
@@ -92,7 +92,7 @@ def parse_pattern(text: str) -> BivincularPattern:
         sigma = Permutation(tuple(map(int, word)))
         return BivincularPattern(sigma, frozenset(map(int, sets[0])), frozenset(map(int, sets[1])))
     except ValueError as exc:  # a non-integer member, a word or set out of range
-        raise ParseError(f"bad pattern literal {text!r}: {exc}") from exc
+        raise ParseError(f"bad pattern literal {_shown(text)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

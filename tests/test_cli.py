@@ -175,6 +175,27 @@ class TestConvert:
         assert code == 1 and len(out.splitlines()) == 1
         assert err.splitlines() == [f"line {i}: poset size {big} is too large to build" for i in (1, 2, 3)]
 
+    @pytest.mark.parametrize("source", ["ascseq", "perm", "poset", "involution"])
+    def test_a_long_bad_line_gives_one_short_report(self, source, capsys, monkeypatch):
+        # a 1 MB bad line is echoed as a prefix and its length; the next line is still read
+        good = {"ascseq": "[0,1]", "perm": "1 2", "poset": '{"n":2,"relations":[[1,2]]}',
+                "involution": "[(1,3),(2,4)]"}[source]
+        bad = "[" + "0," * 500_000 + "x]"
+        code, out, err = run(["convert", "--from", source, "--to", "ascseq"], f"{bad}\n{good}\n",
+                             monkeypatch, capsys)
+        assert code == 1 and len(out.splitlines()) == 1
+        assert len(err) < 400 and err.count("\n") == 1
+        assert err.startswith("line 1: bad ") and err.endswith(f"... (length {len(bad)})\n")
+
+    def test_a_poset_past_the_output_bound_is_a_line_error(self, capsys, monkeypatch):
+        # the chain on 4,473 labels has 10,001,628 pairs; the next line is still written
+        chain = str(AscentSequence(tuple(range(4473))))
+        code, out, err = run(["convert", "--from", "ascseq", "--to", "poset"], f"{chain}\n[0,1]\n",
+                             monkeypatch, capsys)
+        assert (code, out) == (1, '{"n":2,"relations":[[1,2]]}\n')
+        assert err == ("line 1: poset has 10001628 pairs, more than the 10000000 "
+                       "that a JSON line is written with\n")
+
     def test_chord_lists_need_one_comma_between_chords(self, capsys, monkeypatch):
         code, out, err = run(["convert", "--from", "involution", "--to", "ascseq"],
                              "[(1,2)(3,4)]\n[(1,2) (3,4)]\n[,(1,2),,]\n[ (1,2) , (3,4) ]\n",

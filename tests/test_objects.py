@@ -963,11 +963,100 @@ class TestTextForms:
         def refuse(n, pairs):
             raise AssertionError("a canonical line went through _relation_of_int_pairs")
 
+        def refuse_lists(pairs):
+            raise AssertionError("a canonical line was decoded with a list per pair")
+
         monkeypatch.setattr(objects, "_relation_of_int_pairs", refuse)
+        monkeypatch.setattr(objects, "_are_int_pairs", refuse_lists)
         for p, text in zip(posets, texts):
             assert parse_poset(text) == p
+            # json.dumps's default spaces are the other canonical syntax
+            assert parse_poset(json.dumps(json.loads(text))) == p
+        with pytest.raises(AssertionError, match="a list per pair"):
+            parse_poset('{"n": 2, "relations": [[1, 2]], "x": 1}')
         with pytest.raises(AssertionError):
             parse_poset('{"n":2,"relations":[[1,2],[1,2]]}')
+
+    @pytest.mark.parametrize("spaced", [False, True], ids=["compact", "spaced"])
+    @pytest.mark.parametrize("n, pairs", [
+        pytest.param(4, "[1,2],[1,3],[2,3],[2,4],[3,4]", id="rising-firsts-miscounted"),
+        pytest.param(4, "[1,2],[2,3],[2,4],[3,4]", id="rising-firsts-short-row"),
+        pytest.param(4, "[2,3],[2,4],[1,2],[1,3],[1,4],[3,4]", id="rows-out-of-order"),
+        pytest.param(4, "[1,2],[1,3],[1,4],[3,4],[2,3],[2,4]", id="last-rows-swapped"),
+        pytest.param(4, "[1,2],[2,3],[1,3],[2,4]", id="unsorted-past-the-row-start-check"),
+        # unsorted firsts past the row-start check whose seconds are the rows
+        # of the poset their row starts would count: only the order check refuses them
+        pytest.param(4, "[1,2],[2,3],[1,4],[2,4],[3,4]", id="unsorted-firsts-over-counted-rows"),
+        pytest.param(4, "[1,3],[1,4],[2,3],[1,4],[3,4]", id="unsorted-firsts-repeated-pair"),
+        pytest.param(4, "[0,1],[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]", id="first-0"),
+        pytest.param(4, "[-1,2],[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]", id="negative-first"),
+        pytest.param(4, "[1,2],[1,3],[1,4],[2,3],[2,4],[3,4],[5,1]", id="first-past-n"),
+        # refused before a row start is sought for each label up to it
+        pytest.param(4, "[1,2],[1,3],[1,4],[2,3],[2,4],[3,4],[1000000000000,1]", id="first-far-past-n"),
+        pytest.param(4, "[1,2],[1,2],[1,3],[1,4],[2,3],[2,4],[3,4]", id="repeated-pair"),
+        pytest.param(3, "[1,2],[3,2]", id="empty-row-between-full-rows"),
+        pytest.param(4, "[1,2],[1,4],[3,2],[3,4]", id="empty-row-between-long-rows"),
+        pytest.param(4, "[1,2],[1,4],[3,4],[3,2]", id="empty-row-then-unsorted-row"),
+    ])
+    def test_targeted_lines_match_the_counting_reader(self, n, pairs, spaced):
+        # the firsts are proved in order, in range and counted by their row
+        # starts; each line gets the same poset, or the same error, as the
+        # reader that counts pair by pair
+        line = '{"n":%d,"relations":[%s]}' % (n, pairs)
+        if spaced:
+            line = json.dumps(json.loads(line))
+        assert _outcome(parse_poset, line) == _outcome(parse_poset_by_counting, line)
+
+    def test_the_pair_count_of_every_small_poset(self, sequences_by_length):
+        # the O(n) count from the level counts is the size of the relation
+        for n in range(8):
+            for x in sequences_by_length[n]:
+                p = fb.sequence_to_poset(x)
+                assert objects._pair_count(p) == len(poset_to_relations(p).pairs)
+
+    def test_a_poset_past_the_output_bound_is_refused_before_its_rows(self, monkeypatch):
+        # the least chain past the bound has n (n - 1) / 2 = 10,001,628 pairs
+        n = 4473
+        assert (n - 1) * (n - 2) // 2 <= objects.MAX_POSET_PAIRS < n * (n - 1) // 2
+
+        def refuse(levels):
+            raise AssertionError("the rows of a poset past the bound were built")
+
+        monkeypatch.setattr(objects, "_upper_labels", refuse)
+        with pytest.raises(fb.FishburnError) as info:
+            format_poset(Poset.chain(n))
+        assert str(info.value) == ("poset has 10001628 pairs, more than the 10000000 "
+                                   "that a JSON line is written with")
+
+    def test_the_output_bound_counts_pairs_not_labels(self, monkeypatch):
+        # with a bound of 10 pairs: the chain on 5 labels (10 pairs) and the
+        # antichain on 100 (no pairs) are written, the chain on 6 (15) is not
+        monkeypatch.setattr(objects, "MAX_POSET_PAIRS", 10)
+        assert parse_poset(format_poset(Poset.chain(5))) == Poset.chain(5)
+        assert format_poset(Poset.antichain(100)) == '{"n":100,"relations":[]}'
+        with pytest.raises(fb.FishburnError, match="^poset has 15 pairs, more than the 10 "):
+            format_poset(Poset.chain(6))
+
+    def test_bad_literals_are_echoed_whole_up_to_the_cap(self):
+        # a literal of up to SHOWN_CHARS characters is echoed as before,
+        # a longer one as a prefix and its length
+        cap = objects.SHOWN_CHARS
+        short = "[" + "0," * ((cap - 6) // 2) + "x]"
+        assert len(repr(short)) <= cap
+        with pytest.raises(ParseError) as info:
+            parse_poset(short)
+        assert str(info.value) == f"bad poset literal: {short!r}"
+        long = "[" + "0," * 500_000 + "x]"
+        for parse, name in ((parse_sequence, "sequence"), (parse_involution, "involution"),
+                            (parse_poset, "poset")):
+            with pytest.raises(ParseError) as info:
+                parse(long)
+            assert str(info.value) == (f"bad {name} literal: {repr(long)[:cap]}... "
+                                       f"(length {len(long)})")
+        with pytest.raises(fb.NotPermutationError) as info:
+            fb.Permutation((1,) * 100_000)
+        assert str(info.value) == ("not a permutation of 1..n: " + str((1,) * 100_000)[:cap]
+                                   + "... (length 100000)")
 
     @pytest.mark.parametrize("text", [
         '{"n":2,"relations":[[1.5,2]]}',
