@@ -37,7 +37,6 @@ from .objects import (
     ModifiedAscentSequence,
     _first_neighbour_nesting,
     check_brute_force_cap,
-    enumerate_ascent_sequences,
     enumerate_permutations,
     format_involution,
     format_permutation,
@@ -231,8 +230,7 @@ def cmd_avoiders(args, emit: Emit) -> int:
         return EXIT_USAGE
     if args.barred:
         # the avoiders are the images of the self-modified sequences; `avoids_barred` is the oracle
-        found = (bijections.sequence_to_perm(x) for x in enumerate_ascent_sequences(args.n)
-                 if patterns.is_self_modified(x))
+        found = map(bijections.sequence_to_perm, patterns.enumerate_self_modified(args.n))
     elif (carry := patterns.family_symmetry(args.pattern)) is not None:
         # an image of the family pattern: its avoiders are images of the family; the filter
         # is the oracle
@@ -241,9 +239,11 @@ def cmd_avoiders(args, emit: Emit) -> int:
         check_brute_force_cap("perms", args.n)
         found = (pi for pi in enumerate_permutations(args.n)
                  if not patterns.contains(pi, args.pattern))
-    found = sorted(found, key=lambda pi: pi.entries)
-    for line in [str(len(found))] if args.count else map(CODECS["perm"].format, found):
-        emit(line)
+    if args.count:
+        emit(str(sum(1 for _ in found)))
+    else:
+        for pi in sorted(found, key=lambda pi: pi.entries):
+            emit(CODECS["perm"].format(pi))
     return EXIT_OK
 
 

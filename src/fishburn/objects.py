@@ -640,12 +640,16 @@ def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolut
 def brute_force_cap(kind: str) -> int:
     """Exhaustive-search cap for a filtered family ('perms' or 'involutions')."""
     env = os.environ.get("FISHBURN_MAX_BRUTE_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SettingError(f"FISHBURN_MAX_BRUTE_N must be an integer, got {env!r}") from exc
-    return DEFAULT_BRUTE_CAPS[kind]
+    if env is None:
+        return DEFAULT_BRUTE_CAPS[kind]
+    try:
+        cap = int(env)
+    except ValueError as exc:
+        raise SettingError(f"FISHBURN_MAX_BRUTE_N must be an integer, got {env!r}") from exc
+    if cap < 0:
+        # a negative cap would let the oracles check nothing
+        raise SettingError(f"FISHBURN_MAX_BRUTE_N must be >= 0, got {env!r}")
+    return cap
 
 
 def check_brute_force_cap(kind: str, n: int) -> None:

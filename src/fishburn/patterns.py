@@ -23,16 +23,17 @@ backtracking, which is worst-case polynomial of degree its length.
 
 The barred condition implemented by `avoids_barred` asks that every
 231-occurrence extend to a 31524-occurrence; its avoiders correspond to
-the ascent sequences fixed by the modification sweep.
+the ascent sequences fixed by the modification sweep, which
+`enumerate_self_modified` lists without filtering.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .errors import LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation, _exact_int, _shown, _Value, r_occurrences
+from .objects import AscentSequence, Permutation, _exact_int, _shown, _trusted, _Value, r_occurrences
 
 
 class BivincularPattern(_Value):
@@ -321,3 +322,31 @@ def is_self_modified(x: AscentSequence) -> bool:
                 return False
             top = e
     return True
+
+
+def enumerate_self_modified(n: int) -> Iterator[AscentSequence]:
+    """The self-modified ascent sequences of length n, lexicographically.
+
+    The members of `enumerate_ascent_sequences(n)` that `is_self_modified`
+    accepts, in the same order.  Entry i > 0 takes 0..x[i-1] and then the
+    new maximum 1 + max(prefix), so an ascent is always that last choice:
+    each next sequence raises the last entry that is not an ascent and
+    resets the entries after it to 0.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield _trusted(AscentSequence, ())
+        return
+    x = [0] * n
+    top = [0] * n  # top[i]: max(x[0..i])
+    while True:
+        yield _trusted(AscentSequence, tuple(x))
+        i = n - 1
+        while i and x[i] > x[i - 1]:
+            i -= 1
+        if not i:
+            return
+        x[i] = x[i] + 1 if x[i] < x[i - 1] else top[i - 1] + 1
+        x[i + 1:] = [0] * (n - 1 - i)
+        top[i:] = [max(top[i - 1], x[i])] * (n - i)

@@ -9,8 +9,9 @@ Everything here is integer arithmetic.  The central objects are
   Andrews and Jelinek, "On q-series identities related to interval
   orders", Europ. J. Combin. 2014).  Each factor of this form is
   divisible by t^2, so floor(N/2) of them reach t^N, and dividing by x
-  is a prefix sum: the Horner evaluation uses prefix sums only, no
-  big-integer products;
+  is a prefix sum: the Horner evaluation uses prefix sums, and a
+  schoolbook product with the coefficients of x^-1 (1 - x^-k)^2 only at
+  its top levels, where the working list is shorter than k;
 * `CountTable`: the dynamic program counting ascent sequences by length,
   number of ascents and last entry (appending i <= last keeps the ascent
   count, appending last < i <= asc+1 raises it by one); each row feeds
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from itertools import accumulate, zip_longest
 from math import comb
+from operator import mul
 
 # ---------------------------------------------------------------------------
 # Polynomial building blocks
@@ -124,6 +126,11 @@ def _kernel_rows(t_order: int, u_order: int):
 # The product formula, in its Andrews-Jelinek form
 
 
+def _horner_factor(k: int, width: int) -> list[int]:
+    """The t^0..t^(width-1) coefficients of x^-1 (1 - x^-k)^2, x = 1-t."""
+    return [1 - 2 * comb(d + k, k) + comb(d + 2 * k, 2 * k) for d in range(width)]
+
+
 def p_series(order: int) -> list[int]:
     """Counts p_0..p_order of each family, from the Andrews-Jelinek form.
 
@@ -132,15 +139,31 @@ def p_series(order: int) -> list[int]:
     (1 - x^-k)^2 is divisible by t^2, so K_k is needed only up to
     t^(order+2-2k).  With y = x^-k K_{k+1} and z = x^-k y, both k prefix
     sums, K_k is 1 plus one more prefix sum of K_{k+1} - 2y + z.
+
+    That is 2k+1 passes over the w = order+3-2k coefficients.  When w < k,
+    one lower-triangular Toeplitz product does the same in about w^2/2
+    multiply-adds: x^-1 (1 - x^-k)^2 = (1-t)^-1 - 2(1-t)^-(k+1) +
+    (1-t)^-(2k+1) has t^d coefficient tau_d = 1 - 2 C(d+k, k) +
+    C(d+2k, 2k), and tau_0 = tau_1 = 0 (the t^2 divisibility), so
+    K_k[m] = [m=0] + sum_{j<=m-2} tau_{m-j} K_{k+1}[j].  A multiply-add
+    costs a few additions, so below w = k the product is the cheaper
+    route and above it the passes are (measured at order 250).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     h = [1]
     for k in range(order // 2, 0, -1):
-        h += [0] * (order + 3 - 2 * k - len(h))
-        y = _over_one_minus_t(h, k)
-        z = _over_one_minus_t(y, k)
-        h = list(accumulate(a - 2 * b + c for a, b, c in zip(h, y, z)))
+        width = order + 3 - 2 * k
+        if width < k:
+            # h holds at most width - 2 coefficients, and tau[m:1:-1] pairs
+            # tau_m..tau_2 with h[0..m-2]
+            tau = _horner_factor(k, width)
+            h = [sum(map(mul, h, tau[m:1:-1])) for m in range(width)]
+        else:
+            h += [0] * (width - len(h))
+            y = _over_one_minus_t(h, k)
+            z = _over_one_minus_t(y, k)
+            h = list(accumulate(a - 2 * b + c for a, b, c in zip(h, y, z)))
         h[0] += 1
     return list(accumulate(h + [0] * (order + 1 - len(h))))
 

@@ -404,6 +404,30 @@ def p_series_by_products(order: int) -> list[int]:
     return h
 
 
+def p_series_by_prefix_sums(order: int) -> list[int]:
+    """p_0..p_order from the Andrews-Jelinek form, by prefix sums only.
+
+    The same Horner form as `series.p_series`, K_k = 1 + x^-1 (1 - x^-k)^2
+    K_{k+1} with x = 1-t, but every level divides by x in 2k+1 prefix-sum
+    passes, however short its list: y = x^-k K_{k+1}, z = x^-k y, and K_k
+    is 1 plus one more prefix sum of K_{k+1} - 2y + z.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    h = [1]
+    for k in range(order // 2, 0, -1):
+        h += [0] * (order + 3 - 2 * k - len(h))
+        y = h
+        for _ in range(k):
+            y = list(itertools.accumulate(y))
+        z = y
+        for _ in range(k):
+            z = list(itertools.accumulate(z))
+        h = list(itertools.accumulate(a - 2 * b + c for a, b, c in zip(h, y, z)))
+        h[0] += 1
+    return list(itertools.accumulate(h + [0] * (order + 1 - len(h))))
+
+
 def product_polynomial(n: int, t_order: int) -> list[int]:
     """prod_{i=1..n} (1 - (1-t)^i) as a truncated t-polynomial.
 

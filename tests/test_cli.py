@@ -439,6 +439,17 @@ class TestPatternsCommands:
         assert code == 2 and not out
         assert "FISHBURN_MAX_BRUTE_N" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["avoiders", "--n", "3", "--pattern", CAPPED_PATTERN],
+        ["verify", "--suite", "roundtrips", "--max-n", "3"],
+    ], ids=["avoiders", "verify"])
+    def test_negative_cap_setting_is_usage_error(self, argv, capsys, monkeypatch):
+        # a negative cap would leave the brute-force oracles nothing to check
+        monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "-1")
+        code, out, err = run(argv, capsys=capsys)
+        assert code == 2 and not out
+        assert err == "FISHBURN_MAX_BRUTE_N must be >= 0, got '-1'\n"
+
     @pytest.mark.parametrize("pattern", sorted(map(str, patterns._FAMILY_IMAGES)))
     def test_family_image_avoiders_are_the_brute_filter(self, pattern, capsys):
         p = patterns.parse_pattern(pattern)

@@ -21,6 +21,7 @@ from fishburn.patterns import (
     complement,
     compose,
     contains,
+    enumerate_self_modified,
     find_occurrence,
     format_pattern,
     inverse,
@@ -371,6 +372,20 @@ class TestSelfModified:
 
     def test_counterexample(self):
         assert not is_self_modified(AscentSequence((0, 1, 0, 1)))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_enumeration_is_the_filter_in_order(self, n):
+        expected = [x for x in fb.enumerate_ascent_sequences(n) if is_self_modified(x)]
+        assert list(enumerate_self_modified(n)) == expected
+        assert len(expected) == fb.count_barred_avoiders(n)
+
+    def test_enumeration_of_a_long_length(self):
+        # no recursion: the first sequences of length 3,000 come at once
+        first = list(itertools.islice(enumerate_self_modified(3000), 3))
+        assert [x.entries[-2:] for x in first] == [(0, 0), (0, 1), (1, 0)]
+        assert all(x.entries[:-2] == (0,) * 2998 for x in first)
+        with pytest.raises(ValueError):
+            next(enumerate_self_modified(-1))
 
     def test_closed_form_is_the_fixed_point_test(self, sequences_by_length):
         pools = [*sequences_by_length.values(), fb.enumerate_ascent_sequences(8)]

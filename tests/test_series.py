@@ -36,6 +36,7 @@ from reference import (
     kernel_solution_series_by_products,
     kernel_terms_by_products,
     one_minus_t_pow,
+    p_series_by_prefix_sums,
     p_series_by_products,
     power,
     product_polynomial,
@@ -226,6 +227,20 @@ class TestKernelOracles:
     def test_p_series_matches_the_paper_product_form(self, order):
         # both parities: the Andrews-Jelinek loop runs order // 2 factors
         assert p_series(order) == p_series_by_products(order)
+
+    def test_p_series_matches_the_prefix_sum_passes(self):
+        # order 8, and every order from 10 on, takes the Toeplitz product at its top levels
+        for order in [*range(151), 250, 333]:
+            assert p_series(order) == p_series_by_prefix_sums(order), order
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_horner_factor_is_the_series_of_its_level(self, k):
+        order = 39
+        x_inverse = invert(one_minus_t_pow(1, order, 0))
+        x_inverse_k = invert(one_minus_t_pow(k, order, 0))
+        expected = t_coefficients(times(x_inverse, power(1 - x_inverse_k, 2)))
+        tau = series._horner_factor(k, order + 1)
+        assert tau == expected and tau[:2] == [0, 0]
 
     @pytest.mark.parametrize("n", range(13))
     def test_product_polynomial_matches_series_product(self, n):

@@ -119,7 +119,7 @@ def test_trusted_construction_sites():
         "perm_to_sequence", "sequence_to_perm_by_insertion", "sequence_to_perm",
         "to_modified", "from_modified", "sequence_to_poset", "poset_to_sequence",
         "poset_to_perm", "dual", "involution_to_poset", "poset_to_involution",
-        "remove_neighbour_nestings", "direct_sum", "_poset_sum",
+        "remove_neighbour_nestings", "direct_sum", "_poset_sum", "enumerate_self_modified",
     }
 
 
