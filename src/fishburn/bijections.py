@@ -88,10 +88,6 @@ class ActiveSiteProfile(_Value):
 
     __slots__ = ("sites", "b")
 
-    def __init__(self, sites: tuple[int, ...], b: int):
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "b", b)
-
     @property
     def s(self) -> int:
         return len(self.sites)
@@ -131,15 +127,15 @@ def sequence_to_perm_by_insertion(x: AscentSequence) -> Permutation:
     return _trusted(Permutation, tuple(word))
 
 
-def sequence_to_perm(x: AscentSequence) -> Permutation:
-    """Decode directly: sort (modified entry, index) pairs.
+def _perm_of_modified(m: tuple[int, ...]) -> Permutation:
+    """The indices 1..n sorted by their entries in the modified sequence m, ties by
+    descending index: one stable sort of n..1 by entry."""
+    return _trusted(Permutation, tuple(sorted(range(len(m), 0, -1), key=((0,) + m).__getitem__)))
 
-    Ascending by entry, ties broken by descending index; the index column
-    of the sorted pairs is the permutation.
-    """
-    m = to_modified(x).entries
-    order = sorted(range(1, len(m) + 1), key=lambda i: (m[i - 1], -i))
-    return _trusted(Permutation, tuple(order))
+
+def sequence_to_perm(x: AscentSequence) -> Permutation:
+    """Decode directly: sort the indices by modified entry (`_perm_of_modified`)."""
+    return _perm_of_modified(to_modified(x).entries)
 
 
 # ---------------------------------------------------------------------------

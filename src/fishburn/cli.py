@@ -229,8 +229,10 @@ def cmd_avoiders(args, emit: Emit) -> int:
         print("need exactly one of --pattern or --barred", file=sys.stderr)
         return EXIT_USAGE
     if args.barred:
-        # the avoiders are the images of the self-modified sequences; `avoids_barred` is the oracle
-        found = map(bijections.sequence_to_perm, patterns.enumerate_self_modified(args.n))
+        # the avoiders are the images of the self-modified sequences, each its own modified
+        # sequence; `avoids_barred` is the oracle
+        found = (bijections._perm_of_modified(x.entries)
+                 for x in patterns.enumerate_self_modified(args.n))
     elif (carry := patterns.family_symmetry(args.pattern)) is not None:
         # an image of the family pattern: its avoiders are images of the family; the filter
         # is the oracle

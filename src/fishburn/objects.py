@@ -104,12 +104,15 @@ def _exact_ints(values) -> tuple[int, ...]:
 class _Value:
     """Immutable value behaviour over the fields named in `__slots__`.
 
-    Two values are equal when they are of the same class with equal field
-    tuples; the hash is that of the field tuple, and the repr names each
-    field, as in `Poset(n=4, levels=(0, 1, 0, 2), entry=(1, 2, 2, 3))`.
-    Assigning or deleting an attribute raises AttributeError, so each
-    class's `__init__` sets its fields with `object.__setattr__` and then
-    runs its checks.  Copies and pickles go back through the public
+    Each class gets its constructor from `__slots__`, in place of any
+    `__init__` it writes: one parameter per field, in order, by position
+    or by keyword; it stores each field and then runs the class's checks,
+    `__post_init__`, which may store a field again in its normal form with
+    `object.__setattr__`.  Two values are equal when they are of the same
+    class with equal field tuples; the hash is that of the field tuple,
+    and the repr names each field, as in `Poset(n=4, levels=(0, 1, 0, 2),
+    entry=(1, 2, 2, 3))`.  Assigning or deleting an attribute raises
+    AttributeError.  Copies and pickles go back through the public
     constructor.
     """
 
@@ -117,10 +120,21 @@ class _Value:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = cls.__slots__
-        if cls._fields:
+        cls._fields = fields = cls.__slots__
+        if fields:
             # the value of the one field, or the tuple of the values of several
-            cls._key = operator.attrgetter(*cls._fields)
+            cls._key = operator.attrgetter(*fields)
+            # the constructor: one parameter and one slot store per field, then the checks;
+            # compiled in a class of the same name, so that its TypeErrors name the class
+            source = (f"class {cls.__name__}:\n def __init__(self, {', '.join(fields)}):\n"
+                      + "".join(f"  set_{name}(self, {name})\n" for name in fields)
+                      + "  self.__post_init__()\n")
+            namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
+            exec(source, namespace)
+            cls.__init__ = namespace[cls.__name__].__init__
+
+    def __post_init__(self):
+        """The class's checks, run once its fields are stored; a class without any keeps this."""
 
     def _values(self) -> tuple:
         key = self._key(self)
@@ -156,11 +170,12 @@ def _trusted(cls, *fields):
     fields must be what the public constructor would store (tuples of
     exact ints).  Text and public-constructor input is always validated;
     the tests and `fishburn verify` rebuild trusted values through the
-    public constructors.
+    public constructors.  It stores the fields as the constructor does but
+    runs no `__post_init__`.
     """
     obj = object.__new__(cls)
     for name, value in zip(cls._fields, fields):
-        object.__setattr__(obj, name, value)  # as the class's own __init__ does
+        object.__setattr__(obj, name, value)
     return obj
 
 
@@ -171,16 +186,12 @@ def _trusted(cls, *fields):
 class _EntriesSequence(_Value):
     """Read-only sequence behaviour over an `entries` tuple; holds no fields.
 
-    Each sequence class declares its own `entries` slot and validation in
-    `__post_init__`, which the shared `__init__` runs; none is an instance
-    of another.
+    Each sequence class declares its own `entries` slot, from which it gets
+    its own constructor, and its own validation in `__post_init__`; none is
+    an instance of another.
     """
 
     __slots__ = ()
-
-    def __init__(self, entries: tuple[int, ...]):
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
 
     @property
     def asc(self) -> int:
@@ -376,12 +387,6 @@ class Poset(_Value):
 
     __slots__ = ("n", "levels", "entry")
 
-    def __init__(self, n: int, levels: tuple[int, ...], entry: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "entry", entry)
-        self.__post_init__()
-
     def __post_init__(self):
         levels = _exact_ints(self.levels)
         entry = _exact_ints(self.entry)
@@ -487,11 +492,6 @@ class RelationMatrix(_Value):
 
     __slots__ = ("n", "pairs")
 
-    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
-        self.__post_init__()
-
     def __post_init__(self):
         n = _exact_int(self.n)
         pairs = self.pairs
@@ -526,10 +526,6 @@ class ChordInvolution(_Value):
     """
 
     __slots__ = ("partner",)
-
-    def __init__(self, partner: tuple[int, ...]):
-        object.__setattr__(self, "partner", partner)
-        self.__post_init__()
 
     def __post_init__(self):
         partner = _exact_ints(self.partner)

@@ -41,12 +41,6 @@ class BivincularPattern(_Value):
 
     __slots__ = ("sigma", "X", "Y")
 
-    def __init__(self, sigma: Permutation, X: frozenset[int], Y: frozenset[int]):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-        self.__post_init__()
-
     def __post_init__(self):
         if not isinstance(self.sigma, Permutation):
             object.__setattr__(self, "sigma", Permutation(tuple(self.sigma)))

@@ -54,18 +54,6 @@ class StatRecord(_Value):
     __slots__ = ("size", "minimals", "srank", "rank", "maximals", "components",
                  "level_counts", "max_level_counts")
 
-    def __init__(self, size: int, minimals: int, srank: int, rank: int, maximals: int,
-                 components: int, level_counts: tuple[int, ...],
-                 max_level_counts: tuple[int, ...]):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "minimals", minimals)
-        object.__setattr__(self, "srank", srank)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "maximals", maximals)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "level_counts", level_counts)
-        object.__setattr__(self, "max_level_counts", max_level_counts)
-
     def as_dict(self) -> dict:
         return {
             "n": self.size,

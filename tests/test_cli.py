@@ -475,6 +475,15 @@ class TestPatternsCommands:
         code, out, err = run(["avoiders", "--n", str(n), "--barred", "--count"], capsys=capsys)
         assert code == 0 and not err and out == f"{len(expected)}\n"
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_barred_listing_is_the_filtered_hub(self, n, capsys):
+        # each generated sequence is its own modified sequence, so no `to_modified` runs on it
+        found = (bijections.sequence_to_perm(x) for x in enumerate_ascent_sequences(n)
+                 if patterns.is_self_modified(x))
+        expected = [str(pi) for pi in sorted(found, key=lambda pi: pi.entries)]
+        code, out, err = run(["avoiders", "--n", str(n), "--barred"], capsys=capsys)
+        assert code == 0 and not err and out.splitlines() == expected
+
     def test_barred_avoiders_are_not_capped(self, capsys, monkeypatch):
         monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", "1")
         code, out, err = run(["avoiders", "--n", "10", "--barred", "--count"], capsys=capsys)
@@ -499,6 +508,23 @@ class TestVerify:
         # roundtrips: the 9 ascent sequences with n <= 3, then the 9 permutations and
         # the 9 chord involutions that the two oracles list
         code, out, _ = run(["verify", "--suite", suite, "--max-n", "3"], capsys=capsys)
+        assert code == 0 and out == line
+
+    @pytest.mark.parametrize("cap,max_n,line", [
+        ("0", 3, "PASS: roundtrips pass (oracles capped: perms at n = 0, involutions at n = 0), "
+                 "11 checked at max-n 3\n"),
+        ("3", 3, "PASS: roundtrips pass, 27 checked at max-n 3\n"),
+        (None, 7, "PASS: roundtrips pass (oracles capped: involutions at n = 6), "
+                  "2910 checked at max-n 7\n"),
+    ], ids=["both-capped", "cap-at-max-n", "default-caps"])
+    def test_a_pass_names_the_capped_oracles(self, cap, max_n, line, capsys, monkeypatch):
+        # an oracle stopped below max-n by its cap is named; one that reaches max-n is not
+        if cap is None:
+            monkeypatch.delenv("FISHBURN_MAX_BRUTE_N", raising=False)
+        else:
+            monkeypatch.setenv("FISHBURN_MAX_BRUTE_N", cap)
+        code, out, _ = run(["verify", "--suite", "roundtrips", "--max-n", str(max_n)],
+                           capsys=capsys)
         assert code == 0 and out == line
 
     @pytest.mark.parametrize("oracle", ["enumerate_r_permutations",

@@ -116,7 +116,7 @@ def test_trusted_construction_sites():
         "Permutation.compose", "enumerate_permutations", "ChordInvolution.mirror",
         "enumerate_fixed_point_free_involutions",
         "_relation_of_int_pairs", "poset_to_relations",
-        "perm_to_sequence", "sequence_to_perm_by_insertion", "sequence_to_perm",
+        "perm_to_sequence", "sequence_to_perm_by_insertion", "_perm_of_modified",
         "to_modified", "from_modified", "sequence_to_poset", "poset_to_sequence",
         "poset_to_perm", "dual", "involution_to_poset", "poset_to_involution",
         "remove_neighbour_nestings", "direct_sum", "_poset_sum", "enumerate_self_modified",

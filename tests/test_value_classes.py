@@ -1,4 +1,4 @@
-"""The nine value classes: equality, hashing, repr, immutability, copies and pickles.
+"""The nine value classes: constructors, equality, hashing, repr, immutability, copies and pickles.
 
 They share one small base, `objects._Value`, in place of frozen
 dataclasses, so that importing the package loads neither `dataclasses`
@@ -7,7 +7,9 @@ nor `typing`.
 
 from __future__ import annotations
 
+import ast
 import copy
+import inspect
 import itertools
 import os
 import pickle
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import fishburn as fb
-from fishburn.objects import _Value
+from fishburn.objects import _trusted, _Value
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +100,71 @@ def test_fields_cannot_be_assigned_or_deleted(obj):
         assert getattr(obj, name) is before
     with pytest.raises(AttributeError):
         obj.extra = 1
+
+
+def test_no_value_class_writes_its_own_constructor():
+    # each __init__ is compiled from the class's __slots__ (`_Value.__init_subclass__`), which
+    # would replace one written in a class body, so the source is read for one
+    names = {base.__name__ for v in VALUES for base in type(v).__mro__[:-1]}
+    written = [(path.name, node.name) for path in sorted((SOURCE / "fishburn").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and node.name in names
+               and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)]
+    assert written == []
+    assert all(type(v).__init__.__code__.co_filename == "<string>" for v in VALUES)
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_built_by_position_and_by_keyword(obj):
+    cls = type(obj)
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__) == list(obj._fields)
+    by_keyword = cls(**{name: getattr(obj, name) for name in obj._fields})
+    assert by_keyword == rebuilt(obj) == obj and repr(by_keyword) == repr(obj)
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_a_wrong_call_names_the_class(obj):
+    cls, fields = type(obj), obj._fields
+    values = [getattr(obj, name) for name in fields]
+    with pytest.raises(TypeError) as missing:
+        cls(*values[:-1])
+    assert str(missing.value) == (f"{cls.__name__}.__init__() missing 1 required positional "
+                                  f"argument: '{fields[-1]}'")
+    with pytest.raises(TypeError) as unknown:
+        cls(*values, bogus=1)
+    # Python 3.13 may append a suggestion of a field name
+    assert str(unknown.value).startswith(f"{cls.__name__}.__init__() got an unexpected keyword "
+                                         "argument 'bogus'")
+
+
+BAD_FIELDS = {
+    fb.AscentSequence: ((1,),),
+    fb.ModifiedAscentSequence: ((0, 2),),
+    fb.Permutation: ((2,),),
+    fb.Poset: (1, (0,), (0,)),
+    fb.RelationMatrix: (2, ((1, 3),)),
+    fb.ChordInvolution: ((1,),),
+    fb.BivincularPattern: (fb.Permutation((1, 2)), frozenset({3}), frozenset()),
+}
+
+
+@pytest.mark.parametrize("cls", list(BAD_FIELDS), ids=lambda cls: cls.__name__)
+def test_a_bad_field_still_raises(cls):
+    fields = BAD_FIELDS[cls]
+    with pytest.raises(ValueError):
+        cls(*fields)
+    with pytest.raises(ValueError):
+        cls(**dict(zip(cls._fields, fields)))
+    # and the one unchecked route still runs no check: the fields are kept as given
+    obj = _trusted(cls, *fields)
+    assert [getattr(obj, name) for name in cls._fields] == list(fields)
+
+
+def test_the_classes_without_checks_keep_the_base_hook():
+    checked = set(BAD_FIELDS)
+    assert {type(v) for v in VALUES} - checked == {fb.StatRecord, fb.ActiveSiteProfile}
+    for cls in {type(v) for v in VALUES}:
+        assert (cls.__post_init__ is _Value.__post_init__) == (cls not in checked)
 
 
 def test_stat_record_by_keyword():
