@@ -182,13 +182,14 @@ def cmd_enumerate(args, emit: Emit) -> int:
 
 
 def cmd_convert(args, emit: Emit) -> int:
-    source, target = CODECS[args.source], CODECS[args.target]
+    parse, to_hub = CODECS[args.source].parse, CODECS[args.source].to_hub
+    from_hub, format_ = CODECS[args.target].from_hub, CODECS[args.target].format
 
     def handle(line: str) -> None:
-        x = source.to_hub(source.parse(line))
-        if len(x) == 0:
+        x = to_hub(parse(line))
+        if not x.entries:
             raise EmptyObjectError("conversions need at least one element")
-        emit(target.format(target.from_hub(x)))
+        emit(format_(from_hub(x)))
 
     return each_line(handle)
 

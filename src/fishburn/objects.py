@@ -125,13 +125,21 @@ class _Value:
             # the value of the one field, or the tuple of the values of several
             cls._key = operator.attrgetter(*fields)
             # the constructor: one parameter and one slot store per field, then the checks;
-            # compiled in a class of the same name, so that its TypeErrors name the class
-            source = (f"class {cls.__name__}:\n def __init__(self, {', '.join(fields)}):\n"
-                      + "".join(f"  set_{name}(self, {name})\n" for name in fields)
-                      + "  self.__post_init__()\n")
+            # and the trusted builder (`_trusted`): a new instance and the same stores, no
+            # checks.  Both are compiled in a class of the same name, so that their
+            # TypeErrors name the class
+            parameters = ", ".join(fields)
+            stores = "".join(f"  set_{name}(self, {name})\n" for name in fields)
+            source = (f"class {cls.__name__}:\n def __init__(self, {parameters}):\n{stores}"
+                      "  self.__post_init__()\n"
+                      f" def _build({parameters}):\n  self = new(value_class)\n{stores}"
+                      "  return self\n")
             namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
+            namespace.update(new=object.__new__, value_class=cls)
             exec(source, namespace)
-            cls.__init__ = namespace[cls.__name__].__init__
+            compiled = namespace[cls.__name__]
+            cls.__init__ = compiled.__init__
+            cls._build = staticmethod(compiled._build)
 
     def __post_init__(self):
         """The class's checks, run once its fields are stored; a class without any keeps this."""
@@ -170,13 +178,10 @@ def _trusted(cls, *fields):
     fields must be what the public constructor would store (tuples of
     exact ints).  Text and public-constructor input is always validated;
     the tests and `fishburn verify` rebuild trusted values through the
-    public constructors.  It stores the fields as the constructor does but
-    runs no `__post_init__`.
+    public constructors.  It stores the fields as the constructor does, by
+    the class's compiled builder, but runs no `__post_init__`.
     """
-    obj = object.__new__(cls)
-    for name, value in zip(cls._fields, fields):
-        object.__setattr__(obj, name, value)
-    return obj
+    return cls._build(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +746,10 @@ def format_poset(p: Poset) -> str:
     return f'{{"n":{p.n},"relations":[{",".join(rows)}]}}'
 
 
+# the JSON value at the start of a string and where it ends, with no whitespace skipped
+_decode_prefix = json.JSONDecoder().raw_decode
+
+
 def _between_pairs(text: str) -> str | None:
     """`],[` for a poset line in `format_poset`'s syntax, `], [` for one in `json.dumps`'s
     default one, else None: digits and minus signs aside, such a line is exactly the
@@ -764,7 +773,13 @@ def parse_poset(text: str) -> Poset:
     """
     between = _between_pairs(text)
     try:
-        data = json.loads(text.replace(between, ",") if between else text)
+        if between:
+            flat = text.replace(between, ",")
+            data, end = _decode_prefix(flat)
+            if end != len(flat):  # digits after the closing brace
+                raise ValueError("extra data")
+        else:
+            data = json.loads(text)
         n, pairs = data["n"], data["relations"]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"bad poset literal: {_shown(text)}") from exc
@@ -790,31 +805,51 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_involution(partner: Iterable[int]) -> str:
-    chords = [(i, v) for i, v in enumerate(partner, start=1) if v > i]
-    return "[" + ",".join(f"({a},{b})" for a, b in chords) + "]"
+    return "[" + ",".join([f"({i},{v})" for i, v in enumerate(partner, start=1) if v > i]) + "]"
 
 
-_CHORD = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+_CHORD = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
 # one or more chords, each pair separated by one comma with optional whitespace around it
-_CHORD_LIST = re.compile(rf"{_CHORD.pattern}(?:\s*,\s*{_CHORD.pattern})*")
+_CHORD_LIST = re.compile(rf"{_CHORD}(?:\s*,\s*{_CHORD})*")
+# in a body that _CHORD_LIST matches, the digit runs are the endpoints
+_ENDPOINT = re.compile(r"\d+")
+_NO_ASCII_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _is_canonical_chord_list(body: str) -> bool:
+    """Whether a stripped non-empty body is `(a,b),(c,d),..` in ASCII digits and nothing
+    else, as `format_involution` writes it.  Digits aside it is `(,)` k times joined by
+    `,`; with `),(` k-1 times no digit stands between two chords, with neither `(,` nor
+    `,)` every endpoint has one, and with `(` first and `)` last none stands outside."""
+    k = body.count("(")
+    return (body[0] == "(" and body[-1] == ")" and body.count("),(") == k - 1
+            and "(," not in body and ",)" not in body
+            and body.translate(_NO_ASCII_DIGITS) == "(,)," * (k - 1) + "(,)")
 
 
 def parse_involution(text: str) -> ChordInvolution:
+    """The involution of a chord list `[(a,b),(c,d),..]`, with whitespace allowed around
+    each bracket, parenthesis and comma.  A canonical body (`_is_canonical_chord_list`)
+    is read with one split; any other is matched by the chord-list expression."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"bad involution literal: {_shown(text)}")
     body = text[1:-1].strip()
-    chords = []
-    if body:
-        if not _CHORD_LIST.fullmatch(body):
-            raise ParseError(f"bad involution literal: {_shown(text)}")
-        try:
-            chords = [(int(a), int(b)) for a, b in _CHORD.findall(body)]
-        except ValueError as exc:  # an endpoint with more digits than int() reads
-            raise ParseError(f"bad involution literal: {_shown(text)}") from exc
-    m = 2 * len(chords)
+    if not body:
+        ends = []
+    elif _is_canonical_chord_list(body):
+        ends = body[1:-1].replace("),(", ",").split(",")
+    elif _CHORD_LIST.fullmatch(body):
+        ends = _ENDPOINT.findall(body)
+    else:
+        raise ParseError(f"bad involution literal: {_shown(text)}")
+    try:
+        ends = list(map(int, ends))
+    except ValueError as exc:  # an endpoint with more digits than int() reads
+        raise ParseError(f"bad involution literal: {_shown(text)}") from exc
+    m = len(ends)
     partner = [0] * m
-    for a, b in chords:
+    for a, b in zip(ends[::2], ends[1::2]):
         if not (1 <= a <= m and 1 <= b <= m) or partner[a - 1] or partner[b - 1]:
             raise NotInvolutionError(f"bad chord list: {_shown(text)}")
         partner[a - 1], partner[b - 1] = b, a
@@ -847,8 +882,8 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
     return _trusted(RelationMatrix, p.n, tuple(pairs))
 
 
-def _counted_poset(n: int, firsts: list[int],
-                   seconds: list[int]) -> tuple[Poset, list[list[int]]] | None:
+def _counted_poset(n: int, firsts: list[int], seconds: list[int], *,
+                   firsts_sorted: bool = False) -> tuple[Poset, list[list[int]]] | None:
     """The candidate interval form of the pairs zip(firsts, seconds) with its
     `_upper_labels`, or None when the firsts are not sorted labels of 1..n.
 
@@ -858,11 +893,13 @@ def _counted_poset(n: int, firsts: list[int],
     second is counted, one C-level comparison with their sorted copy proves
     the firsts sorted, and so in 1..n when the two ends are; a shuffled
     line almost never has its outer row starts at the list's ends, and
-    leaves before the copy.  The levels rank the downset sizes (how often
-    each label is a second) and each entry is the e whose upper[e] holds as
-    many labels as the element has pairs, so an interval order, whose
-    downsets form a chain of distinct sizes, gets its own form back.  The
-    callers accept a candidate only when it re-encodes to their input.
+    leaves before the copy.  A caller whose pairs are sorted already passes
+    `firsts_sorted` and skips the copy.  The levels rank the downset sizes
+    (how often each label is a second) and each entry is the e whose
+    upper[e] holds as many labels as the element has pairs, so an interval
+    order, whose downsets form a chain of distinct sizes, gets its own form
+    back.  The callers accept a candidate only when it re-encodes to their
+    input.
     """
     try:
         down = [0] * (n + 1)
@@ -874,7 +911,7 @@ def _counted_poset(n: int, firsts: list[int],
     if not (1 <= low <= high + 1 and high <= n):
         return None
     starts = list(map(bisect.bisect_left, itertools.repeat(firsts), range(low, high + 2)))
-    if starts[0] or starts[-1] != len(firsts) or firsts != sorted(firsts):
+    if starts[0] or starts[-1] != len(firsts) or not (firsts_sorted or firsts == sorted(firsts)):
         return None
     up = [0] * n  # the row lengths, differences of row starts
     up[low - 1:high] = map(operator.sub, starts[1:], starts)
@@ -904,8 +941,9 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     if the strict downsets are not linearly ordered by inclusion.
     """
     pairs = rel.pairs
+    # the pairs of a RelationMatrix are sorted and in range
     counted = _counted_poset(rel.n, list(map(operator.itemgetter(0), pairs)),
-                             list(map(operator.itemgetter(1), pairs)))
+                             list(map(operator.itemgetter(1), pairs)), firsts_sorted=True)
     if counted and poset_to_relations(counted[0]) == rel:
         return counted[0]
     for a, b in pairs:

@@ -127,8 +127,14 @@ def _kernel_rows(t_order: int, u_order: int):
 
 
 def _horner_factor(k: int, width: int) -> list[int]:
-    """The t^0..t^(width-1) coefficients of x^-1 (1 - x^-k)^2, x = 1-t."""
-    return [1 - 2 * comb(d + k, k) + comb(d + 2 * k, 2 * k) for d in range(width)]
+    """The t^0..t^(width-1) coefficients of x^-1 (1 - x^-k)^2, x = 1-t: 1 - 2 C(d+k, k)
+    + C(d+2k, 2k) at t^d, each binomial the one before times (d+k)/d, resp. (d+2k)/d."""
+    tau, once, twice = [], 1, 1
+    for d in range(1, width + 1):
+        tau.append(1 - 2 * once + twice)
+        once = once * (d + k) // d
+        twice = twice * (d + 2 * k) // d
+    return tau
 
 
 def p_series(order: int) -> list[int]:

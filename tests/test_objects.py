@@ -1124,6 +1124,39 @@ class TestTextForms:
         assert seen["ok"] > 3000 and seen["ParseError"] > 3000, seen
         assert seen["NotInvolutionError"] > 100, seen
 
+    @pytest.mark.parametrize("text", [
+        "[(1,4)4,(2,5),(3,6)]",  # canonical once its digits are deleted
+        "[3(1,2),(3,4)]",
+        "[(1,2),(3,4)5]",
+        "[(,2),(1,3)]",
+        "[(1,2),(3,)]",
+        "[(1,2),,(3,4)]",
+        pytest.param("[(1," + "9" * 5000 + "),(2,3)]", id="5000-digit-endpoint"),
+        "[(1, 2), (3, 4)]",
+        "[(1,٣),(2,4)]",  # an Arabic-Indic three, a digit that int() reads
+    ])
+    def test_near_canonical_chord_lists_read_as_the_scanning_reader_reads_them(self, text):
+        # only the over-long endpoint is canonical; int() refuses it on the one-split route
+        body = text[1:-1]
+        assert objects._is_canonical_chord_list(body) == (len(body) > 5000)
+        got, expected = _outcome(parse_involution, text), _outcome(parse_involution_by_scanning, text)
+        if expected[0] == "ok":
+            assert got == expected
+        else:  # the scanning reader echoes the whole literal, the library at most SHOWN_CHARS of it
+            assert got == (expected[0], expected[1].replace(repr(text), objects._shown(text)))
+
+    def test_canonical_chord_lists_need_no_regular_expression(self, monkeypatch):
+        lines = [format_involution(fb.poset_to_involution(fb.sequence_to_poset(x)).partner)
+                 for x in fb.enumerate_ascent_sequences(6)]
+        expected = [parse_involution(line) for line in lines]
+        monkeypatch.setattr(objects, "_CHORD_LIST", None)
+        monkeypatch.setattr(objects, "_ENDPOINT", None)
+        assert [parse_involution(line) for line in lines] == expected
+        with pytest.raises(fb.FishburnError):  # as in test_long_involution_endpoint_is_a_typed_error
+            parse_involution("[(1," + "9" * 5000 + ")]")
+        with pytest.raises(AttributeError):  # a line with spaces is matched
+            parse_involution("[(1, 2)]")
+
     def test_roundtrip_all_families(self, sequences_by_length):
         from fishburn import bijections as bj
 

@@ -184,3 +184,35 @@ def test_copies_and_pickles(obj):
 def test_a_pickle_goes_back_through_the_constructor():
     # so an unpickled value is checked like any other public-constructor input
     assert fb.Poset.chain(2).__reduce__() == (fb.Poset, (2, (0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_the_trusted_builder_stores_what_the_constructor_stores(obj):
+    cls = type(obj)
+    fields = [getattr(obj, name) for name in obj._fields]
+    built = _trusted(cls, *fields)
+    assert type(built) is cls and built == cls(*fields) and repr(built) == repr(obj)
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_the_trusted_builder_needs_every_field(obj):
+    cls = type(obj)
+    fields = [getattr(obj, name) for name in obj._fields]
+    with pytest.raises(TypeError):
+        _trusted(cls, *fields[:-1])
+    with pytest.raises(TypeError):
+        _trusted(cls, *fields, fields[0])
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_the_trusted_builder_runs_no_checks(obj, monkeypatch):
+    cls = type(obj)
+    fields = [getattr(obj, name) for name in obj._fields]
+
+    def refuse(self):
+        raise RuntimeError("checked")
+
+    monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(RuntimeError, match="checked"):
+        cls(*fields)
+    assert _trusted(cls, *fields) == obj
