@@ -80,6 +80,13 @@ def nesting_free(c: ChordInvolution) -> ChordInvolution:
     return c
 
 
+def chord_stats(c: ChordInvolution) -> statistics.StatRecord:
+    """The record of `c`'s interval order; the empty diagram has none."""
+    if not c.partner:
+        raise EmptyObjectError("statistics of the empty chord diagram are undefined")
+    return statistics.stats_of_poset(bijections.involution_to_poset(c))
+
+
 CODECS = {
     "ascseq": Codec(
         parse=lambda text: AscentSequence(parse_sequence(text)),
@@ -93,7 +100,7 @@ CODECS = {
         format=lambda m: format_sequence(m.entries),
         to_hub=lambda m: bijections.from_modified(m),
         from_hub=lambda x: bijections.to_modified(x),
-        stats=lambda m: statistics.stats_of_sequence(bijections.from_modified(m)),
+        stats=lambda m: statistics._stats_of_modified(m),
     ),
     "perm": Codec(
         parse=lambda text: parse_permutation(text),
@@ -114,7 +121,7 @@ CODECS = {
         format=lambda c: format_involution(c.partner),
         to_hub=lambda c: bijections.poset_to_sequence(bijections.involution_to_poset(c)),
         from_hub=lambda x: bijections.poset_to_involution(bijections.sequence_to_poset(x)),
-        stats=lambda c: statistics.stats_of_poset(bijections.involution_to_poset(c)),
+        stats=lambda c: chord_stats(c),
     ),
 }
 

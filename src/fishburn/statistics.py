@@ -8,12 +8,11 @@ maximal ones) by level.  On sequences the level data lives on the
 modified sequence; on permutations it lives in the gaps between active
 sites.  The records of an ascent sequence, its permutation and its poset
 agree coefficientwise; `stats_of_sequence`, `stats_of_perm` and
-`stats_of_poset` compute them by independent routes.
+`stats_of_poset` compute them by independent routes, each one pass over
+its own representation plus the cut helper that `components` uses too.
 """
 
 from __future__ import annotations
-
-import bisect
 
 from . import bijections
 from .errors import EmptyObjectError
@@ -24,20 +23,7 @@ from .objects import (
     Poset,
     _trusted,
     _Value,
-    ascents,
 )
-
-
-def right_to_left_maxima(entries) -> list[int]:
-    """0-based positions of entries with nothing strictly larger to the right."""
-    out = []
-    best = None
-    for i in range(len(entries) - 1, -1, -1):
-        if best is None or entries[i] >= best:
-            out.append(i)
-            best = entries[i]
-    out.reverse()
-    return out
 
 
 class StatRecord(_Value):
@@ -68,77 +54,73 @@ class StatRecord(_Value):
 
 
 def stats_of_sequence(x: AscentSequence) -> StatRecord:
-    if len(x) == 0:
+    """The record of x, read off its modified sequence."""
+    return _stats_of_modified(bijections.to_modified(x))
+
+
+def _stats_of_modified(m: ModifiedAscentSequence) -> StatRecord:
+    """The record of the ascent sequence whose modified sequence is m.
+
+    Level i holds the entries equal to i, and the maximal elements are
+    the right-to-left maxima (nothing larger to their right), which one
+    backward pass counts with the levels.  x and m have the same zeros
+    and the same last entry, and rank = asc(x) = max(m).
+    """
+    entries = m.entries
+    if not entries:
         raise EmptyObjectError("statistics of the empty sequence are undefined")
-    m = bijections.to_modified(x)
-    rank = ascents(x.entries)
+    rank = max(entries)
     level_counts = [0] * (rank + 1)
-    for e in m.entries:
-        level_counts[e] += 1
-    rl_max = right_to_left_maxima(m.entries)
     max_level_counts = [0] * (rank + 1)
-    for i in rl_max:
-        max_level_counts[m.entries[i]] += 1
-    return StatRecord(
-        size=len(x),
-        minimals=sum(1 for e in x.entries if e == 0),
-        srank=x.entries[-1],
-        rank=rank,
-        maximals=len(rl_max),
-        components=len(_sequence_cuts(m.entries)),
-        level_counts=tuple(level_counts),
-        max_level_counts=tuple(max_level_counts),
-    )
+    best = 0
+    for e in reversed(entries):
+        level_counts[e] += 1
+        if e >= best:
+            max_level_counts[e] += 1
+            best = e
+    return StatRecord(len(entries), entries.count(0), entries[-1], rank, sum(max_level_counts),
+                      len(_sequence_cuts(entries)), tuple(level_counts), tuple(max_level_counts))
 
 
 def stats_of_perm(pi: Permutation) -> StatRecord:
-    if len(pi) == 0:
+    """The record of pi: level i holds the entries between active sites i and i+1."""
+    entries = pi.entries
+    n = len(entries)
+    if n == 0:
         raise EmptyObjectError("statistics of the empty permutation are undefined")
-    profile = bijections.active_sites(pi)  # raises NotInRError off the family
-    sites = profile.sites
-    rank = len(sites) - 2  # the levels 0..rank lie between consecutive sites
-    gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
-    rl_max = right_to_left_maxima(pi.entries)
-    max_gap_counts = [0] * len(gap_counts)
-    for pos in rl_max:
-        # entry at 0-based pos lies between gap `sites[i]` and `sites[i+1]`
-        max_gap_counts[bisect.bisect_right(sites, pos) - 1] += 1
-    minimals, least = 0, len(pi) + 1
-    for e in pi.entries:  # a running count of the left-to-right minima
+    sites = bijections._active_gaps(entries)  # raises NotInRError off the family
+    level_counts = [hi - lo for lo, hi in zip(sites, sites[1:])]
+    max_level_counts = [0] * len(level_counts)
+    # the right-to-left maxima, from the last entry down to n, whose level is srank;
+    # the level of position i is the last site at or before i
+    level, best = len(level_counts) - 1, 0
+    for i in range(n - 1, -1, -1):
+        if entries[i] > best:
+            best = entries[i]
+            while sites[level] > i:
+                level -= 1
+            max_level_counts[level] += 1
+            if best == n:
+                break
+    minimals, least = 0, n + 1
+    for e in entries:  # a running count of the left-to-right minima, which end at 1
         if e < least:
             minimals, least = minimals + 1, e
-    return StatRecord(
-        size=len(pi),
-        minimals=minimals,
-        srank=profile.b,
-        rank=rank,
-        maximals=len(rl_max),
-        components=len(_perm_cuts(pi.entries)),
-        level_counts=tuple(gap_counts),
-        max_level_counts=tuple(max_gap_counts),
-    )
+            if e == 1:
+                break
+    return StatRecord(n, minimals, level, len(level_counts) - 1, sum(max_level_counts),
+                      len(_perm_cuts(entries)), tuple(level_counts), tuple(max_level_counts))
 
 
 def stats_of_poset(p: Poset) -> StatRecord:
+    """The record of p, read off its levels and entries; maximal elements have entry rank+1."""
     if p.n == 0:
         raise EmptyObjectError("statistics of the empty poset are undefined")
-    top = p.rank + 1
-    level_counts = [0] * top
-    max_level_counts = [0] * top
-    for lvl, e in zip(p.levels, p.entry):
-        level_counts[lvl] += 1
-        if e == top:
-            max_level_counts[lvl] += 1
-    return StatRecord(
-        size=p.n,
-        minimals=level_counts[0],
-        srank=next(lvl for lvl, count in enumerate(max_level_counts) if count),
-        rank=top - 1,
-        maximals=sum(max_level_counts),
-        components=len(_poset_cuts(p)),
-        level_counts=tuple(level_counts),
-        max_level_counts=tuple(max_level_counts),
-    )
+    level_counts, max_level_counts, cuts = _poset_tallies(p)
+    # srank is the level of the first nonzero maximal count, the first place that count occurs
+    srank = max_level_counts.index(next(filter(None, max_level_counts)))
+    return StatRecord(p.n, level_counts[0], srank, len(level_counts) - 1, sum(max_level_counts),
+                      len(cuts), tuple(level_counts), tuple(max_level_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -148,54 +130,62 @@ def stats_of_poset(p: Poset) -> StatRecord:
 def _sequence_cuts(entries) -> list[int]:
     """Lengths after which the remaining entries all exceed the prefix max."""
     n = len(entries)
+    floors = []  # floors[i]: the least of entries[i:], and n past the end
+    least = n
+    for e in reversed(entries):
+        if e < least:
+            least = e
+        floors.append(least)
+    floors.reverse()
+    floors.append(n)
     cuts = []
-    suffix_min = [0] * (n + 1)
-    running = None
-    for i in range(n - 1, -1, -1):
-        running = entries[i] if running is None else min(running, entries[i])
-        suffix_min[i] = running
-    prefix_max = None
-    for i, e in enumerate(entries):
-        prefix_max = e if prefix_max is None else max(prefix_max, e)
-        if i == n - 1 or suffix_min[i + 1] > prefix_max:
-            cuts.append(i + 1)
+    top = -1
+    for length, e in enumerate(entries, 1):
+        if e > top:
+            top = e
+        if floors[length] > top:
+            cuts.append(length)
     return cuts
 
 
 def _perm_cuts(entries) -> list[int]:
+    """Lengths whose prefix holds exactly 1..length."""
     cuts = []
-    prefix_max = 0
-    for i, e in enumerate(entries):
-        prefix_max = max(prefix_max, e)
-        if prefix_max == i + 1:
-            cuts.append(i + 1)
+    top = 0
+    for length, e in enumerate(entries, 1):
+        if e > top:
+            top = e
+        if top == length:
+            cuts.append(length)
     return cuts
 
 
-def _poset_cuts(p: Poset) -> list[int]:
-    """Sizes of proper downsets D_j lying entirely below everything else.
+def _poset_tallies(p: Poset) -> tuple[list[int], list[int], list[int]]:
+    """Per level, the elements and the maximal ones; and the proper downsets D_j
+    lying entirely below everything else, by size, then p.n.
 
-    D_j does when no element's interval [level, entry-1] holds both j-1
-    and j, that is level < j < entry: `spans` is the difference array of
-    the number of such elements, and `entered[j]` counts the elements
-    with entry j, which make up D_j with those of smaller entry.
+    Elements with entry <= j lie below level j, so D_j splits off when no
+    other element lies below level j: when as many elements have level < j
+    as have entry <= j.
     """
     top = p.rank + 1
-    spans = [0] * (top + 1)
+    level_counts = [0] * top
+    max_level_counts = [0] * top
     entered = [0] * (top + 1)
     for lvl, e in zip(p.levels, p.entry):
-        spans[lvl + 1] += 1
-        spans[e] -= 1
+        level_counts[lvl] += 1
         entered[e] += 1
+        if e == top:
+            max_level_counts[lvl] += 1
     cuts = []
-    crossing = size = 0
+    below = size = 0
     for j in range(1, top):
-        crossing += spans[j]
+        below += level_counts[j - 1]
         size += entered[j]
-        if not crossing:
+        if below == size:
             cuts.append(size)
     cuts.append(p.n)
-    return cuts
+    return level_counts, max_level_counts, cuts
 
 
 def components(obj) -> list[int]:
@@ -205,7 +195,7 @@ def components(obj) -> list[int]:
     elif isinstance(obj, Permutation):
         cuts = _perm_cuts(obj.entries)
     elif isinstance(obj, Poset):
-        cuts = _poset_cuts(obj) if obj.n else []
+        cuts = _poset_tallies(obj)[2] if obj.n else []
     else:
         raise TypeError(f"no component structure for {type(obj).__name__}")
     sizes = []

@@ -7,6 +7,7 @@ library value that only the tests need.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import json
@@ -17,14 +18,20 @@ from math import comb
 from operator import mul
 
 from fishburn import (
+    AscentSequence,
     BivincularPattern,
     ChordInvolution,
     CountTable,
+    ModifiedAscentSequence,
     Permutation,
     Poset,
     RelationMatrix,
+    StatRecord,
+    active_sites,
+    to_modified,
 )
 from fishburn.errors import (
+    EmptyObjectError,
     FixedPointError,
     NotAscentSequenceError,
     NotInvolutionError,
@@ -34,7 +41,7 @@ from fishburn.errors import (
     NotTwoPlusTwoFreeError,
     ParseError,
 )
-from fishburn.objects import _first_neighbour_nesting
+from fishburn.objects import _first_neighbour_nesting, ascents
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -59,6 +66,161 @@ def right_to_left_minima(entries) -> list[int]:
 def left_to_right_minima(entries) -> int:
     """Number of entries smaller than every entry to their left."""
     return sum(1 for i, e in enumerate(entries) if all(e < f for f in entries[:i]))
+
+
+# ---------------------------------------------------------------------------
+# Statistics: the records and components by separate passes, one per field
+
+
+def right_to_left_maxima(entries) -> list[int]:
+    """0-based positions of entries with nothing strictly larger to the right."""
+    out = []
+    best = None
+    for i in range(len(entries) - 1, -1, -1):
+        if best is None or entries[i] >= best:
+            out.append(i)
+            best = entries[i]
+    out.reverse()
+    return out
+
+
+def stats_of_sequence_by_passes(x: AscentSequence) -> StatRecord:
+    """Rank and srank off x; levels and right-to-left maxima off its modified sequence."""
+    if len(x) == 0:
+        raise EmptyObjectError("statistics of the empty sequence are undefined")
+    m = to_modified(x)
+    rank = ascents(x.entries)
+    level_counts = [0] * (rank + 1)
+    for e in m.entries:
+        level_counts[e] += 1
+    rl_max = right_to_left_maxima(m.entries)
+    max_level_counts = [0] * (rank + 1)
+    for i in rl_max:
+        max_level_counts[m.entries[i]] += 1
+    return StatRecord(
+        size=len(x),
+        minimals=sum(1 for e in x.entries if e == 0),
+        srank=x.entries[-1],
+        rank=rank,
+        maximals=len(rl_max),
+        components=len(sequence_cuts_by_passes(m.entries)),
+        level_counts=tuple(level_counts),
+        max_level_counts=tuple(max_level_counts),
+    )
+
+
+def stats_of_perm_by_passes(pi: Permutation) -> StatRecord:
+    """Levels between the active sites of `active_sites`; each right-to-left
+    maximum's level by bisection."""
+    if len(pi) == 0:
+        raise EmptyObjectError("statistics of the empty permutation are undefined")
+    profile = active_sites(pi)
+    sites = profile.sites
+    gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
+    rl_max = right_to_left_maxima(pi.entries)
+    max_gap_counts = [0] * len(gap_counts)
+    for pos in rl_max:
+        max_gap_counts[bisect.bisect_right(sites, pos) - 1] += 1
+    minimals, least = 0, len(pi) + 1
+    for e in pi.entries:  # a running count of the left-to-right minima
+        if e < least:
+            minimals, least = minimals + 1, e
+    return StatRecord(
+        size=len(pi),
+        minimals=minimals,
+        srank=profile.b,
+        rank=len(sites) - 2,
+        maximals=len(rl_max),
+        components=len(perm_cuts_by_passes(pi.entries)),
+        level_counts=tuple(gap_counts),
+        max_level_counts=tuple(max_gap_counts),
+    )
+
+
+def stats_of_poset_by_passes(p: Poset) -> StatRecord:
+    if p.n == 0:
+        raise EmptyObjectError("statistics of the empty poset are undefined")
+    top = p.rank + 1
+    level_counts = [0] * top
+    max_level_counts = [0] * top
+    for lvl, e in zip(p.levels, p.entry):
+        level_counts[lvl] += 1
+        if e == top:
+            max_level_counts[lvl] += 1
+    return StatRecord(
+        size=p.n,
+        minimals=level_counts[0],
+        srank=next(lvl for lvl, count in enumerate(max_level_counts) if count),
+        rank=top - 1,
+        maximals=sum(max_level_counts),
+        components=len(poset_cuts_by_spans(p)),
+        level_counts=tuple(level_counts),
+        max_level_counts=tuple(max_level_counts),
+    )
+
+
+def sequence_cuts_by_passes(entries) -> list[int]:
+    """Lengths after which the remaining entries all exceed the prefix max."""
+    n = len(entries)
+    cuts = []
+    suffix_min = [0] * (n + 1)
+    running = None
+    for i in range(n - 1, -1, -1):
+        running = entries[i] if running is None else min(running, entries[i])
+        suffix_min[i] = running
+    prefix_max = None
+    for i, e in enumerate(entries):
+        prefix_max = e if prefix_max is None else max(prefix_max, e)
+        if i == n - 1 or suffix_min[i + 1] > prefix_max:
+            cuts.append(i + 1)
+    return cuts
+
+
+def perm_cuts_by_passes(entries) -> list[int]:
+    cuts = []
+    prefix_max = 0
+    for i, e in enumerate(entries):
+        prefix_max = max(prefix_max, e)
+        if prefix_max == i + 1:
+            cuts.append(i + 1)
+    return cuts
+
+
+def poset_cuts_by_spans(p: Poset) -> list[int]:
+    """Sizes of proper downsets D_j lying entirely below everything else, then p.n.
+
+    D_j does when no element's interval [level, entry-1] holds both j-1
+    and j, that is level < j < entry: `spans` is the difference array of
+    the number of such elements, and `entered[j]` counts the elements
+    with entry j, which make up D_j with those of smaller entry.
+    """
+    top = p.rank + 1
+    spans = [0] * (top + 1)
+    entered = [0] * (top + 1)
+    for lvl, e in zip(p.levels, p.entry):
+        spans[lvl + 1] += 1
+        spans[e] -= 1
+        entered[e] += 1
+    cuts = []
+    crossing = size = 0
+    for j in range(1, top):
+        crossing += spans[j]
+        size += entered[j]
+        if not crossing:
+            cuts.append(size)
+    cuts.append(p.n)
+    return cuts
+
+
+def components_by_passes(obj) -> list[int]:
+    """Sizes of the maximal direct-sum decomposition, left to right."""
+    if isinstance(obj, ModifiedAscentSequence):
+        cuts = sequence_cuts_by_passes(obj.entries)
+    elif isinstance(obj, Permutation):
+        cuts = perm_cuts_by_passes(obj.entries)
+    else:
+        cuts = poset_cuts_by_spans(obj) if obj.n else []
+    return [b - a for a, b in zip([0] + cuts, cuts)]
 
 
 # ---------------------------------------------------------------------------

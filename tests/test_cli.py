@@ -358,6 +358,24 @@ class TestStats:
         assert err.startswith("line 1: ") and "Traceback" not in err
         assert json.loads(out)["n"] == 2
 
+    def test_empty_chord_diagram_is_named_as_such(self, capsys, monkeypatch):
+        code, out, err = run(["stats", "--format", "involution"], "[]\n[(1,2)]\n",
+                             monkeypatch, capsys)
+        assert code == 1
+        assert err == "line 1: statistics of the empty chord diagram are undefined\n"
+        assert json.loads(out)["n"] == 1
+
+    def test_modseq_record_is_that_of_its_ascent_sequence(self, capsys, monkeypatch):
+        # the modseq line is read straight off m, with no round trip through from_modified
+        ms = [fb.to_modified(x) for n in range(1, 9) for x in enumerate_ascent_sequences(n)]
+        code, out, err = run(["stats", "--format", "modseq"],
+                             "".join(f"{m}\n" for m in ms), monkeypatch, capsys)
+        assert code == 0 and err == ""
+        xs = [fb.from_modified(m) for m in ms]
+        code, expected, _ = run(["stats", "--format", "ascseq"],
+                                "".join(f"{x}\n" for x in xs), monkeypatch, capsys)
+        assert code == 0 and out == expected and out.count("\n") == len(ms)
+
 
 class TestSeries:
     def test_one_per_line(self, capsys):

@@ -16,7 +16,14 @@ from fishburn.statistics import (
     stats_of_sequence,
 )
 
-from reference import left_to_right_minima
+from conftest import random_ascent_sequence
+from reference import (
+    components_by_passes,
+    left_to_right_minima,
+    stats_of_perm_by_passes,
+    stats_of_poset_by_passes,
+    stats_of_sequence_by_passes,
+)
 
 
 EXAMPLE_RECORD = StatRecord(
@@ -106,9 +113,52 @@ class TestDictionary:
                     assert rec.components == len(components(obj)), x
                 assert records[1].minimals == left_to_right_minima(pi.entries), x
 
+    def test_modified_sequence_carries_the_sequence_statistics(self):
+        # the record reads minimals, srank and rank off m alone
+        for n in range(1, 10):
+            for x in fb.enumerate_ascent_sequences(n):
+                m = fb.to_modified(x).entries
+                assert m.count(0) == x.entries.count(0), x
+                assert m[-1] == x.entries[-1], x
+                assert max(m) == x.asc, x
+
     def test_record_serialization(self):
         d = EXAMPLE_RECORD.as_dict()
         assert d["n"] == 8 and d["level_counts"] == [2, 3, 1, 1, 1]
+
+
+class TestKernelsAgainstOracles:
+    """The one-pass kernels against the separate passes of `reference`."""
+
+    @staticmethod
+    def check(x: AscentSequence) -> None:
+        record = stats_of_sequence(x)
+        assert record == stats_of_sequence_by_passes(x), x
+        m, pi, p = fb.to_modified(x), fb.sequence_to_perm(x), fb.sequence_to_poset(x)
+        assert stats_of_perm(pi) == stats_of_perm_by_passes(pi) == record, x
+        assert stats_of_poset(p) == stats_of_poset_by_passes(p) == record, x
+        for obj in (m, pi, p):
+            sizes = components(obj)
+            assert sizes == components_by_passes(obj), x
+            assert sum(sizes) == len(x) and len(sizes) == record.components, x
+
+    def test_every_object_with_n_at_most_8(self):
+        for n in range(1, 9):
+            for x in fb.enumerate_ascent_sequences(n):
+                self.check(x)
+
+    @pytest.mark.parametrize("n, seed", [(150, 1), (150, 2), (2000, 2000)])
+    def test_seeded_sequences(self, n, seed):
+        self.check(random_ascent_sequence(n, seed))
+
+    def test_chain_and_antichain(self):
+        for n in (1, 2, 150):
+            self.check(AscentSequence(tuple(range(n))))
+            self.check(AscentSequence((0,) * n))
+
+    def test_zigzag_at_n_20000(self):
+        # the interval form is O(n), though the poset has about 5 * 10^7 pairs
+        self.check(AscentSequence(tuple(i % 2 for i in range(20000))))
 
 
 class TestComponents:
@@ -128,6 +178,7 @@ class TestComponents:
     def test_trivial(self):
         assert components(Permutation(())) == []
         assert components(ModifiedAscentSequence(())) == []
+        assert components(Poset.empty()) == []
 
     def test_other_types_are_rejected(self):
         with pytest.raises(TypeError) as info:
