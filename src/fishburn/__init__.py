@@ -41,8 +41,6 @@ from .objects import (
     validate_involution,
 )
 from .bijections import (
-    ActiveSiteProfile,
-    active_sites,
     canonical_labelling,
     dual,
     enumerate_family,

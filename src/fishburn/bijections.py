@@ -47,7 +47,6 @@ from .objects import (
     Permutation,
     Poset,
     _trusted,
-    _Value,
     enumerate_ascent_sequences,
 )
 
@@ -68,7 +67,9 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
     m = len(word)
     if m == 0:
         return [0]
-    pos = {v: i for i, v in enumerate(word)}
+    pos = [0] * (m + 1)  # pos[v]: the index of v in word, a permutation of 1..m
+    for i, v in enumerate(word):
+        pos[v] = i
     gaps = [0]
     for g in range(1, m):
         a = word[g - 1]
@@ -78,28 +79,6 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
             raise NotInRError((g, g + 1, pos[a - 1] + 1))
     gaps.append(m)
     return gaps
-
-
-class ActiveSiteProfile(_Value):
-    """Active sites of a permutation, as gap indices labelled 0..s-1.
-
-    `b` is the label of the site immediately left of the maximal entry.
-    """
-
-    __slots__ = ("sites", "b")
-
-    @property
-    def s(self) -> int:
-        return len(self.sites)
-
-
-def active_sites(pi: Permutation) -> ActiveSiteProfile:
-    """Active-site profile; raises NotInRError off the family."""
-    if len(pi) == 0:
-        raise ValueError("active sites of the empty permutation are undefined")
-    gaps = _active_gaps(pi.entries)
-    max_pos = pi.entries.index(len(pi))  # gap index just left of the maximum
-    return ActiveSiteProfile(tuple(gaps), gaps.index(max_pos))
 
 
 def perm_to_sequence(pi: Permutation) -> AscentSequence:

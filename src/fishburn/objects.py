@@ -48,6 +48,7 @@ from .errors import (
     BruteForceCapError,
     FishburnError,
     FixedPointError,
+    LengthMismatchError,
     NotAscentSequenceError,
     NotInvolutionError,
     NotModifiedSequenceError,
@@ -62,11 +63,6 @@ DEFAULT_BRUTE_CAPS = {"perms": 9, "involutions": 6}
 
 # the most characters of a bad literal that an error message echoes
 SHOWN_CHARS = 200
-
-
-def ascents(entries) -> int:
-    """Number of strict ascents of an integer sequence."""
-    return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
 
 
 def _shown(literal) -> str:
@@ -198,10 +194,6 @@ class _EntriesSequence(_Value):
 
     __slots__ = ()
 
-    @property
-    def asc(self) -> int:
-        return ascents(self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -319,9 +311,6 @@ class Permutation(_EntriesSequence):
     def __str__(self):
         return format_permutation(self.entries)
 
-    def __call__(self, i: int) -> int:
-        return self.entries[i - 1]
-
     def inverse(self) -> Permutation:
         inv = [0] * len(self.entries)
         for pos, val in enumerate(self.entries, start=1):
@@ -338,7 +327,7 @@ class Permutation(_EntriesSequence):
     def compose(self, other: Permutation) -> Permutation:
         """self after other: (self*other)(i) = self(other(i))."""
         if len(other) != len(self):
-            raise ValueError("length mismatch")
+            raise LengthMismatchError("length mismatch")
         return _trusted(Permutation, tuple(self.entries[o - 1] for o in other.entries))
 
 
@@ -401,7 +390,7 @@ class Poset(_Value):
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "entry", entry)
         if n < 0 or len(levels) != n or len(entry) != n:
-            raise ValueError("levels and entry must assign one value to each of 1..n")
+            raise FishburnError("levels and entry must assign one value to each of 1..n")
         if not n:
             return
         k = max(levels)
@@ -411,10 +400,10 @@ class Poset(_Value):
             return
         for x, (lvl, e) in enumerate(zip(levels, entry), start=1):
             if not 0 <= lvl < e <= k + 1:
-                raise ValueError(f"element {x} needs 0 <= level < entry <= k+1")
+                raise FishburnError(f"element {x} needs 0 <= level < entry <= k+1")
         if len(set(levels)) != k + 1:
-            raise ValueError("every level 0..k must be occupied")
-        raise ValueError("downsets must form a strictly increasing chain")
+            raise FishburnError("every level 0..k must be occupied")
+        raise FishburnError("downsets must form a strictly increasing chain")
 
     @classmethod
     def empty(cls) -> Poset:
@@ -432,17 +421,6 @@ class Poset(_Value):
     def rank(self) -> int:
         return max(self.levels, default=0)
 
-    def less(self, x: int, y: int) -> bool:
-        return self.entry[x - 1] <= self.levels[y - 1]
-
-    @property
-    def srank(self) -> int:
-        """The minimum level containing a maximal element."""
-        if self.n == 0:
-            raise ValueError("srank of the empty poset is undefined")
-        top = self.rank + 1  # the entry of the maximal elements
-        return min(level for level, e in zip(self.levels, self.entry) if e == top)
-
 
 def _are_int_pairs(pairs: list | tuple) -> bool:
     """Whether every member of `pairs` holds exactly two values, each an exact int."""
@@ -456,10 +434,10 @@ def _are_int_pairs(pairs: list | tuple) -> bool:
 def _sorted_pairs_in_range(n: int, pairs: Iterable) -> tuple[tuple[int, int], ...]:
     """Exact-int pairs as the sorted tuple of distinct pairs, each member in 1..n.
 
-    Raises ValueError on a negative n, or naming the first pair, in sorted order, out of range.
+    Raises FishburnError on a negative n, or naming the first pair, in sorted order, out of range.
     """
     if n < 0:
-        raise ValueError(f"poset size must be >= 0, got {n}")
+        raise FishburnError(f"poset size must be >= 0, got {n}")
     # via a list: a tuple grown from an iterator is resized, and freeing it
     # stocks the tuple free list of its final size, which raised peak
     # memory on streams of small posets
@@ -471,7 +449,7 @@ def _sorted_pairs_in_range(n: int, pairs: Iterable) -> tuple[tuple[int, int], ..
     seconds = list(map(operator.itemgetter(1), pairs))
     if min(firsts) < 1 or max(firsts) > n or min(seconds) < 1 or max(seconds) > n:
         a, b = next((a, b) for a, b in sorted(set(pairs)) if not (1 <= a <= n and 1 <= b <= n))
-        raise ValueError(f"relation ({a},{b}) out of range 1..{n}")
+        raise FishburnError(f"relation ({a},{b}) out of range 1..{n}")
     if not in_order:
         # Pairs in 1..n sort as the ints a (n+1) + b, much faster than as
         # tuples.  The tuples are let go before the sort, and the pairs are
@@ -506,10 +484,6 @@ class RelationMatrix(_Value):
             pairs = [(_exact_int(a), _exact_int(b)) for a, b in pairs]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", _sorted_pairs_in_range(n, pairs))
-
-    def less(self, a: int, b: int) -> bool:
-        i = bisect.bisect_left(self.pairs, (a, b))
-        return i < len(self.pairs) and self.pairs[i] == (a, b)
 
 
 def _relation_of_int_pairs(n: int, pairs: Iterable) -> RelationMatrix:
@@ -557,19 +531,6 @@ class ChordInvolution(_Value):
     @property
     def n_chords(self) -> int:
         return len(self.partner) // 2
-
-    def is_opener(self, i: int) -> bool:
-        return self.partner[i - 1] > i
-
-    def chords(self) -> list[tuple[int, int]]:
-        """Chords (opener, closer) sorted by opener."""
-        return [(i, v) for i, v in enumerate(self.partner, start=1) if v > i]
-
-    def mirror(self) -> ChordInvolution:
-        """Reflect the chord diagram left to right."""
-        m = len(self.partner)
-        return _trusted(ChordInvolution,
-                        tuple(m + 1 - self.partner[m - i] for i in range(1, m + 1)))
 
     def __len__(self):
         return len(self.partner)
@@ -882,8 +843,8 @@ def poset_to_relations(p: Poset) -> RelationMatrix:
     return _trusted(RelationMatrix, p.n, tuple(pairs))
 
 
-def _counted_poset(n: int, firsts: list[int], seconds: list[int], *,
-                   firsts_sorted: bool = False) -> tuple[Poset, list[list[int]]] | None:
+def _counted_poset(n: int, firsts: list[int],
+                   seconds: list[int]) -> tuple[Poset, list[list[int]]] | None:
     """The candidate interval form of the pairs zip(firsts, seconds) with its
     `_upper_labels`, or None when the firsts are not sorted labels of 1..n.
 
@@ -893,8 +854,7 @@ def _counted_poset(n: int, firsts: list[int], seconds: list[int], *,
     second is counted, one C-level comparison with their sorted copy proves
     the firsts sorted, and so in 1..n when the two ends are; a shuffled
     line almost never has its outer row starts at the list's ends, and
-    leaves before the copy.  A caller whose pairs are sorted already passes
-    `firsts_sorted` and skips the copy.  The levels rank the downset sizes
+    leaves before the copy.  The levels rank the downset sizes
     (how often each label is a second) and each entry is the e whose
     upper[e] holds as many labels as the element has pairs, so an interval
     order, whose downsets form a chain of distinct sizes, gets its own form
@@ -911,7 +871,7 @@ def _counted_poset(n: int, firsts: list[int], seconds: list[int], *,
     if not (1 <= low <= high + 1 and high <= n):
         return None
     starts = list(map(bisect.bisect_left, itertools.repeat(firsts), range(low, high + 2)))
-    if starts[0] or starts[-1] != len(firsts) or not (firsts_sorted or firsts == sorted(firsts)):
+    if starts[0] or starts[-1] != len(firsts) or firsts != sorted(firsts):
         return None
     up = [0] * n  # the row lengths, differences of row starts
     up[low - 1:high] = map(operator.sub, starts[1:], starts)
@@ -941,9 +901,8 @@ def poset_from_relations(rel: RelationMatrix) -> Poset:
     if the strict downsets are not linearly ordered by inclusion.
     """
     pairs = rel.pairs
-    # the pairs of a RelationMatrix are sorted and in range
     counted = _counted_poset(rel.n, list(map(operator.itemgetter(0), pairs)),
-                             list(map(operator.itemgetter(1), pairs)), firsts_sorted=True)
+                             list(map(operator.itemgetter(1), pairs)))
     if counted and poset_to_relations(counted[0]) == rel:
         return counted[0]
     for a, b in pairs:

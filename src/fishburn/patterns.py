@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 
-from .errors import LengthMismatchError, ParseError
+from .errors import FishburnError, LengthMismatchError, ParseError
 from .objects import AscentSequence, Permutation, _exact_int, _shown, _trusted, _Value, r_occurrences
 
 
@@ -48,7 +48,7 @@ class BivincularPattern(_Value):
         object.__setattr__(self, "Y", frozenset(map(_exact_int, self.Y)))
         k = len(self.sigma)
         if not all(0 <= x <= k for x in self.X) or not all(0 <= y <= k for y in self.Y):
-            raise ValueError(f"adjacency sets must lie in 0..{k}")
+            raise FishburnError(f"adjacency sets must lie in 0..{k}")
 
     def __len__(self):
         return len(self.sigma)

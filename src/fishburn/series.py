@@ -225,19 +225,14 @@ def _ascent_counts(n: int) -> list[int]:
 class CountTable:
     """counts[n][a][l] = ascent sequences of length n with a ascents, last entry l."""
 
-    def __init__(self, max_length: int, counts=None):
+    def __init__(self, max_length: int):
         if max_length < 0:
             raise ValueError("max_length must be >= 0")
-        if counts is None:
-            counts = [None, *_count_rows(max_length)]
-            # the DP's rows are short; the table's are n cells long
-            for n in range(1, max_length + 1):
-                for row in counts[n]:
-                    row += [0] * (n - len(row))
-        elif len(counts) != max_length + 1 or not all(
-                len(counts[n]) == n and all(len(row) == n for row in counts[n])
-                for n in range(1, max_length + 1)):
-            raise ValueError(f"counts must hold rows 0..{max_length}, row n an n x n table")
+        counts = [None, *_count_rows(max_length)]
+        # the DP's rows are short; the table's are n cells long
+        for n in range(1, max_length + 1):
+            for row in counts[n]:
+                row += [0] * (n - len(row))
         self.max_length = max_length
         self.counts = counts
 

@@ -68,7 +68,7 @@ def _check_rebuilds(outputs: dict, text: str) -> None:
     for name, obj in outputs.items():
         try:
             ok = type(obj)(*(getattr(obj, f) for f in obj._fields)) == obj
-        except ValueError:  # the domain errors, and Poset's plain ValueError
+        except ValueError:  # a FishburnError, or a field that is not an exact int
             ok = False
         _check(ok, f"{name} output rejected by its constructor on {text}")
 

@@ -27,13 +27,15 @@ from fishburn import (
     Poset,
     RelationMatrix,
     StatRecord,
-    active_sites,
     to_modified,
 )
+from fishburn.bijections import _active_gaps
 from fishburn.errors import (
     EmptyObjectError,
+    FishburnError,
     FixedPointError,
     NotAscentSequenceError,
+    NotInRError,
     NotInvolutionError,
     NotModifiedSequenceError,
     NotPartialOrderError,
@@ -41,7 +43,7 @@ from fishburn.errors import (
     NotTwoPlusTwoFreeError,
     ParseError,
 )
-from fishburn.objects import _first_neighbour_nesting, ascents
+from fishburn.objects import _first_neighbour_nesting
 
 
 def standardize(values: Iterable[int]) -> Permutation:
@@ -66,6 +68,76 @@ def right_to_left_minima(entries) -> list[int]:
 def left_to_right_minima(entries) -> int:
     """Number of entries smaller than every entry to their left."""
     return sum(1 for i, e in enumerate(entries) if all(e < f for f in entries[:i]))
+
+
+# ---------------------------------------------------------------------------
+# Views of the value classes, read off their public fields
+
+
+def ascents(entries) -> int:
+    """Number of strict ascents of an integer sequence."""
+    return sum(1 for a, b in zip(entries, entries[1:]) if a < b)
+
+
+def poset_less(p: Poset, x: int, y: int) -> bool:
+    """x < y in p: entry(x) <= level(y)."""
+    return p.entry[x - 1] <= p.levels[y - 1]
+
+
+def poset_srank(p: Poset) -> int:
+    """The minimum level containing a maximal element."""
+    if p.n == 0:
+        raise ValueError("srank of the empty poset is undefined")
+    top = p.rank + 1  # the entry of the maximal elements
+    return min(level for level, e in zip(p.levels, p.entry) if e == top)
+
+
+def relation_less(rel: RelationMatrix, a: int, b: int) -> bool:
+    """Whether (a, b) is a pair of rel, by bisection of its sorted pairs."""
+    i = bisect.bisect_left(rel.pairs, (a, b))
+    return i < len(rel.pairs) and rel.pairs[i] == (a, b)
+
+
+def is_opener(c: ChordInvolution, i: int) -> bool:
+    return c.partner[i - 1] > i
+
+
+def chords(c: ChordInvolution) -> list[tuple[int, int]]:
+    """Chords (opener, closer) sorted by opener."""
+    return [(i, v) for i, v in enumerate(c.partner, start=1) if v > i]
+
+
+def mirror(c: ChordInvolution) -> ChordInvolution:
+    """The chord diagram reflected left to right."""
+    m = len(c.partner)
+    return ChordInvolution(tuple(m + 1 - c.partner[m - i] for i in range(1, m + 1)))
+
+
+def active_sites(pi: Permutation) -> tuple[tuple[int, ...], int]:
+    """The active sites of pi as gap indices, labelled 0..s-1 (`bijections._active_gaps`),
+    and the label of the site immediately left of the maximal entry.  Raises
+    NotInRError off the family."""
+    if len(pi) == 0:
+        raise ValueError("active sites of the empty permutation are undefined")
+    sites = _active_gaps(pi.entries)
+    return tuple(sites), sites.index(pi.entries.index(len(pi)))
+
+
+def active_gaps_by_dict(word) -> list[int]:
+    """`bijections._active_gaps` with the positions of the values in a dict."""
+    m = len(word)
+    if m == 0:
+        return [0]
+    pos = {v: i for i, v in enumerate(word)}
+    gaps = [0]
+    for g in range(1, m):
+        a = word[g - 1]
+        if a == 1 or pos[a - 1] < g - 1:
+            gaps.append(g)
+        elif a < word[g]:
+            raise NotInRError((g, g + 1, pos[a - 1] + 1))
+    gaps.append(m)
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +186,7 @@ def stats_of_perm_by_passes(pi: Permutation) -> StatRecord:
     maximum's level by bisection."""
     if len(pi) == 0:
         raise EmptyObjectError("statistics of the empty permutation are undefined")
-    profile = active_sites(pi)
-    sites = profile.sites
+    sites, srank = active_sites(pi)
     gap_counts = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
     rl_max = right_to_left_maxima(pi.entries)
     max_gap_counts = [0] * len(gap_counts)
@@ -128,7 +199,7 @@ def stats_of_perm_by_passes(pi: Permutation) -> StatRecord:
     return StatRecord(
         size=len(pi),
         minimals=minimals,
-        srank=profile.b,
+        srank=srank,
         rank=len(sites) - 2,
         maximals=len(rl_max),
         components=len(perm_cuts_by_passes(pi.entries)),
@@ -231,7 +302,7 @@ def runs_increasing(c: ChordInvolution) -> bool:
     """Partner values increase along every maximal opener run and closer run."""
     p = c.partner
     for i in range(1, len(p)):
-        same_kind = c.is_opener(i) == c.is_opener(i + 1)
+        same_kind = is_opener(c, i) == is_opener(c, i + 1)
         if same_kind and p[i - 1] > p[i]:
             return False
     return True
@@ -296,7 +367,7 @@ def occurrences_by_subsequences(pi: Permutation, p: BivincularPattern) -> Iterat
     every subsequence against the raw definition."""
     n, k = len(pi), len(p.sigma)
     for positions in itertools.combinations(range(1, n + 1), k):
-        values = tuple(pi(i) for i in positions)
+        values = tuple(pi.entries[i - 1] for i in positions)
         if standardize(values).entries != p.sigma.entries:
             continue
         i = (0,) + positions + (n + 1,)
@@ -382,18 +453,18 @@ def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[i
                 raise
             raise ValueError("levels and entry must assign one value to each of 1..n") from None
     if n < 0 or len(levels) != n or len(entry) != n:
-        raise ValueError("levels and entry must assign one value to each of 1..n")
+        raise FishburnError("levels and entry must assign one value to each of 1..n")
     k = max(levels, default=0)
     occupied = [False] * (k + 1)
     entered = [False] * (k + 2)
     for x, (lvl, e) in enumerate(zip(levels, entry), start=1):
         if not 0 <= lvl < e <= k + 1:
-            raise ValueError(f"element {x} needs 0 <= level < entry <= k+1")
+            raise FishburnError(f"element {x} needs 0 <= level < entry <= k+1")
         occupied[lvl] = entered[e] = True
     if n and not all(occupied):
-        raise ValueError("every level 0..k must be occupied")
+        raise FishburnError("every level 0..k must be occupied")
     if not all(entered[1:k + 1]):
-        raise ValueError("downsets must form a strictly increasing chain")
+        raise FishburnError("downsets must form a strictly increasing chain")
     return levels, entry
 
 

@@ -6,10 +6,8 @@ criterion.
 
 from __future__ import annotations
 
-import fishburn as fb
 from fishburn import AscentSequence, ChordInvolution, Permutation
 from fishburn.bijections import (
-    active_sites,
     from_modified,
     involution_to_poset,
     perm_to_sequence,
@@ -54,7 +52,7 @@ from conftest import (
     POSET8C_SEQUENCE,
     relations,
 )
-from reference import p_series_by_products, right_to_left_minima
+from reference import active_sites, ascents, p_series_by_products, right_to_left_minima
 
 EXPECTED_COUNTS = [1, 1, 2, 5, 15, 53, 217, 1014, 5335]
 
@@ -91,9 +89,7 @@ def test_criterion_2_worked_examples():
 
     pi = sequence_to_perm(x)
     assert pi.entries == (3, 1, 7, 6, 4, 8, 2, 5)
-    profile = active_sites(pi)
-    assert profile.sites == (0, 2, 5, 6, 7, 8)
-    assert profile.s == 6 and profile.b == 2
+    assert active_sites(pi) == ((0, 2, 5, 6, 7, 8), 2)
 
     walkthrough_b = relations(8, POSET8B_PAIRS)
     assert poset_to_sequence(walkthrough_b).entries == POSET8B_SEQUENCE
@@ -190,7 +186,7 @@ def test_criterion_6_barred_avoider_counts():
         histogram = {}
         for pi in avoiders:
             rlmin = len(right_to_left_minima(pi.entries))
-            assert fb.objects.ascents(pi.entries) == rlmin - 1
+            assert ascents(pi.entries) == rlmin - 1
             histogram[rlmin] = histogram.get(rlmin, 0) + 1
         for k in range(1, n + 1):
             assert histogram.get(k, 0) == barred_avoiders_by_rlmin(n, k)

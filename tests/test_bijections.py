@@ -19,7 +19,6 @@ from fishburn import (
 )
 from fishburn.bijections import (
     _active_gaps,
-    active_sites,
     canonical_labelling,
     dual,
     from_modified,
@@ -53,7 +52,14 @@ from conftest import (
     random_ascent_sequence,
 )
 from reference import (
+    active_gaps_by_dict,
+    active_sites,
+    ascents,
+    chords,
+    is_opener,
+    mirror,
     neighbour_nesting_positions,
+    poset_srank,
     remove_neighbour_nestings_by_rescanning,
     swap_endpoints,
 )
@@ -141,7 +147,7 @@ class TestPermutationEncoding:
         # every family member with n <= 8: the rank is asc(pi^-1)
         for n in range(1, 9):
             for pi in fb.enumerate_family("perms", n):
-                assert stats_of_perm(pi).rank == fb.objects.ascents(pi.inverse().entries), pi
+                assert stats_of_perm(pi).rank == ascents(pi.inverse().entries), pi
 
     def test_decode_worked_example(self):
         expect = (3, 1, 7, 6, 4, 8, 2, 5)
@@ -176,15 +182,10 @@ class TestPermutationEncoding:
 
 class TestActiveSites:
     def test_worked_example(self):
-        profile = active_sites(Permutation((3, 1, 7, 6, 4, 8, 2, 5)))
-        assert profile.sites == (0, 2, 5, 6, 7, 8)
-        assert profile.s == 6
-        assert profile.b == 2
+        assert active_sites(Permutation((3, 1, 7, 6, 4, 8, 2, 5))) == ((0, 2, 5, 6, 7, 8), 2)
 
     def test_single(self):
-        profile = active_sites(Permutation((1,)))
-        assert profile.s == 2
-        assert profile.b == 0
+        assert active_sites(Permutation((1,))) == ((0, 1), 0)
 
     def test_rejects_outside_family(self):
         with pytest.raises(NotInRError):
@@ -198,15 +199,32 @@ class TestActiveSites:
 
     def test_site_count_matches_ascents(self):
         pi = Permutation((6, 1, 8, 3, 2, 5, 4, 7))
-        assert active_sites(pi).s == 2 + perm_to_sequence(pi).asc
+        assert len(active_sites(pi)[0]) == 2 + ascents(perm_to_sequence(pi).entries)
 
     def test_profile_laws_exhaustive(self, sequences_by_length):
         for n in range(1, 7):
             for x in sequences_by_length[n]:
-                profile = active_sites(sequence_to_perm(x))
-                assert profile.s == 2 + x.asc
-                assert profile.b == x.entries[-1]
-                assert profile.sites[0] == 0 and profile.sites[-1] == n
+                sites, b = active_sites(sequence_to_perm(x))
+                assert len(sites) == 2 + ascents(x.entries)
+                assert b == x.entries[-1]
+                assert sites[0] == 0 and sites[-1] == n
+
+    def test_the_position_list_matches_the_dict_of_positions(self):
+        # the same gaps, or the same witness: every permutation with n <= 7, and
+        # seeded family members at n = 150 and 2,000 with their reverses
+        def outcome(scan, word):
+            try:
+                return scan(word)
+            except NotInRError as exc:
+                return exc.witness
+
+        words = [pi.entries for n in range(8) for pi in fb.enumerate_permutations(n)]
+        members = [sequence_to_perm(random_ascent_sequence(n, seed)).entries
+                   for n in (150, 2000) for seed in range(3)]
+        words += members + [word[::-1] for word in members]
+        for word in words:
+            assert outcome(_active_gaps, word) == outcome(active_gaps_by_dict, word), word
+        assert all(type(outcome(_active_gaps, word)) is list for word in members)
 
 
 class TestModification:
@@ -230,7 +248,7 @@ class TestModification:
                 images.add(m.entries)
                 assert from_modified(m) == x
                 assert [a < b for a, b in zip(m, m[1:])] == [a < b for a, b in zip(x, x[1:])]
-                assert (max(m.entries) if n else 0) == x.asc
+                assert (max(m.entries) if n else 0) == ascents(x.entries)
             assert len(images) == len(sequences_by_length[n])
 
     def test_unreachable_input_rejected(self):
@@ -281,9 +299,9 @@ class TestPosetEncoding:
                     prefix = AscentSequence(x.entries[:j])
                     p = sequence_to_poset(prefix)
                     assert fb.Poset(p.n, p.levels, p.entry) == p
-                    assert p.srank == prefix.entries[-1]
-                    assert p.rank == prefix.asc == rank + (p.srank > srank)
-                    srank, rank = p.srank, p.rank
+                    assert poset_srank(p) == prefix.entries[-1]
+                    assert p.rank == ascents(prefix.entries) == rank + (poset_srank(p) > srank)
+                    srank, rank = poset_srank(p), p.rank
 
     def test_deletion_steps(self, sequences_by_length):
         # deletion undoes insertion: every prefix comes back, and the last
@@ -345,7 +363,7 @@ class TestPosetToPerm:
                 p = sequence_to_poset(x)
                 sizes = [p.levels.count(level) for level in range(p.rank + 1)]
                 boundaries = [0] + list(itertools.accumulate(sizes))
-                assert active_sites(poset_to_perm(p)).sites == tuple(boundaries)
+                assert active_sites(poset_to_perm(p))[0] == tuple(boundaries)
 
 
 class TestIntervalOrders:
@@ -376,18 +394,18 @@ class TestIntervalOrders:
     def test_sweep_matches_the_interval_relation(self):
         for points in range(0, 11, 2):
             for c in enumerate_fixed_point_free_involutions(points):
-                chords = c.chords()
+                diagram = chords(c)
                 pairs = frozenset((a, b)
-                                  for a, (_, closer) in enumerate(chords, start=1)
-                                  for b, (opener, _) in enumerate(chords, start=1)
+                                  for a, (_, closer) in enumerate(diagram, start=1)
+                                  for b, (opener, _) in enumerate(diagram, start=1)
                                   if closer < opener)
-                expected = fb.poset_from_relations(fb.RelationMatrix(len(chords), pairs))
+                expected = fb.poset_from_relations(fb.RelationMatrix(len(diagram), pairs))
                 assert involution_to_poset(c) == expected
 
     def test_mirror_gives_dual(self):
         for points in range(2, 9, 2):
             for c in enumerate_fixed_point_free_involutions(points):
-                lhs = poset_to_sequence(involution_to_poset(c.mirror()))
+                lhs = poset_to_sequence(involution_to_poset(mirror(c)))
                 rhs = poset_to_sequence(dual(involution_to_poset(c)))
                 assert lhs == rhs
 
@@ -395,10 +413,10 @@ class TestIntervalOrders:
         for points in range(2, 11, 2):
             for c in enumerate_fixed_point_free_involutions(points):
                 p = involution_to_poset(c)
-                for label, (opener, _closer) in enumerate(c.chords(), start=1):
+                for label, (opener, _closer) in enumerate(chords(c), start=1):
                     runs = 0
                     for j in range(2, opener + 1):
-                        if not c.is_opener(j) and c.is_opener(j - 1):
+                        if not is_opener(c, j) and is_opener(c, j - 1):
                             runs += 1
                     assert p.levels[label - 1] == runs
 
@@ -436,7 +454,7 @@ class TestNestingRemoval:
     def test_each_swap_raises_the_crossing_number(self):
         # the count strictly grows, so the swapping terminates
         def crossings(c):
-            return sum(1 for (a1, b1), (a2, b2) in itertools.combinations(c.chords(), 2)
+            return sum(1 for (a1, b1), (a2, b2) in itertools.combinations(chords(c), 2)
                        if a1 < a2 < b1 < b2)
 
         for points in range(0, 11, 2):
@@ -516,7 +534,7 @@ class TestRandomChordDiagrams:
 
     @given(chord_involutions())
     def test_mirror_gives_dual_randomized(self, c):
-        lhs = poset_to_sequence(involution_to_poset(c.mirror()))
+        lhs = poset_to_sequence(involution_to_poset(mirror(c)))
         rhs = poset_to_sequence(dual(involution_to_poset(c)))
         assert lhs == rhs
 
@@ -579,7 +597,7 @@ class TestLargeInputs:
         m = to_modified(x)
         assert from_modified(m) == x
         assert time.perf_counter() - start < 2.0
-        assert max(m.entries) == x.asc
+        assert max(m.entries) == ascents(x.entries)
 
     def test_modification_roundtrip_at_n_2000_with_1000_ascents(self):
         # each odd entry ascends to asc/2 + 1, opening a level below earlier tops
@@ -589,7 +607,7 @@ class TestLargeInputs:
             asc += i % 2
         x = AscentSequence(tuple(entries))
         m = to_modified(x)
-        assert x.asc == 1000 and max(m.entries) == 1000
+        assert ascents(x.entries) == 1000 and max(m.entries) == 1000
         assert from_modified(m) == x
 
     @pytest.mark.parametrize("x", [random_ascent_sequence(2000, seed=2000),

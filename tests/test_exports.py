@@ -59,8 +59,6 @@ CALLS = {
     "validate_ascent_sequence": lambda i: fb.validate_ascent_sequence(i.x.entries),
     "validate_involution": lambda i: fb.validate_involution(i.c.partner),
     # bijections
-    "ActiveSiteProfile": lambda i: rebuild(fb.active_sites(i.pi)),
-    "active_sites": lambda i: fb.active_sites(i.pi),
     "canonical_labelling": lambda i: fb.canonical_labelling(i.p),
     "dual": lambda i: fb.dual(i.p),
     "enumerate_family": lambda i: [next(fb.enumerate_family(family, N))

@@ -31,8 +31,8 @@ from fishburn.patterns import (
 )
 
 from conftest import BARRED_COUNTS, random_ascent_sequence
-from reference import (contains_by_subsequences, enumerate_patterns, occurrences_by_subsequences,
-                       right_to_left_minima)
+from reference import (ascents, contains_by_subsequences, enumerate_patterns,
+                       occurrences_by_subsequences, right_to_left_minima)
 
 
 def pattern(word, X=(), Y=()):
@@ -405,5 +405,5 @@ class TestSelfModified:
                     continue
                 pi = fb.sequence_to_perm(x)
                 top = max(x.entries)
-                assert top == fb.objects.ascents(pi.entries)
+                assert top == ascents(pi.entries)
                 assert top == len(right_to_left_minima(pi.entries)) - 1

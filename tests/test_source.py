@@ -113,7 +113,7 @@ def test_trusted_construction_sites():
     assert {scope for _, scope in _trusted_calls()} == {
         "enumerate_ascent_sequences",
         "Permutation.inverse", "Permutation.reverse", "Permutation.complement",
-        "Permutation.compose", "enumerate_permutations", "ChordInvolution.mirror",
+        "Permutation.compose", "enumerate_permutations",
         "enumerate_fixed_point_free_involutions",
         "_relation_of_int_pairs", "poset_to_relations",
         "perm_to_sequence", "sequence_to_perm_by_insertion", "_perm_of_modified",

@@ -1,4 +1,4 @@
-"""The nine value classes: constructors, equality, hashing, repr, immutability, copies and pickles.
+"""The eight value classes: constructors, equality, hashing, repr, immutability, copies and pickles.
 
 They share one small base, `objects._Value`, in place of frozen
 dataclasses, so that importing the package loads neither `dataclasses`
@@ -34,7 +34,6 @@ SAMPLES = {
         fb.poset_to_relations(fb.sequence_to_poset(fb.AscentSequence((0, 1, 0)))),
     "ChordInvolution(partner=(3, 5, 1, 6, 2, 4, 8, 7))":
         fb.poset_to_involution(fb.sequence_to_poset(x)),
-    "ActiveSiteProfile(sites=(0, 2, 3, 4), b=2)": fb.active_sites(fb.sequence_to_perm(x)),
     "BivincularPattern(sigma=Permutation(entries=(2, 3, 1)), X=frozenset({1}), Y=frozenset({1}))":
         fb.R_PATTERN,
     "StatRecord(size=4, minimals=2, srank=2, rank=2, maximals=1, components=2, "
@@ -51,7 +50,7 @@ def rebuilt(obj):
 
 def test_the_samples_cover_every_value_class():
     classes = {type(v) for v in VALUES}
-    assert len(classes) == 9 and all(issubclass(cls, _Value) for cls in classes)
+    assert len(classes) == 8 and all(issubclass(cls, _Value) for cls in classes)
 
 
 def test_import_loads_neither_dataclasses_nor_typing():
@@ -150,10 +149,11 @@ BAD_FIELDS = {
 
 @pytest.mark.parametrize("cls", list(BAD_FIELDS), ids=lambda cls: cls.__name__)
 def test_a_bad_field_still_raises(cls):
+    # every rejection is the package's own error type, by position and by keyword
     fields = BAD_FIELDS[cls]
-    with pytest.raises(ValueError):
+    with pytest.raises(fb.FishburnError):
         cls(*fields)
-    with pytest.raises(ValueError):
+    with pytest.raises(fb.FishburnError):
         cls(**dict(zip(cls._fields, fields)))
     # and the one unchecked route still runs no check: the fields are kept as given
     obj = _trusted(cls, *fields)
@@ -162,7 +162,7 @@ def test_a_bad_field_still_raises(cls):
 
 def test_the_classes_without_checks_keep_the_base_hook():
     checked = set(BAD_FIELDS)
-    assert {type(v) for v in VALUES} - checked == {fb.StatRecord, fb.ActiveSiteProfile}
+    assert {type(v) for v in VALUES} - checked == {fb.StatRecord}
     for cls in {type(v) for v in VALUES}:
         assert (cls.__post_init__ is _Value.__post_init__) == (cls not in checked)
 
