@@ -209,22 +209,30 @@ class TestActiveSites:
                 assert b == x.entries[-1]
                 assert sites[0] == 0 and sites[-1] == n
 
-    def test_the_position_list_matches_the_dict_of_positions(self):
-        # the same gaps, or the same witness: every permutation with n <= 7, and
-        # seeded family members at n = 150 and 2,000 with their reverses
-        def outcome(scan, word):
-            try:
-                return scan(word)
-            except NotInRError as exc:
-                return exc.witness
+    @staticmethod
+    def _outcome(scan, word):
+        try:
+            return scan(word)
+        except NotInRError as exc:
+            return exc.witness
 
-        words = [pi.entries for n in range(8) for pi in fb.enumerate_permutations(n)]
+    @pytest.mark.parametrize("n", range(8))
+    def test_the_position_list_matches_the_dict_of_positions(self, n):
+        # the same gaps, or the same witness, on every permutation of size n
+        for pi in fb.enumerate_permutations(n):
+            word = pi.entries
+            assert (self._outcome(_active_gaps, word)
+                    == self._outcome(active_gaps_by_dict, word)), word
+
+    @pytest.mark.parametrize("n", (150, 2000))
+    def test_the_position_list_matches_the_dict_on_seeded_members(self, n):
+        # seeded family members are scanned to the end; their reverses are rejected
         members = [sequence_to_perm(random_ascent_sequence(n, seed)).entries
-                   for n in (150, 2000) for seed in range(3)]
-        words += members + [word[::-1] for word in members]
-        for word in words:
-            assert outcome(_active_gaps, word) == outcome(active_gaps_by_dict, word), word
-        assert all(type(outcome(_active_gaps, word)) is list for word in members)
+                   for seed in range(3)]
+        for word in members + [word[::-1] for word in members]:
+            assert (self._outcome(_active_gaps, word)
+                    == self._outcome(active_gaps_by_dict, word)), word
+        assert all(type(self._outcome(_active_gaps, word)) is list for word in members)
 
 
 class TestModification:

@@ -149,15 +149,24 @@ BAD_FIELDS = {
 
 @pytest.mark.parametrize("cls", list(BAD_FIELDS), ids=lambda cls: cls.__name__)
 def test_a_bad_field_still_raises(cls):
-    # every rejection is the package's own error type, by position and by keyword
     fields = BAD_FIELDS[cls]
-    with pytest.raises(fb.FishburnError):
+    with pytest.raises(ValueError):
         cls(*fields)
-    with pytest.raises(fb.FishburnError):
+    with pytest.raises(ValueError):
         cls(**dict(zip(cls._fields, fields)))
     # and the one unchecked route still runs no check: the fields are kept as given
     obj = _trusted(cls, *fields)
     assert [getattr(obj, name) for name in cls._fields] == list(fields)
+
+
+@pytest.mark.parametrize("cls", list(BAD_FIELDS), ids=lambda cls: cls.__name__)
+def test_a_bad_field_raises_the_package_error(cls):
+    # every rejection is the package's own error type, by position and by keyword
+    fields = BAD_FIELDS[cls]
+    for build in (lambda: cls(*fields), lambda: cls(**dict(zip(cls._fields, fields)))):
+        with pytest.raises(fb.FishburnError) as info:
+            build()
+        assert isinstance(info.value, ValueError)
 
 
 def test_the_classes_without_checks_keep_the_base_hook():
