@@ -37,8 +37,6 @@ from .objects import (
     is_r_permutation,
     poset_from_relations,
     poset_to_relations,
-    validate_ascent_sequence,
-    validate_involution,
 )
 from .bijections import (
     canonical_labelling,
@@ -74,7 +72,6 @@ from .series import (
     F_n_polynomial,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
-    count_table,
     p_series,
     verify_functional_equation,
     verify_kernel_solution,

@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterator
 
-from .errors import NotInRError
+from .errors import FishburnError, NotInRError
 from .objects import (
     AscentSequence,
     ChordInvolution,
@@ -62,7 +62,7 @@ def _active_gaps(word: list[int] | tuple[int, ...]) -> list[int]:
     and an interior gap is active iff the entry before it is 1 or has its
     predecessor value somewhere to the left.  An inactive gap followed by
     an ascent is an occurrence (g, g+1, k) of (231,{1},{1}), so the scan
-    raises NotInRError at the leftmost one, the witness of `r_violation`.
+    raises NotInRError at the leftmost one, the first of `r_occurrences`.
     """
     m = len(word)
     if m == 0:
@@ -261,19 +261,13 @@ def _deletion_trace(p: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def poset_to_perm(p: Poset) -> Permutation:
-    """Read canonical labels level by level, each level in descending order.
+    """Sort the canonical labels by their levels in the deletion trace, ties by descending label.
 
-    Equals the permutation of the poset's ascent sequence; the active
-    sites of the result are exactly the level boundaries plus both ends.
+    Label i sits at level m_i, so this is `_perm_of_modified` of the
+    trace's m: the permutation of the poset's ascent sequence, whose
+    active sites are exactly the level boundaries plus both ends.
     """
-    canon = canonical_labelling(p)
-    by_level: list[list[int]] = [[] for _ in range(p.rank + 1)]
-    for x in range(1, p.n + 1):
-        by_level[p.levels[x - 1]].append(canon[x - 1])
-    word: list[int] = []
-    for level in by_level:
-        word.extend(sorted(level, reverse=True))
-    return _trusted(Permutation, tuple(word))
+    return _perm_of_modified(_deletion_trace(p)[0])
 
 
 def dual(p: Poset) -> Poset:
@@ -401,5 +395,5 @@ def enumerate_family(family: str, n: int) -> Iterator:
     """
     decode = _FAMILY_DECODERS.get(family)
     if decode is None:
-        raise ValueError(f"unknown family {family!r}")
+        raise FishburnError(f"unknown family {family!r}")
     return map(decode, enumerate_ascent_sequences(n))

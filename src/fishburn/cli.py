@@ -201,17 +201,9 @@ def cmd_convert(args, emit: Emit) -> int:
     return each_line(handle)
 
 
-def stats_line(r: statistics.StatRecord) -> str:
-    """`json.dumps(r.as_dict(), separators=(",", ":"))`, written straight from the fields."""
-    return (f'{{"n":{r.size},"minimals":{r.minimals},"srank":{r.srank},"rank":{r.rank},'
-            f'"maximals":{r.maximals},"components":{r.components},'
-            f'"level_counts":[{",".join(map(str, r.level_counts))}],'
-            f'"max_level_counts":[{",".join(map(str, r.max_level_counts))}]}}')
-
-
 def cmd_stats(args, emit: Emit) -> int:
     source = CODECS[args.format]
-    return each_line(lambda line: emit(stats_line(source.stats(source.parse(line)))))
+    return each_line(lambda line: emit(statistics.format_stats(source.stats(source.parse(line)))))
 
 
 def cmd_series(args, emit: Emit) -> int:

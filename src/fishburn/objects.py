@@ -75,17 +75,20 @@ def _shown(literal) -> str:
 
 
 def _exact_int(v, error: str = "not an integer: {!r}") -> int:
-    """`int(v)` when that keeps the value of `v` (bools, 3.0 and "2" do), else ValueError.
+    """`int(v)` when that keeps the value of `v` (bools, 3.0 and "2" do), else FishburnError.
 
     A non-integral float, Fraction or Decimal, infinities included, raises
-    `error` formatted with it; a string is read as `int` reads it.
+    `error` formatted with it; a string is read as `int` reads it, and a
+    value that `int` cannot read raises `int`'s message.
     """
     try:
         i = int(v)
     except OverflowError:  # an infinity
-        raise ValueError(error.format(v)) from None
+        raise FishburnError(error.format(v)) from None
+    except (TypeError, ValueError) as exc:  # no number, or a string int() cannot read
+        raise FishburnError(str(exc)) from None
     if i != v and not isinstance(v, (str, bytes, bytearray)):
-        raise ValueError(error.format(v))
+        raise FishburnError(error.format(v))
     return i
 
 
@@ -262,11 +265,6 @@ class ModifiedAscentSequence(_EntriesSequence):
             raise NotModifiedSequenceError(f"not a modified ascent sequence: {_shown(entries)}")
 
 
-def validate_ascent_sequence(entries: Iterable[int]) -> AscentSequence:
-    """Validate and wrap; raises NotAscentSequenceError naming the first bad index."""
-    return AscentSequence(tuple(entries))
-
-
 def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
     """All ascent sequences of length n, lexicographically.
 
@@ -274,7 +272,7 @@ def enumerate_ascent_sequences(n: int) -> Iterator[AscentSequence]:
     1 + asc(prefix) and resets the entries after it to 0.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     if n == 0:
         yield _trusted(AscentSequence, ())
         return
@@ -345,20 +343,15 @@ def r_occurrences(pi: Permutation) -> Iterator[tuple[int, int, int]]:
             yield (i, i + 1, pos[a - 1])
 
 
-def r_violation(pi: Permutation) -> tuple[int, int, int] | None:
-    """Leftmost witness (i, i+1, k) of the pattern (231,{1},{1}), or None."""
-    return next(r_occurrences(pi), None)
-
-
 def is_r_permutation(pi: Permutation) -> bool:
     """Membership in the pattern-avoiding family that maps to ascent sequences."""
-    return r_violation(pi) is None
+    return next(r_occurrences(pi), None) is None
 
 
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     for entries in itertools.permutations(range(1, n + 1)):
         yield _trusted(Permutation, entries)
 
@@ -481,7 +474,10 @@ class RelationMatrix(_Value):
         if not isinstance(pairs, (list, tuple)):
             pairs = list(pairs)
         if not _are_int_pairs(pairs):
-            pairs = [(_exact_int(a), _exact_int(b)) for a, b in pairs]
+            try:
+                pairs = [(_exact_int(a), _exact_int(b)) for a, b in pairs]
+            except (TypeError, ValueError) as exc:  # a member that is not two ints
+                raise FishburnError(str(exc)) from None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pairs", _sorted_pairs_in_range(n, pairs))
 
@@ -539,11 +535,6 @@ class ChordInvolution(_Value):
         return format_involution(self.partner)
 
 
-def validate_involution(partner: Iterable[int]) -> ChordInvolution:
-    """Validate a partner array; raises NotInvolutionError / FixedPointError."""
-    return ChordInvolution(tuple(partner))
-
-
 def _first_neighbour_nesting(p: tuple[int, ...]) -> int | None:
     """Leftmost i with p_i > p_{i+1} not crossing the diagonal (a neighbour nesting), or None."""
     for i in range(1, len(p)):
@@ -566,7 +557,7 @@ def enumerate_fixed_point_free_involutions(points: int) -> Iterator[ChordInvolut
     joins every point left unmatched to the next unmatched point.
     """
     if points < 0 or points % 2:
-        raise ValueError("need an even number of points >= 0")
+        raise FishburnError("need an even number of points >= 0")
     partner = [0] * (points + 1)  # 1-based; 0 marks an unmatched point
     openers: list[int] = []
     start = 1  # every point below start is matched
@@ -738,7 +729,7 @@ def parse_poset(text: str) -> Poset:
             flat = text.replace(between, ",")
             data, end = _decode_prefix(flat)
             if end != len(flat):  # digits after the closing brace
-                raise ValueError("extra data")
+                raise ParseError("extra data")
         else:
             data = json.loads(text)
         n, pairs = data["n"], data["relations"]
@@ -759,7 +750,7 @@ def parse_poset(text: str) -> Poset:
             return poset
     try:
         relation = _relation_of_int_pairs(n, zip(firsts, seconds))
-    except ValueError as exc:
+    except FishburnError as exc:
         raise ParseError(str(exc)) from exc
     del firsts, seconds  # the relation holds the pairs
     return poset_from_relations(relation)
@@ -887,7 +878,7 @@ def _counted_poset(n: int, firsts: list[int],
     entry_of_ups = {len(row): e for e, row in enumerate(upper) if e}
     try:
         return Poset(n, levels, tuple(map(entry_of_ups.get, up, itertools.repeat(0)))), upper
-    except ValueError:  # an upset size that no entry has, or level >= entry
+    except FishburnError:  # an upset size that no entry has, or level >= entry
         return None
 
 

@@ -62,7 +62,7 @@ R_PATTERN = BivincularPattern(Permutation((2, 3, 1)), frozenset({1}), frozenset(
 
 def format_pattern(p: BivincularPattern) -> str:
     if len(p.sigma) > 9:
-        raise ValueError("compact pattern form needs length <= 9")
+        raise FishburnError("compact pattern form needs length <= 9")
     word = "".join(str(e) for e in p.sigma.entries)
     fmt = lambda s: "{" + ",".join(str(v) for v in sorted(s)) + "}"
     return f"{word}|X={fmt(p.X)}|Y={fmt(p.Y)}"
@@ -328,7 +328,7 @@ def enumerate_self_modified(n: int) -> Iterator[AscentSequence]:
     resets the entries after it to 0.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     if n == 0:
         yield _trusted(AscentSequence, ())
         return

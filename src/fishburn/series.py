@@ -57,6 +57,8 @@ from itertools import accumulate, zip_longest
 from math import comb
 from operator import mul
 
+from .errors import FishburnError
+
 # ---------------------------------------------------------------------------
 # Polynomial building blocks
 
@@ -64,7 +66,7 @@ from operator import mul
 def _check_orders(*orders: int) -> None:
     """A negative truncation order would leave nothing to check."""
     if min(orders) < 0:
-        raise ValueError(f"truncation orders must be >= 0, got {min(orders)}")
+        raise FishburnError(f"truncation orders must be >= 0, got {min(orders)}")
 
 
 def _times_one_minus_t(row: list[int], k: int) -> list[int]:
@@ -156,7 +158,7 @@ def p_series(order: int) -> list[int]:
     route and above it the passes are (measured at order 250).
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise FishburnError("order must be >= 0")
     h = [1]
     for k in range(order // 2, 0, -1):
         width = order + 3 - 2 * k
@@ -214,7 +216,7 @@ def _ascent_counts(n: int) -> list[int]:
     being built and the one before it are kept: O(n^2) stored counts.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     if n == 0:
         return [1]
     for row in _count_rows(n):
@@ -227,7 +229,7 @@ class CountTable:
 
     def __init__(self, max_length: int):
         if max_length < 0:
-            raise ValueError("max_length must be >= 0")
+            raise FishburnError("max_length must be >= 0")
         counts = [None, *_count_rows(max_length)]
         # the DP's rows are short; the table's are n cells long
         for n in range(1, max_length + 1):
@@ -238,7 +240,7 @@ class CountTable:
 
     def _check_length(self, n: int) -> None:
         if not 0 <= n <= self.max_length:
-            raise ValueError(f"length {n} is outside 0..{self.max_length}")
+            raise FishburnError(f"length {n} is outside 0..{self.max_length}")
 
     def count(self, n: int, a: int, last: int) -> int:
         self._check_length(n)
@@ -263,16 +265,12 @@ class CountTable:
         """F(t; u, 1) as u-rows: rows[a][n] counts length-n sequences with a ascents."""
         _check_orders(t_order, u_order)
         if t_order > self.max_length:
-            raise ValueError("table too short for requested order")
+            raise FishburnError("table too short for requested order")
         rows = [[0] * (t_order + 1) for _ in range(u_order + 1)]
         for n in range(t_order + 1):
             for a, c in enumerate(self.by_ascents(n)[:u_order + 1]):
                 rows[a][n] = c
         return rows
-
-
-def count_table(max_length: int) -> CountTable:
-    return CountTable(max_length)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +303,7 @@ def verify_functional_equation(order: int,
     if table is None:
         table = CountTable(order)
     if order > table.max_length:
-        raise ValueError("table too short for requested order")
+        raise FishburnError("table too short for requested order")
     residual = []
     prev: list[list[int]] = []
     prev_live: list[bool] = []
@@ -349,7 +347,7 @@ def F_n_polynomial(n: int, t_order: int | None = None) -> list[list[int]]:
     prod_{i=1..n}(1 - (1-t)^i), the summand of the product formula.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     degree = n * (n + 3) // 2
     if t_order is None:
         t_order = degree
@@ -380,7 +378,7 @@ def S_closed_form(m: int, t_order: int, u_order: int | None = None) -> list[list
     m = 1 the sum is the single empty-product term, so the value is -1.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise FishburnError("m must be >= 1")
     _check_orders(t_order, u_order or 0)
     top = m - 1 if u_order is None else min(m - 1, u_order)
     rows = [[0] * (t_order + 1) for _ in range(top + 1)]
@@ -418,14 +416,14 @@ def verify_S_identity(m: int, order: int,
     (t, u, c), sorted.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise FishburnError("m must be >= 1")
     _check_orders(order)
     width = order + 1
     if terms is None:
         terms = kernel_terms(order)
     elif len(terms) != width or any(
             len(rows) != width or any(len(row) != width for row in rows) for rows in terms):
-        raise ValueError(f"need {width} kernel terms of {width} u-rows of {width} t-coefficients")
+        raise FishburnError(f"need {width} kernel terms of {width} u-rows of {width} t-coefficients")
     # (u-1)^m is common to every term, and (1-t)^(mk) = P^k with
     # P = (1-t)^m: sum the k-terms in Horner form, as u-rows, first.
     # No row is changed in place, so the accumulator may share a row
@@ -478,14 +476,14 @@ def verify_kernel_solution(u_order: int, t_order: int,
 def barred_avoiders_by_rlmin(n: int, k: int) -> int:
     """Avoiders of length n with exactly k right-to-left minima: C(C(k,2)+n-1, n-k)."""
     if n < 1 or not 1 <= k <= n:
-        raise ValueError("need n >= 1 and 1 <= k <= n")
+        raise FishburnError("need n >= 1 and 1 <= k <= n")
     return comb(comb(k, 2) + n - 1, n - k)
 
 
 def count_barred_avoiders(n: int) -> int:
     """Total avoiders of length n (the empty permutation counts for n = 0)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise FishburnError("n must be >= 0")
     if n == 0:
         return 1
     return sum(barred_avoiders_by_rlmin(n, k) for k in range(1, n + 1))

@@ -14,6 +14,8 @@ its own representation plus the cut helper that `components` uses too.
 
 from __future__ import annotations
 
+import json
+
 from . import bijections
 from .errors import EmptyObjectError
 from .objects import (
@@ -41,16 +43,15 @@ class StatRecord(_Value):
                  "level_counts", "max_level_counts")
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.size,
-            "minimals": self.minimals,
-            "srank": self.srank,
-            "rank": self.rank,
-            "maximals": self.maximals,
-            "components": self.components,
-            "level_counts": list(self.level_counts),
-            "max_level_counts": list(self.max_level_counts),
-        }
+        return json.loads(format_stats(self))
+
+
+def format_stats(r: StatRecord) -> str:
+    """`r` as the compact JSON object that `as_dict` reads back, written from the fields."""
+    return (f'{{"n":{r.size},"minimals":{r.minimals},"srank":{r.srank},"rank":{r.rank},'
+            f'"maximals":{r.maximals},"components":{r.components},'
+            f'"level_counts":[{",".join(map(str, r.level_counts))}],'
+            f'"max_level_counts":[{",".join(map(str, r.max_level_counts))}]}}')
 
 
 def stats_of_sequence(x: AscentSequence) -> StatRecord:

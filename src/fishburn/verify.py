@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from . import bijections, series, statistics
+from .errors import FishburnError
 from .objects import (
     brute_force_cap,
     enumerate_ascent_sequences,
@@ -41,10 +42,10 @@ class _Counterexample(Exception):
 
 def run_suite(name: str, max_n: int | None = None) -> tuple[bool, str]:
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise FishburnError(f"unknown suite {name!r}")
     n = DEFAULT_MAX_N[name] if max_n is None else max_n
     if n < 0:
-        raise ValueError(f"max_n must be >= 0, got {n}")
+        raise FishburnError(f"max_n must be >= 0, got {n}")
     try:
         message, checked = _RUNNERS[name](n)
     except _Counterexample as exc:
@@ -68,7 +69,7 @@ def _check_rebuilds(outputs: dict, text: str) -> None:
     for name, obj in outputs.items():
         try:
             ok = type(obj)(*(getattr(obj, f) for f in obj._fields)) == obj
-        except ValueError:  # a FishburnError, or a field that is not an exact int
+        except FishburnError:
             ok = False
         _check(ok, f"{name} output rejected by its constructor on {text}")
 
@@ -152,7 +153,7 @@ def _series(order: int) -> tuple[str, int]:
     the floats in range at any order.  Both checks run before the
     comparison with the counting DP, so each has a failure of its own.
     """
-    table = series.count_table(order)
+    table = series.CountTable(order)
     _check(not series.verify_functional_equation(order, table),
            f"functional equation residual nonzero at order {order}")
     counts = series.p_series(order)
@@ -172,7 +173,7 @@ def _series(order: int) -> tuple[str, int]:
         for u, row in enumerate(f_n):
             for t, c in enumerate(row[:11]):
                 total[u][t] += c
-    _check(total == series.count_table(10).u_rows(10, 10),
+    _check(total == series.CountTable(10).u_rows(10, 10),
            "summands do not add up to the counting series")
     return "series identities hold", order + 1
 

@@ -388,14 +388,19 @@ def contains_by_subsequences(pi: Permutation, p: BivincularPattern) -> bool:
 # stores, or raises the error it raises, with the same message.
 
 
-def exact_int(v) -> int:
+def exact_int(v, error: str = "not an integer: {!r}") -> int:
     """The integer rule of every constructor field: a string is read as `int`
-    reads it, and any other value must keep its value under `int`."""
-    if isinstance(v, (str, bytes, bytearray)):
-        return int(v)
-    if v in (float("inf"), float("-inf")) or int(v) != v:
-        raise ValueError(f"not an integer: {v!r}")
-    return int(v)
+    reads it, a value that `int` cannot read raises `int`'s message, and any
+    other value must keep its value under `int`, else `error` names it."""
+    if v in (float("inf"), float("-inf")):
+        raise FishburnError(error.format(v))
+    try:
+        i = int(v)
+    except (TypeError, ValueError) as exc:
+        raise FishburnError(str(exc)) from None
+    if not isinstance(v, (str, bytes, bytearray)) and i != v:
+        raise FishburnError(error.format(v))
+    return i
 
 
 def exact_ints(values) -> tuple[int, ...]:
@@ -444,14 +449,8 @@ def poset_fields_by_scanning(n, levels, entry) -> tuple[tuple[int, ...], tuple[i
     """
     levels = exact_ints(levels)
     entry = exact_ints(entry)
-    if type(n) is not int:
-        # a size that is no integer matches no number of elements
-        try:
-            n = exact_int(n)
-        except ValueError:
-            if isinstance(n, (str, bytes, bytearray)):
-                raise
-            raise ValueError("levels and entry must assign one value to each of 1..n") from None
+    # a size that int() would change matches no number of elements
+    n = exact_int(n, "levels and entry must assign one value to each of 1..n")
     if n < 0 or len(levels) != n or len(entry) != n:
         raise FishburnError("levels and entry must assign one value to each of 1..n")
     k = max(levels, default=0)

@@ -32,10 +32,10 @@ from fishburn.objects import (
 )
 from fishburn.patterns import avoids_barred, is_self_modified
 from fishburn.series import (
+    CountTable,
     F_n_polynomial,
     barred_avoiders_by_rlmin,
     count_barred_avoiders,
-    count_table,
     p_series,
     verify_functional_equation,
     verify_kernel_solution,
@@ -64,7 +64,7 @@ def report(k, text):
 def test_criterion_1_counting_concordance():
     by_product = p_series_by_products(8)
     by_series = p_series(8)
-    table = count_table(8)
+    table = CountTable(8)
     by_dp = [table.total(n) for n in range(9)]
     by_enumeration = [sum(1 for _ in enumerate_ascent_sequences(n)) for n in range(9)]
     by_filtered_perms = [len(enumerate_r_permutations(n)) for n in range(9)]
@@ -161,7 +161,7 @@ def test_criterion_5_series_identities():
         for u, row in enumerate(f_n):
             for t, c in enumerate(row[:11]):
                 total[u][t] += c
-    table = count_table(10)
+    table = CountTable(10)
     for t in range(11):
         by_asc = table.by_ascents(t)
         assert [row[t] for row in total] == by_asc + [0] * (11 - len(by_asc))
@@ -171,7 +171,7 @@ def test_criterion_5_series_identities():
 
     assert verify_kernel_solution(4, 8) == []
 
-    table = count_table(3)
+    table = CountTable(3)
     assert table.counts[1:] == [[[1]], [[1, 0], [0, 1]], [[1, 0, 0], [1, 2, 0], [0, 0, 1]]]
     assert table.total(0) == 1
     report(5, "all series identities hold at their stated orders")

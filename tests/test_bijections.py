@@ -125,11 +125,11 @@ class TestPermutationEncoding:
 
     def test_the_site_scan_is_the_family_check(self):
         # every permutation with n <= 7: the active-site scan raises exactly
-        # off the family, with the leftmost witness of `r_violation`
+        # off the family, with the leftmost occurrence of the pattern
         rejected = 0
         for n in range(8):
             for pi in fb.enumerate_permutations(n):
-                witness = fb.objects.r_violation(pi)
+                witness = next(fb.objects.r_occurrences(pi), None)
                 for scan in (perm_to_sequence, active_sites) if n else (perm_to_sequence,):
                     try:
                         scan(pi)
@@ -353,6 +353,14 @@ class TestPosetEncoding:
         assert canonical_labelling(built) == tuple(range(1, 9))
 
 
+def _relabelled(p: fb.Poset, labels) -> fb.Poset:
+    """p with element x renamed labels[x-1]."""
+    levels, entry = [0] * p.n, [0] * p.n
+    for x, label in enumerate(labels):
+        levels[label - 1], entry[label - 1] = p.levels[x], p.entry[x]
+    return fb.Poset(p.n, tuple(levels), tuple(entry))
+
+
 class TestPosetToPerm:
     def test_worked_example(self, poset8b):
         assert poset_to_perm(poset8b).entries == (3, 1, 7, 6, 4, 8, 2, 5)
@@ -364,6 +372,18 @@ class TestPosetToPerm:
         for n in range(8):
             for x in sequences_by_length[n]:
                 assert poset_to_perm(sequence_to_poset(x)) == sequence_to_perm(x)
+
+    def test_relabelled_posets(self, sequences_by_length):
+        # a seeded relabelling of every poset with n <= 7: the trace's levels still
+        # spell the permutation, and its labels undo the relabelling up to elements
+        # that share a level and an entry
+        rng = random.Random(32)
+        for n in range(8):
+            for x in sequences_by_length[n]:
+                p = sequence_to_poset(x)
+                q = _relabelled(p, rng.sample(range(1, n + 1), n))
+                assert poset_to_perm(q) == sequence_to_perm(poset_to_sequence(q)), x
+                assert _relabelled(q, canonical_labelling(q)) == p, x
 
     def test_active_sites_are_level_boundaries(self, sequences_by_length):
         for n in range(1, 7):

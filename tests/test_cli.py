@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 import fishburn as fb
 from fishburn import (AscentSequence, ChordInvolution, Poset, avoids_barred, bijections, cli,
                       enumerate_ascent_sequences, enumerate_permutations, patterns, series,
-                      verify)
-from fishburn.errors import NeighbourNestingError
+                      statistics, verify)
+from fishburn.errors import FishburnError, NeighbourNestingError
 from fishburn.objects import _first_neighbour_nesting, _trusted
 
 from conftest import random_ascent_sequence
@@ -275,8 +275,14 @@ class TestStats:
         for n in range(1, 9):
             for x in enumerate_ascent_sequences(n):
                 record = codec.stats(codec.from_hub(x))
-                assert cli.stats_line(record) == json.dumps(record.as_dict(),
-                                                            separators=(",", ":"))
+                fields = {
+                    "n": record.size, "minimals": record.minimals, "srank": record.srank,
+                    "rank": record.rank, "maximals": record.maximals,
+                    "components": record.components, "level_counts": list(record.level_counts),
+                    "max_level_counts": list(record.max_level_counts)}
+                line = statistics.format_stats(record)
+                assert line == json.dumps(record.as_dict(), separators=(",", ":"))
+                assert line == json.dumps(fields, separators=(",", ":"))
 
     def test_perm_record(self, capsys, monkeypatch):
         code, out, _ = run(["stats", "--format", "perm"],
@@ -566,9 +572,9 @@ class TestVerify:
             verify.run_suite("roundtrips", -2)
 
     def test_unknown_suite_is_rejected(self):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(FishburnError) as info:
             verify.run_suite("nope")
-        assert (type(info.value), str(info.value)) == (ValueError, "unknown suite 'nope'")
+        assert (type(info.value), str(info.value)) == (FishburnError, "unknown suite 'nope'")
 
     def test_a_suite_that_checks_nothing_fails(self, capsys):
         code, out, _ = run(["verify", "--suite", "stats", "--max-n", "0"], capsys=capsys)
@@ -632,14 +638,14 @@ class TestVerify:
         assert out == f"FAIL: p_n is not within 1/n of Zagier's asymptotic at n = {n}\n"
 
     def test_series_checks_the_functional_equation(self, capsys, monkeypatch):
-        real = series.count_table
+        real = series.CountTable
 
         def bumped(order):
             table = real(order)
             table.counts[order][1][0] += 1
             return table
 
-        monkeypatch.setattr(series, "count_table", bumped)
+        monkeypatch.setattr(series, "CountTable", bumped)
         code, out, _ = run(["verify", "--suite", "series", "--max-n", "8"], capsys=capsys)
         assert code == 1
         assert out == "FAIL: functional equation residual nonzero at order 8\n"

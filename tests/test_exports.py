@@ -56,8 +56,6 @@ CALLS = {
     "is_r_permutation": lambda i: fb.is_r_permutation(i.pi),
     "poset_from_relations": lambda i: fb.poset_from_relations(i.rel),
     "poset_to_relations": lambda i: fb.poset_to_relations(i.p),
-    "validate_ascent_sequence": lambda i: fb.validate_ascent_sequence(i.x.entries),
-    "validate_involution": lambda i: fb.validate_involution(i.c.partner),
     # bijections
     "canonical_labelling": lambda i: fb.canonical_labelling(i.p),
     "dual": lambda i: fb.dual(i.p),
@@ -100,7 +98,6 @@ EXCLUDED = {
     "p_series": "exact series engine, cost faster than cubic in the order "
                 "(about 2 s at 600); test_series.py and CI's 600-term run cover it",
     "CountTable": "counting DP, cubic memory in the order; test_series.py covers it",
-    "count_table": "counting DP, cubic memory in the order; test_series.py covers it",
     "F_n_polynomial": "series check: a polynomial of degree quadratic in n",
     "verify_functional_equation": "series check over the counting DP",
     "verify_kernel_solution": "series check over the counting DP",

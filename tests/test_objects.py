@@ -54,8 +54,6 @@ from fishburn.objects import (
     parse_sequence,
     poset_from_relations,
     poset_to_relations,
-    validate_ascent_sequence,
-    validate_involution,
 )
 from fishburn.bijections import enumerate_family
 
@@ -105,25 +103,25 @@ def ascent_sequences(max_length=12):
 
 class TestAscentSequences:
     def test_worked_example_is_valid(self):
-        validate_ascent_sequence((0, 1, 0, 2, 3, 1, 0, 0, 2))
+        AscentSequence((0, 1, 0, 2, 3, 1, 0, 0, 2))
 
     def test_base_cases(self):
-        validate_ascent_sequence(())
-        validate_ascent_sequence((0,))
+        AscentSequence(())
+        AscentSequence((0,))
 
     def test_bound_violation_reports_first_index(self):
         with pytest.raises(NotAscentSequenceError) as info:
-            validate_ascent_sequence((0, 2))
+            AscentSequence((0, 2))
         assert info.value.index == 2
 
     def test_nonzero_start_reports_index_one(self):
         with pytest.raises(NotAscentSequenceError) as info:
-            validate_ascent_sequence((1, 0))
+            AscentSequence((1, 0))
         assert info.value.index == 1
 
     def test_negative_entry_rejected(self):
         with pytest.raises(NotAscentSequenceError):
-            validate_ascent_sequence((0, -1))
+            AscentSequence((0, -1))
 
     def test_enumeration_n2(self):
         got = [x.entries for x in fb.enumerate_ascent_sequences(2)]
@@ -150,7 +148,7 @@ class TestAscentSequences:
 
     @given(ascent_sequences())
     def test_strategy_roundtrips_validation(self, x):
-        assert validate_ascent_sequence(x.entries) == x
+        assert AscentSequence(x.entries) == x
 
     def test_sequence_classes_stay_apart(self):
         x, m = AscentSequence((0, 1)), ModifiedAscentSequence((0, 1))
@@ -265,7 +263,7 @@ class TestPermutations:
     def test_membership_witness(self):
         assert fb.is_r_permutation(Permutation((3, 1, 5, 2, 4)))
         assert not fb.is_r_permutation(Permutation((3, 2, 5, 4, 1)))
-        assert fb.objects.r_violation(Permutation((2, 3, 1))) == (1, 2, 3)
+        assert next(fb.objects.r_occurrences(Permutation((2, 3, 1)))) == (1, 2, 3)
 
 
 class TestPosets:
@@ -699,7 +697,7 @@ class TestInvolutions:
         assert in_I2n(chord10)
 
     def test_single_chord(self):
-        assert in_I2n(validate_involution((2, 1)))
+        assert in_I2n(ChordInvolution((2, 1)))
 
     def test_crossing_vs_nesting(self):
         assert in_I2n(ChordInvolution((3, 4, 1, 2)))
@@ -709,11 +707,11 @@ class TestInvolutions:
 
     def test_validation_errors(self):
         with pytest.raises(NotInvolutionError):
-            validate_involution((2, 3, 1))
+            ChordInvolution((2, 3, 1))
         with pytest.raises(FixedPointError):
-            validate_involution((1, 2))
+            ChordInvolution((1, 2))
         with pytest.raises(NotInvolutionError):
-            validate_involution((2, 1, 4))
+            ChordInvolution((2, 1, 4))
 
     @pytest.mark.parametrize("points", [0, 2, 4, 6, 8])
     def test_three_membership_checks_agree(self, points):

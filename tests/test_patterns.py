@@ -13,7 +13,7 @@ import pytest
 
 import fishburn as fb
 from fishburn import AscentSequence, Permutation, patterns
-from fishburn.errors import LengthMismatchError, NotPermutationError, ParseError
+from fishburn.errors import FishburnError, LengthMismatchError, NotPermutationError, ParseError
 from fishburn.patterns import (
     BivincularPattern,
     R_PATTERN,
@@ -326,10 +326,10 @@ class TestSerialization:
         assert str(info.value) == "not a permutation of 1..n: (2, 2, 1)"
 
     def test_compact_form_needs_length_at_most_nine(self):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(FishburnError) as info:
             format_pattern(BivincularPattern(Permutation(tuple(range(1, 11))), (), ()))
         assert (type(info.value), str(info.value)) == (
-            ValueError, "compact pattern form needs length <= 9")
+            FishburnError, "compact pattern form needs length <= 9")
 
     def test_parse_errors(self):
         for bad in ("231", "231|X={1}", "2x1|X={}|Y={}", "231|X=1|Y={}",

@@ -1,12 +1,15 @@
 """Source rules: no `assert` in the library, each check runs by one route,
-validation happens at the boundary, no import hides inside a function,
-and the library holds no definition that it neither exports nor reads.
+every raise names a package error, validation happens at the boundary,
+no import hides inside a function, and the library holds no definition
+that it neither exports nor reads.
 
 `python -O` strips `assert` statements, so invariants are typed
 exceptions.  A second route that recomputes an answer and raises
 `AssertionError` on a mismatch belongs in the tests, not in the library;
 the one `raise AssertionError` left guards a branch that the proof in
-`poset_from_relations` shows unreachable.
+`poset_from_relations` shows unreachable.  Bad input and bad arguments
+raise a class of `errors.py`, so a caller catches them all as
+`FishburnError`; the few other raises are listed in NON_PACKAGE_RAISES.
 
 Values built from data that is valid by construction skip validation
 through `objects._trusted`; text and public-constructor input never
@@ -56,6 +59,52 @@ def test_no_assert_and_one_unreachable_guard():
         finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found += finder.found
     assert found == [("raise AssertionError", "objects.py", "poset_from_relations")]
+
+
+class _Raises(ast.NodeVisitor):
+    """Collects (module, enclosing class and function, raised name) for every `raise` of a value."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Raise(self, node):
+        if node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            self.found.append((self.module, ".".join(self.scope), ast.unparse(exc)))
+        self.generic_visit(node)
+
+
+# the raises that name no class of errors.py: outside the domain's errors on purpose
+NON_PACKAGE_RAISES = {
+    ("objects.py", "_Value.__setattr__", "AttributeError"),
+    ("objects.py", "_Value.__delattr__", "AttributeError"),
+    ("objects.py", "poset_from_relations", "AssertionError"),
+    ("statistics.py", "components", "TypeError"),
+    ("statistics.py", "direct_sum", "TypeError"),
+    ("cli.py", "non_negative_int", "argparse.ArgumentTypeError"),
+    ("cli.py", "pattern_argument", "argparse.ArgumentTypeError"),
+    ("verify.py", "_check", "_Counterexample"),
+}
+
+
+def test_every_raise_names_a_package_error():
+    # argument checks and field checks alike raise a FishburnError (so still a ValueError)
+    tree = ast.parse((SOURCE / "errors.py").read_text(encoding="utf-8"))
+    errors = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        finder = _Raises(path.name)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        found += finder.found
+    assert errors and found
+    assert {site for site in found if site[2] not in errors} == NON_PACKAGE_RAISES
 
 
 def test_no_function_level_imports():
@@ -118,7 +167,7 @@ def test_trusted_construction_sites():
         "_relation_of_int_pairs", "poset_to_relations",
         "perm_to_sequence", "sequence_to_perm_by_insertion", "_perm_of_modified",
         "to_modified", "from_modified", "sequence_to_poset", "poset_to_sequence",
-        "poset_to_perm", "dual", "involution_to_poset", "poset_to_involution",
+        "dual", "involution_to_poset", "poset_to_involution",
         "remove_neighbour_nestings", "direct_sum", "_poset_sum", "enumerate_self_modified",
     }
 

@@ -169,8 +169,33 @@ def test_a_bad_field_raises_the_package_error(cls):
         assert isinstance(info.value, ValueError)
 
 
+# fields that `int` cannot read, or relation members that are not two values
+NON_INT_FIELDS = {
+    fb.AscentSequence: [(("x",),), ((None,),)],
+    fb.ModifiedAscentSequence: [((0, None),)],
+    fb.Permutation: [((1, "two"),)],
+    fb.Poset: [(None, (0,), (1,)), (1, ("x",), (1,)), (1, (0,), (None,))],
+    fb.RelationMatrix: [(None, ()), (2, [(1,)]), (2, [(1, 2, 3)]), (2, [1]), (2, [(1, None)])],
+    fb.ChordInvolution: [((2, "one"),)],
+    fb.BivincularPattern: [((1, 2), {None}, ()), ((1, 2), (), {"y"})],
+}
+
+
+@pytest.mark.parametrize("cls", list(NON_INT_FIELDS), ids=lambda cls: cls.__name__)
+def test_a_field_that_is_no_int_raises_the_package_error(cls):
+    # by position and by keyword; the message is int()'s or the unpacking's own
+    for fields in NON_INT_FIELDS[cls]:
+        for build in (lambda: cls(*fields), lambda: cls(**dict(zip(cls._fields, fields)))):
+            with pytest.raises(fb.FishburnError) as info:
+                build()
+            assert type(info.value) is fb.FishburnError and str(info.value), (cls, fields)
+    with pytest.raises(fb.FishburnError, match=r"^invalid literal for int\(\) with base 10: 'x'$"):
+        fb.AscentSequence(("x",))
+
+
 def test_the_classes_without_checks_keep_the_base_hook():
     checked = set(BAD_FIELDS)
+    assert set(NON_INT_FIELDS) == checked
     assert {type(v) for v in VALUES} - checked == {fb.StatRecord}
     for cls in {type(v) for v in VALUES}:
         assert (cls.__post_init__ is _Value.__post_init__) == (cls not in checked)
