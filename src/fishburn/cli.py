@@ -35,6 +35,7 @@ from .objects import (
     AscentSequence,
     ChordInvolution,
     ModifiedAscentSequence,
+    _checked,
     _first_neighbour_nesting,
     check_brute_force_cap,
     enumerate_permutations,
@@ -89,14 +90,14 @@ def chord_stats(c: ChordInvolution) -> statistics.StatRecord:
 
 CODECS = {
     "ascseq": Codec(
-        parse=lambda text: AscentSequence(parse_sequence(text)),
+        parse=lambda text: _checked(AscentSequence, parse_sequence(text)),
         format=lambda x: format_sequence(x.entries),
         to_hub=lambda x: x,
         from_hub=lambda x: x,
         stats=lambda x: statistics.stats_of_sequence(x),
     ),
     "modseq": Codec(
-        parse=lambda text: ModifiedAscentSequence(parse_sequence(text)),
+        parse=lambda text: _checked(ModifiedAscentSequence, parse_sequence(text)),
         format=lambda m: format_sequence(m.entries),
         to_hub=lambda m: bijections.from_modified(m),
         from_hub=lambda x: bijections.to_modified(x),

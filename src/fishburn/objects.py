@@ -94,10 +94,13 @@ def _exact_int(v, error: str = "not an integer: {!r}") -> int:
 
 def _exact_ints(values) -> tuple[int, ...]:
     """`values` as a tuple of exact ints: a tuple of them as it is, anything else
-    read member by member by `_exact_int`."""
+    read member by member by `_exact_int`, and a value that is not iterable a FishburnError."""
     if type(values) is tuple and {int}.issuperset(map(type, values)):
         return values
-    return tuple(map(_exact_int, values))
+    try:
+        return tuple(map(_exact_int, values))
+    except TypeError as exc:  # not iterable; _exact_int itself raises no TypeError
+        raise FishburnError(str(exc)) from None
 
 
 class _Value:
@@ -105,14 +108,14 @@ class _Value:
 
     Each class gets its constructor from `__slots__`, in place of any
     `__init__` it writes: one parameter per field, in order, by position
-    or by keyword; it stores each field and then runs the class's checks,
-    `__post_init__`, which may store a field again in its normal form with
-    `object.__setattr__`.  Two values are equal when they are of the same
-    class with equal field tuples; the hash is that of the field tuple,
-    and the repr names each field, as in `Poset(n=4, levels=(0, 1, 0, 2),
-    entry=(1, 2, 2, 3))`.  Assigning or deleting an attribute raises
-    AttributeError.  Copies and pickles go back through the public
-    constructor.
+    or by keyword.  It stores each field, then runs the class's typing,
+    `_normalize` if it has one, which stores a field again in its normal
+    form with `object.__setattr__`, and its structure check, `__post_init__`.
+    Two values are equal when they are of the same class with equal field
+    tuples; the hash is that of the field tuple, and the repr names each
+    field, as in `Poset(n=4, levels=(0, 1, 0, 2), entry=(1, 2, 2, 3))`.
+    Assigning or deleting an attribute raises AttributeError.  Copies and
+    pickles go back through the public constructor.
     """
 
     __slots__ = ()
@@ -123,14 +126,15 @@ class _Value:
         if fields:
             # the value of the one field, or the tuple of the values of several
             cls._key = operator.attrgetter(*fields)
-            # the constructor: one parameter and one slot store per field, then the checks;
-            # and the trusted builder (`_trusted`): a new instance and the same stores, no
-            # checks.  Both are compiled in a class of the same name, so that their
-            # TypeErrors name the class
+            # the constructor: one parameter and one slot store per field, then the typing
+            # (only in a class that has any) and the checks; and the builder (`_trusted`,
+            # `_checked`): a new instance and the same stores, no checks.  Both are compiled
+            # in a class of the same name, so that their TypeErrors name the class
             parameters = ", ".join(fields)
             stores = "".join(f"  set_{name}(self, {name})\n" for name in fields)
+            normalize = "  self._normalize()\n" if hasattr(cls, "_normalize") else ""
             source = (f"class {cls.__name__}:\n def __init__(self, {parameters}):\n{stores}"
-                      "  self.__post_init__()\n"
+                      f"{normalize}  self.__post_init__()\n"
                       f" def _build({parameters}):\n  self = new(value_class)\n{stores}"
                       "  return self\n")
             namespace = {f"set_{name}": getattr(cls, name).__set__ for name in fields}
@@ -141,7 +145,7 @@ class _Value:
             cls._build = staticmethod(compiled._build)
 
     def __post_init__(self):
-        """The class's checks, run once its fields are stored; a class without any keeps this."""
+        """The class's structure check, run on typed fields; a class without one keeps this."""
 
     def _values(self) -> tuple:
         key = self._key(self)
@@ -183,6 +187,14 @@ def _trusted(cls, *fields):
     return cls._build(*fields)
 
 
+def _checked(cls, *fields):
+    """An instance of the value class `cls` holding `fields`, checked by its `__post_init__` but
+    not typed: for a parser that has just built the fields as tuples of exact ints itself."""
+    value = cls._build(*fields)
+    value.__post_init__()
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Sequences
 
@@ -191,11 +203,14 @@ class _EntriesSequence(_Value):
     """Read-only sequence behaviour over an `entries` tuple; holds no fields.
 
     Each sequence class declares its own `entries` slot, from which it gets
-    its own constructor, and its own validation in `__post_init__`; none is
-    an instance of another.
+    its own constructor, and its own structure check in `__post_init__`
+    (the typing is shared); none is an instance of another.
     """
 
     __slots__ = ()
+
+    def _normalize(self):
+        object.__setattr__(self, "entries", _exact_ints(self.entries))
 
     def __len__(self):
         return len(self.entries)
@@ -216,8 +231,7 @@ class AscentSequence(_EntriesSequence):
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        entries = _exact_ints(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
         if entries and entries[0] != 0:
             raise NotAscentSequenceError(1)
         asc = 0
@@ -259,8 +273,7 @@ class ModifiedAscentSequence(_EntriesSequence):
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        entries = _exact_ints(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
         if not _is_modified(entries):
             raise NotModifiedSequenceError(f"not a modified ascent sequence: {_shown(entries)}")
 
@@ -301,8 +314,7 @@ class Permutation(_EntriesSequence):
     __slots__ = ("entries",)
 
     def __post_init__(self):
-        entries = _exact_ints(self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise NotPermutationError(f"not a permutation of 1..n: {_shown(entries)}")
 
@@ -374,14 +386,16 @@ class Poset(_Value):
 
     __slots__ = ("n", "levels", "entry")
 
-    def __post_init__(self):
-        levels = _exact_ints(self.levels)
-        entry = _exact_ints(self.entry)
+    def _normalize(self):
+        levels, entry = _exact_ints(self.levels), _exact_ints(self.entry)
         # a size that int() would change matches no number of elements
         n = _exact_int(self.n, "levels and entry must assign one value to each of 1..n")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "entry", entry)
+
+    def __post_init__(self):
+        n, levels, entry = self.n, self.levels, self.entry
         if n < 0 or len(levels) != n or len(entry) != n:
             raise FishburnError("levels and entry must assign one value to each of 1..n")
         if not n:
@@ -468,18 +482,20 @@ class RelationMatrix(_Value):
 
     __slots__ = ("n", "pairs")
 
-    def __post_init__(self):
-        n = _exact_int(self.n)
+    def _normalize(self):
+        object.__setattr__(self, "n", _exact_int(self.n))
         pairs = self.pairs
-        if not isinstance(pairs, (list, tuple)):
-            pairs = list(pairs)
-        if not _are_int_pairs(pairs):
-            try:
+        try:
+            if not isinstance(pairs, (list, tuple)):
+                pairs = list(pairs)
+            if not _are_int_pairs(pairs):
                 pairs = [(_exact_int(a), _exact_int(b)) for a, b in pairs]
-            except (TypeError, ValueError) as exc:  # a member that is not two ints
-                raise FishburnError(str(exc)) from None
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", _sorted_pairs_in_range(n, pairs))
+        except (TypeError, ValueError) as exc:  # not iterable, or a member that is not two ints
+            raise FishburnError(str(exc)) from None
+        object.__setattr__(self, "pairs", pairs)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", _sorted_pairs_in_range(self.n, self.pairs))
 
 
 def _relation_of_int_pairs(n: int, pairs: Iterable) -> RelationMatrix:
@@ -502,9 +518,11 @@ class ChordInvolution(_Value):
 
     __slots__ = ("partner",)
 
+    def _normalize(self):
+        object.__setattr__(self, "partner", _exact_ints(self.partner))
+
     def __post_init__(self):
-        partner = _exact_ints(self.partner)
-        object.__setattr__(self, "partner", partner)
+        partner = self.partner
         m = len(partner)
         points = range(1, m + 1)
         try:
@@ -631,6 +649,19 @@ def enumerate_nesting_free_involutions(n: int) -> list[ChordInvolution]:
 # Canonical text forms (shared by the CLI and test fixtures)
 
 
+_VALUE = {str(i): i for i in range(1024)}
+
+
+def _ints(tokens: list[str]) -> tuple[int, ...]:
+    """The ints of decimal tokens, each looked up in `_VALUE`, which holds 0..1023 as `str`
+    writes them; a line with any other token (a sign, leading zeros, spaces, other digits,
+    1024 or more) is read by `int()` instead, token by token."""
+    try:
+        return tuple(map(_VALUE.__getitem__, tokens))
+    except KeyError:
+        return tuple(map(int, tokens))
+
+
 def format_sequence(entries: Iterable[int]) -> str:
     return "[" + ",".join(str(e) for e in entries) + "]"
 
@@ -643,7 +674,7 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     if not body:
         return ()
     try:
-        return tuple(map(int, body.split(",")))
+        return _ints(body.split(","))
     except ValueError as exc:
         raise ParseError(f"bad sequence literal: {_shown(text)}") from exc
 
@@ -657,10 +688,10 @@ def parse_permutation(text: str) -> Permutation:
     if not parts:
         raise ParseError("empty permutation literal")
     try:
-        entries = tuple(map(int, parts))
+        entries = _ints(parts)
     except ValueError as exc:
         raise ParseError(f"bad permutation literal: {_shown(text)}") from exc
-    return Permutation(entries)
+    return _checked(Permutation, entries)
 
 
 _NO_DIGITS = str.maketrans("", "", "-0123456789")
@@ -796,7 +827,7 @@ def parse_involution(text: str) -> ChordInvolution:
     else:
         raise ParseError(f"bad involution literal: {_shown(text)}")
     try:
-        ends = list(map(int, ends))
+        ends = _ints(ends)
     except ValueError as exc:  # an endpoint with more digits than int() reads
         raise ParseError(f"bad involution literal: {_shown(text)}") from exc
     m = len(ends)
@@ -805,7 +836,7 @@ def parse_involution(text: str) -> ChordInvolution:
         if not (1 <= a <= m and 1 <= b <= m) or partner[a - 1] or partner[b - 1]:
             raise NotInvolutionError(f"bad chord list: {_shown(text)}")
         partner[a - 1], partner[b - 1] = b, a
-    return ChordInvolution(tuple(partner))
+    return _checked(ChordInvolution, tuple(partner))
 
 
 def _upper_labels(levels: list[int] | tuple[int, ...]) -> list[list[int]]:
@@ -877,7 +908,8 @@ def _counted_poset(n: int, firsts: list[int],
     upper = _upper_labels(levels)
     entry_of_ups = {len(row): e for e, row in enumerate(upper) if e}
     try:
-        return Poset(n, levels, tuple(map(entry_of_ups.get, up, itertools.repeat(0)))), upper
+        entry = tuple(map(entry_of_ups.get, up, itertools.repeat(0)))
+        return _checked(Poset, n, levels, entry), upper
     except FishburnError:  # an upset size that no entry has, or level >= entry
         return None
 

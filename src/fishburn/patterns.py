@@ -33,7 +33,7 @@ import itertools
 from collections.abc import Callable, Iterator
 
 from .errors import FishburnError, LengthMismatchError, ParseError
-from .objects import AscentSequence, Permutation, _exact_int, _shown, _trusted, _Value, r_occurrences
+from .objects import AscentSequence, Permutation, _exact_ints, _shown, _trusted, _Value, r_occurrences
 
 
 class BivincularPattern(_Value):
@@ -41,11 +41,13 @@ class BivincularPattern(_Value):
 
     __slots__ = ("sigma", "X", "Y")
 
-    def __post_init__(self):
+    def _normalize(self):
         if not isinstance(self.sigma, Permutation):
-            object.__setattr__(self, "sigma", Permutation(tuple(self.sigma)))
-        object.__setattr__(self, "X", frozenset(map(_exact_int, self.X)))
-        object.__setattr__(self, "Y", frozenset(map(_exact_int, self.Y)))
+            object.__setattr__(self, "sigma", Permutation(self.sigma))
+        object.__setattr__(self, "X", frozenset(_exact_ints(self.X)))
+        object.__setattr__(self, "Y", frozenset(_exact_ints(self.Y)))
+
+    def __post_init__(self):
         k = len(self.sigma)
         if not all(0 <= x <= k for x in self.X) or not all(0 <= y <= k for y in self.Y):
             raise FishburnError(f"adjacency sets must lie in 0..{k}")

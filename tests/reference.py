@@ -404,7 +404,12 @@ def exact_int(v, error: str = "not an integer: {!r}") -> int:
 
 
 def exact_ints(values) -> tuple[int, ...]:
-    return tuple(exact_int(v) for v in values)
+    """Every member by `exact_int`; a value that is not iterable raises the message of `iter`."""
+    try:
+        members = iter(values)
+    except TypeError as exc:
+        raise FishburnError(str(exc)) from None
+    return tuple(exact_int(v) for v in members)
 
 
 def sequence_entries_by_scanning(entries) -> tuple[int, ...]:
@@ -571,6 +576,32 @@ def partner_by_scanning(partner) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Text forms
+
+
+def parse_sequence_by_int(text: str) -> tuple[int, ...]:
+    """The sequence reader with every entry read by `int()`."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"bad sequence literal: {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        return ()
+    try:
+        return tuple(int(token) for token in body.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad sequence literal: {text!r}") from exc
+
+
+def parse_permutation_by_int(text: str) -> Permutation:
+    """The permutation reader with every entry read by `int()`, checked by the public constructor."""
+    tokens = text.split()
+    if not tokens:
+        raise ParseError("empty permutation literal")
+    try:
+        entries = tuple(int(token) for token in tokens)
+    except ValueError as exc:
+        raise ParseError(f"bad permutation literal: {text!r}") from exc
+    return Permutation(entries)
 
 
 def parse_involution_by_scanning(text: str) -> ChordInvolution:

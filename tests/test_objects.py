@@ -37,6 +37,7 @@ from fishburn.errors import (
     ParseError,
 )
 from fishburn.objects import (
+    _checked,
     _is_modified,
     check_brute_force_cap,
     enumerate_ascent_sequences,
@@ -45,6 +46,7 @@ from fishburn.objects import (
     enumerate_permutations,
     enumerate_r_permutations,
     format_involution,
+    format_permutation,
     format_poset,
     format_sequence,
     in_I2n,
@@ -69,7 +71,9 @@ from reference import (
     modified_entries_by_scanning,
     neighbour_nesting_positions,
     parse_involution_by_scanning,
+    parse_permutation_by_int,
     parse_poset_by_counting,
+    parse_sequence_by_int,
     partner_by_scanning,
     permutation_entries_by_scanning,
     poset_fields_by_scanning,
@@ -1174,6 +1178,59 @@ class TestTextForms:
                 assert parse_involution(format_involution(c.partner)) == c
 
 
+class TestDecimalTable:
+    """The three readers of decimal tokens look each one up in `objects._VALUE` and read
+    a line with any token outside it by `int()`; either way they give what the
+    `int()`-only readers of `tests/reference.py` give, value or error."""
+
+    # the table's ends, leading zeros, signs, spaces, other Unicode digits, a long int
+    TOKENS = ["0", "1", "2", "1023", "1024", "00", "01", "+1", "-0", "-1", " 1", "1 ",
+              "\u0660", "\u0663", "9" * 30, "x", ""]
+    # per reader: lines around each token, then lines of its own that are valid, that have a
+    # comma with a space after it, and that hold labels past the table's bound
+    READERS = [
+        (parse_sequence, parse_sequence_by_int, ["[{}]", "[0,{}]", "[0,1,{}]", "[{},0]"],
+         ["[0,1,0,1]", "[0, 1]", "[0 ,1]", format_sequence(range(1030)),
+          format_sequence(range(1030))[:-1] + ",x]"]),
+        (parse_permutation, parse_permutation_by_int, ["{}", "1 {}", "{} 1", "2 {} 1"],
+         ["2 1 3", "1, 2", format_permutation(range(1030, 0, -1)),
+          format_permutation(range(1030, 0, -1)) + " 1030"]),
+        (parse_involution, parse_involution_by_scanning,
+         ["[({},2)]", "[(1,{})]", "[(2,{}),(1,3)]", "[(1,2),(3,{})]"],
+         ["[(1,2),(3,4)]", "[(1, 2)]", "[(1,2), (3,4)]", format_involution(range(1030, 0, -1)),
+          format_involution(range(1030, 0, -1))[:-1] + ",(1031,1)]"]),
+    ]
+
+    @pytest.mark.parametrize("parse, reference, templates, own", READERS,
+                             ids=["sequence", "permutation", "involution"])
+    def test_every_token_reads_as_int_reads_it(self, parse, reference, templates, own):
+        lines = [template.format(token) for template in templates for token in self.TOKENS]
+        outcomes = collections.Counter()
+        for line in lines + own:
+            got, expected = _outcome(parse, line), _outcome(reference, line)
+            if expected[0] != "ok":  # the reference echoes the whole line, the library a prefix
+                expected = (expected[0], expected[1].replace(repr(line), objects._shown(line)))
+            assert got == expected, line
+            if got[0] == "ok":
+                entries = got[1] if parse is parse_sequence else got[1]._values()[0]
+                assert type(entries) is tuple and {int}.issuperset(map(type, entries)), line
+            outcomes[got[0] if got[0] == "ok" else got[0].__name__] += 1
+        assert outcomes["ok"] >= 5 and outcomes["ParseError"] >= 5, outcomes
+
+    def test_a_line_inside_the_table_calls_no_int(self, monkeypatch):
+        def refuse(token):
+            raise RuntimeError(f"int({token!r})")
+
+        expected = [(0, 1, 1023), Permutation((2, 3, 1)), ChordInvolution((3, 4, 1, 2))]
+        monkeypatch.setattr(objects, "int", refuse, raising=False)
+        assert [parse_sequence("[0,1,1023]"), parse_permutation("2 3 1"),
+                parse_involution("[(1,3),(2,4)]")] == expected
+        assert parse_involution("[( 1 , 3 ), (2,4)]") == expected[2]
+        for line in ("[0,1024]", "[0,01]", "[0, 1]"):
+            with pytest.raises(RuntimeError, match=r"^int\('0'\)$"):  # the whole line again
+                parse_sequence(line)
+
+
 class TestConstructorChecks:
     """Each public constructor stores what, and raises what (type and message),
     its element-by-element check in `tests/reference.py` does."""
@@ -1192,14 +1249,14 @@ class TestConstructorChecks:
     CORPUS = {
         AscentSequence: [
             (), (0,), (0, 1, 0, 1, 3, 1, 1, 2), [0, 1], range(1), (1,), (0, 2), (0, -1),
-            (0, 1, 3), (0, True, True, 2), (False, True),
+            (0, 1, 3), (0, True, True, 2), (False, True), 5, None,
         ],
         ModifiedAscentSequence: [
             (), (0,), (0, 1, 0, 1, 2), [0, 1, 1], (1,), (0, 0, 2), (0, -1), (0, 2), (0, 1, 0, 0, 2),
-            (False, True),
+            (False, True), None,
         ],
         Permutation: [(), (1,), (2, 1), [2, 1], range(1, 4), (1, 1), (0, 1), (2,), (1, True),
-                      (True, 2)],
+                      (True, 2), 3],
         Poset: [
             (0, (), ()), (1, (0,), (1,)), (3, (0, 0, 1), (1, 2, 2)), (2, [0, 1], [1, 2]),
             # wrong lengths and sizes
@@ -1213,6 +1270,8 @@ class TestConstructorChecks:
             # unoccupied levels, missing entries, both
             (2, (0, 2), (3, 3)), (3, (0, 2, 1), (3, 3, 3)), (2, (0, 1), (2, 2)),
             (1, (10 ** 6,), (10 ** 6 + 1,)),
+            # fields that are not iterable
+            (1, None, (1,)), (1, (0,), 1), (None, None, None),
         ],
         ChordInvolution: [
             (), (2, 1), (3, 4, 1, 2), [2, 1], range(2, 0, -1),
@@ -1220,6 +1279,7 @@ class TestConstructorChecks:
             (2, 2), (0, 1), (1, 5), (3, 1), (-1, 0), (0, 0), (2, 10 ** 30), (-5, 1),  # no permutation
             (1, 2), (2, 1, 3, 4), (True, 2),  # fixed points
             (2, 3, 4, 1), (3, 1, 2, 4),  # no involution
+            None, 4,
         ],
     }
 
@@ -1246,6 +1306,22 @@ class TestConstructorChecks:
     def test_the_corpus(self, cls):
         for args in self.CORPUS[cls]:
             self.assert_same(cls, *(args if cls is Poset else (args,)))
+
+    @pytest.mark.parametrize("cls", list(CHECKS), ids=lambda cls: cls.__name__)
+    def test_the_structure_check_alone_on_exact_int_fields(self, cls):
+        # `_checked` skips only the typing: on fields that need none (tuples of exact ints, and
+        # an exact-int size) it returns an equal value, or raises the same type and message
+        cases = [args if cls is Poset else (args,) for args in self.CORPUS[cls]]
+        exact = [args for args in cases
+                 if (cls is not Poset or type(args[0]) is int)
+                 and all(type(t) is tuple and {int}.issuperset(map(type, t))
+                         for t in (args[1:] if cls is Poset else args))]
+        outcomes = collections.Counter()
+        for args in exact:
+            got = self.outcome(lambda: _checked(cls, *args))
+            assert got == self.outcome(lambda: cls(*args)), (cls.__name__, args)
+            outcomes[got[0]] += 1
+        assert outcomes["stores"] >= 2 and outcomes["raises"] >= 3, outcomes
 
     @pytest.mark.parametrize("cls", list(CHECKS), ids=lambda cls: cls.__name__)
     def test_odd_members_in_every_place(self, cls):

@@ -11,9 +11,13 @@ the one `raise AssertionError` left guards a branch that the proof in
 raise a class of `errors.py`, so a caller catches them all as
 `FishburnError`; the few other raises are listed in NON_PACKAGE_RAISES.
 
-Values built from data that is valid by construction skip validation
-through `objects._trusted`; text and public-constructor input never
-does, so no parser, validator or CLI code calls it.
+A value is built by one of three routes.  The public constructor types
+each field (`_normalize`) and then runs the class's structure check
+(`__post_init__`).  `objects._checked` runs the structure check alone, for
+a parser that has just built the fields as exact ints itself; its call
+sites are listed.  `objects._trusted` runs neither, for data that is
+valid by construction; text and public-constructor input never takes it,
+so no parser, validator or CLI code calls it.
 
 References that only the tests compare against live in `tests/reference.py`.
 """
@@ -118,11 +122,12 @@ def test_no_function_level_imports():
     assert sorted(found) == []
 
 
-class _TrustedCalls(ast.NodeVisitor):
-    """Collects (module, enclosing class and function) for every call of `_trusted`."""
+class _Calls(ast.NodeVisitor):
+    """Collects (module, enclosing class and function) for every call of the function `name`;
+    a call in a module-level table, such as `cli.CODECS`, is in the scope of the table's name."""
 
-    def __init__(self, module: str):
-        self.module, self.scope, self.found = module, [], []
+    def __init__(self, module: str, name: str):
+        self.module, self.name, self.scope, self.found = module, name, [], []
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -131,16 +136,23 @@ class _TrustedCalls(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
+    def visit_Assign(self, node):
+        if self.scope or not isinstance(node.targets[0], ast.Name):
+            return self.generic_visit(node)
+        self.scope.append(node.targets[0].id)
+        self.generic_visit(node)
+        self.scope.pop()
+
     def visit_Call(self, node):
-        if isinstance(node.func, ast.Name) and node.func.id == "_trusted":
+        if isinstance(node.func, ast.Name) and node.func.id == self.name:
             self.found.append((self.module, ".".join(self.scope)))
         self.generic_visit(node)
 
 
-def _trusted_calls() -> list[tuple[str, str]]:
+def _calls(name: str) -> list[tuple[str, str]]:
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        finder = _TrustedCalls(path.name)
+        finder = _Calls(path.name, name)
         finder.visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         found += finder.found
     return found
@@ -150,7 +162,7 @@ BOUNDARY = ("parse_", "validate_", "poset_from_relations", "standardize")
 
 
 def test_the_boundary_never_skips_validation():
-    calls = _trusted_calls()
+    calls = _calls("_trusted")
     assert calls
     for module, scope in calls:
         assert module != "cli.py", scope
@@ -159,7 +171,7 @@ def test_the_boundary_never_skips_validation():
 
 def test_trusted_construction_sites():
     # every site that skips validation is listed here on purpose
-    assert {scope for _, scope in _trusted_calls()} == {
+    assert {scope for _, scope in _calls("_trusted")} == {
         "enumerate_ascent_sequences",
         "Permutation.inverse", "Permutation.reverse", "Permutation.complement",
         "Permutation.compose", "enumerate_permutations",
@@ -170,6 +182,15 @@ def test_trusted_construction_sites():
         "dual", "involution_to_poset", "poset_to_involution",
         "remove_neighbour_nestings", "direct_sum", "_poset_sum", "enumerate_self_modified",
     }
+
+
+def test_checked_construction_sites():
+    # every site that skips the typing has just built its fields as exact ints itself
+    assert sorted(_calls("_checked")) == [
+        ("cli.py", "CODECS"), ("cli.py", "CODECS"),
+        ("objects.py", "_counted_poset"), ("objects.py", "parse_involution"),
+        ("objects.py", "parse_permutation"),
+    ]
 
 
 def _unread_definitions() -> list[str]:

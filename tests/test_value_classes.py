@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import fishburn as fb
-from fishburn.objects import _trusted, _Value
+from fishburn.objects import _checked, _trusted, _Value
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
@@ -193,12 +193,36 @@ def test_a_field_that_is_no_int_raises_the_package_error(cls):
         fb.AscentSequence(("x",))
 
 
+# a scalar or None in place of a sequence field, with the message of `iter` on it
+NOT_ITERABLE_FIELDS = {
+    fb.AscentSequence: [((5,), "'int' object is not iterable")],
+    fb.ModifiedAscentSequence: [((None,), "'NoneType' object is not iterable")],
+    fb.Permutation: [((3,), "'int' object is not iterable")],
+    fb.Poset: [((1, None, (1,)), "'NoneType' object is not iterable"),
+               ((1, (0,), 1), "'int' object is not iterable")],
+    fb.RelationMatrix: [((2, 7), "'int' object is not iterable")],
+    fb.ChordInvolution: [((None,), "'NoneType' object is not iterable")],
+    fb.BivincularPattern: [(((1, 2), 5, ()), "'int' object is not iterable"),
+                           ((None, (), ()), "'NoneType' object is not iterable")],
+}
+
+
+@pytest.mark.parametrize("cls", list(NOT_ITERABLE_FIELDS), ids=lambda cls: cls.__name__)
+def test_a_field_that_is_not_iterable_raises_the_package_error(cls):
+    for fields, message in NOT_ITERABLE_FIELDS[cls]:
+        for build in (lambda: cls(*fields), lambda: cls(**dict(zip(cls._fields, fields)))):
+            with pytest.raises(fb.FishburnError) as info:
+                build()
+            assert type(info.value) is fb.FishburnError and str(info.value) == message, fields
+
+
 def test_the_classes_without_checks_keep_the_base_hook():
     checked = set(BAD_FIELDS)
-    assert set(NON_INT_FIELDS) == checked
+    assert set(NON_INT_FIELDS) == set(NOT_ITERABLE_FIELDS) == checked
     assert {type(v) for v in VALUES} - checked == {fb.StatRecord}
     for cls in {type(v) for v in VALUES}:
         assert (cls.__post_init__ is _Value.__post_init__) == (cls not in checked)
+        assert hasattr(cls, "_normalize") == (cls in checked)
 
 
 def test_stat_record_by_keyword():
@@ -250,3 +274,18 @@ def test_the_trusted_builder_runs_no_checks(obj, monkeypatch):
     with pytest.raises(RuntimeError, match="checked"):
         cls(*fields)
     assert _trusted(cls, *fields) == obj
+
+
+@pytest.mark.parametrize("obj", VALUES, ids=IDS)
+def test_the_checked_builder_skips_only_the_typing(obj, monkeypatch):
+    # the constructor types, then checks; `_checked` only checks; a class without
+    # typing (`StatRecord`) has no call to it compiled into its constructor
+    cls = type(obj)
+    fields = [getattr(obj, name) for name in obj._fields]
+    calls = []
+    monkeypatch.setattr(cls, "_normalize", lambda self: calls.append("typed"), raising=False)
+    monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append("checked"))
+    assert cls(*fields) == obj
+    assert calls == (["typed", "checked"] if cls in BAD_FIELDS else ["checked"])
+    calls.clear()
+    assert _checked(cls, *fields) == obj and calls == ["checked"]
